@@ -163,11 +163,16 @@ def _transpose(w):
 
 
 def _segment_softmax(logits, segments, num_segments):
-    """Softmax of per-edge logits within each destination's neighborhood."""
-    seg = np.asarray(segments, dtype=np.int64)
+    """Softmax of per-edge logits within each destination's neighborhood.
+
+    ``segments`` must be sorted, as ``Graph.edge_dst`` is; unsorted ids raise
+    ValueError.
+    """
+    seg = T._check_segments("_segment_softmax", logits, segments, num_segments)
+    ids, starts = T._segment_starts("_segment_softmax", seg)
     # the max shift is a constant w.r.t. the tape; softmax is shift-invariant
-    m = np.full(num_segments, -np.inf)
-    np.maximum.at(m, seg, logits.data.reshape(-1))
+    m = np.zeros(num_segments)
+    m[ids] = np.maximum.reduceat(logits.data.reshape(-1), starts)
     m[~np.isfinite(m)] = 0.0
     e = T.exp(logits - Tensor(m[seg].reshape(-1, 1)))
     denom = T.segment_sum(e, seg, num_segments)

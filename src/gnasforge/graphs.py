@@ -66,8 +66,7 @@ def _build_csr(num_nodes, arcs):
     dst = np.fromiter((d for d, _ in sorted(arcs)), dtype=np.int64, count=len(arcs))
     src = np.fromiter((s for _, s in sorted(arcs)), dtype=np.int64, count=len(arcs))
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(offsets, dst + 1, 1)
-    offsets = np.cumsum(offsets)
+    np.cumsum(np.bincount(dst, minlength=num_nodes), out=offsets[1:])
     return offsets, src
 
 

@@ -365,6 +365,7 @@ def dual_search(config, graph, hidden=None, seed=None):
             opt_w.step(store.grads("w"))
             counters["w_updates"] += 1
             train_loss = loss.item()
+            del logits, loss   # free the tape and its grads before the next forward
 
         # architecture update: rebuild the controller tape with the same noise
         store.zero_grad()
@@ -381,6 +382,8 @@ def dual_search(config, graph, hidden=None, seed=None):
         if opt_macro is not None:
             opt_macro.step(store.grads("a_macro"))
             counters["a_macro_updates"] += 1
+        val_loss_value = val_loss.item()
+        del logits, val_loss   # free the tape and its grads before the eval forward
 
         eval_logits = model.forward(graph, choices, scales=None,
                                     gate_mode="deterministic", tau=tau)
@@ -389,7 +392,7 @@ def dual_search(config, graph, hidden=None, seed=None):
             "epoch": epoch,
             "tau": tau,
             "train_loss": train_loss,
-            "val_loss": val_loss.item(),
+            "val_loss": val_loss_value,
             "val_metric": val_metric,
             "indices": {f"l{l}/{k}": v for (l, k), v in sorted(indices.items())},
         }
@@ -438,6 +441,7 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
             raise SearchError(f"non-finite retraining loss at epoch {epoch}")
         loss.backward()
         opt.step(net.store.grads("w"))
+        del logits, loss   # free the tape and its grads before the validation forward
 
         val = evaluate(net.forward(graph), graph.labels, graph.masks["val"], task)
         if val > best["val"]:

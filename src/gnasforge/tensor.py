@@ -335,8 +335,25 @@ def softmax_rows(a):
 
 # -- gather / segment ops ----------------------------------------------------
 
+def _scatter_add(values, idx, num_rows):
+    """Sum rows of ``values`` into ``num_rows`` rows keyed by ``idx``, in any index order.
+
+    ``bincount`` adds each weight into its bin in input order, exactly as
+    ``np.add.at`` does, so the sums are bit-identical to an ordered loop.
+    """
+    d = values.shape[1]
+    keys = (idx[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(keys, weights=values.ravel(), minlength=num_rows * d)
+    # an empty input makes bincount return integers
+    return sums.astype(np.float64, copy=False).reshape(num_rows, d)
+
+
 def gather_rows(a, idx):
-    """Select rows of ``a`` by an integer index vector."""
+    """Select rows of ``a`` by an integer index vector.
+
+    The index may be unsorted and repeat rows; backward sums the gradients of
+    repeated rows in index order.
+    """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError("gather_rows: index must be a vector")
@@ -345,13 +362,7 @@ def gather_rows(a, idx):
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise IndexError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
     out = Tensor(a.data[idx], _parents=(a,))
-
-    def bw(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
-        _accum(a, acc)
-
-    out._backward = bw
+    out._backward = lambda g: _accum(a, _scatter_add(g, idx, a.data.shape[0]))
     return out
 
 
@@ -364,23 +375,39 @@ def _check_segments(op, values, segments, num_segments):
     return segments
 
 
+def _segment_starts(op, segments):
+    """Ids of the non-empty segments and the row each one starts at.
+
+    ``segments`` must be sorted (CSR order); anything else raises ValueError.
+    """
+    step = np.diff(segments, prepend=-1)
+    if (step < 0).any():
+        raise ValueError(f"{op}: segment ids must be sorted")
+    starts = np.flatnonzero(step)
+    return segments[starts], starts
+
+
 def segment_sum(values, segments, num_segments):
-    """Sum rows of ``values`` into ``num_segments`` buckets keyed by ``segments``."""
+    """Sum rows of ``values`` into ``num_segments`` buckets keyed by ``segments``.
+
+    Ids may come in any order; each bucket accumulates its rows in input order.
+    """
     segments = _check_segments("segment_sum", values, segments, num_segments)
-    y = np.zeros((num_segments, values.data.shape[1]))
-    np.add.at(y, segments, values.data)
-    out = Tensor(y, _parents=(values,))
+    out = Tensor(_scatter_add(values.data, segments, num_segments), _parents=(values,))
     out._backward = lambda g: _accum(values, g[segments])
     return out
 
 
 def segment_mean(values, segments, num_segments):
-    """Per-segment mean; an empty segment yields a zero row."""
+    """Per-segment mean; an empty segment yields a zero row.
+
+    Ids may come in any order; each bucket sums its rows in input order
+    before dividing by the row count.
+    """
     segments = _check_segments("segment_mean", values, segments, num_segments)
     counts = np.bincount(segments, minlength=num_segments).astype(np.float64)
     safe = np.maximum(counts, 1.0)
-    y = np.zeros((num_segments, values.data.shape[1]))
-    np.add.at(y, segments, values.data)
+    y = _scatter_add(values.data, segments, num_segments)
     y /= safe[:, None]
     out = Tensor(y, _parents=(values,))
     out._backward = lambda g: _accum(values, (g / safe[:, None])[segments])
@@ -388,30 +415,29 @@ def segment_mean(values, segments, num_segments):
 
 
 def segment_max(values, segments, num_segments):
-    """Per-segment max; empty segments yield a zero row.
+    """Per-segment max over sorted segment ids; empty segments yield a zero row.
 
-    Backward routes the gradient entirely to the first row attaining the max
-    in each segment (per column).
+    ``segments`` must be sorted, as ``Graph.edge_dst`` is; unsorted ids raise
+    ValueError. Backward routes the gradient entirely to the first row
+    attaining the max in each segment (per column).
     """
     segments = _check_segments("segment_max", values, segments, num_segments)
-    d = values.data.shape[1]
-    y = np.full((num_segments, d), -np.inf)
-    np.maximum.at(y, segments, values.data)
-    empty = ~np.isin(np.arange(num_segments), segments)
-    y[empty] = 0.0
-    # first row achieving the max, per (segment, column)
-    winner = np.full((num_segments, d), -1, dtype=np.int64)
-    for r in range(values.data.shape[0] - 1, -1, -1):
-        s = segments[r]
-        winner[s] = np.where(values.data[r] == y[s], r, winner[s])
+    ids, starts = _segment_starts("segment_max", segments)
+    v = values.data
+    y = np.zeros((num_segments, v.shape[1]))
+    y[ids] = np.maximum.reduceat(v, starts, axis=0)
+    # first row reaching the max, per (segment, column); len(v) marks none (a NaN max)
+    row = np.arange(len(v))[:, None]
+    first = np.minimum.reduceat(np.where(v == y[segments], row, len(v)), starts, axis=0)
+    seg_rank, cols = np.nonzero(first < len(v))
+    rows, seg_of = first[seg_rank, cols], ids[seg_rank]
     out = Tensor(y, _parents=(values,))
 
     def bw(g):
-        acc = np.zeros_like(values.data)
-        rows = winner.reshape(-1)
-        cols = np.tile(np.arange(d), num_segments)
-        keep = rows >= 0
-        np.add.at(acc, (rows[keep], cols[keep]), g.reshape(-1)[keep])
+        # winner pairs (row, col) are unique, so += adds each gradient once onto
+        # zero, exactly as a scatter-add would (signed zeros included)
+        acc = np.zeros_like(v)
+        acc[rows, cols] += g[seg_of, cols]
         _accum(values, acc)
 
     out._backward = bw

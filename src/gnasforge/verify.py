@@ -35,6 +35,7 @@ def primitive_checks(seed=0):
     x33 = rng.standard_normal((3, 3))
     pos = rng.random((3, 4)) + 0.5
     seg = np.array([0, 0, 1])
+    seg_gap = np.array([0, 0, 2])   # segment 1 is empty
     out = {}
 
     def chk(name, f, x):
@@ -68,6 +69,9 @@ def primitive_checks(seed=0):
     chk("segment_sum", lambda t: T.tsum(T.mul(T.segment_sum(t, seg, 2), c24)), x34)
     chk("segment_mean", lambda t: T.tsum(T.mul(T.segment_mean(t, seg, 2), c24)), x34)
     chk("segment_max", lambda t: T.tsum(T.mul(T.segment_max(t, seg, 2), c24)), x34)
+    chk("segment_sum_gap", lambda t: T.tsum(T.mul(T.segment_sum(t, seg_gap, 3), c)), x34)
+    chk("segment_mean_gap", lambda t: T.tsum(T.mul(T.segment_mean(t, seg_gap, 3), c)), x34)
+    chk("segment_max_gap", lambda t: T.tsum(T.mul(T.segment_max(t, seg_gap, 3), c)), x34)
     chk("sum", lambda t: T.tsum(T.mul(t, c)), x34)
     chk("mean", lambda t: T.tmean(T.mul(t, c)), x34)
     chk("pick", lambda t: T.pick(T.mul(t, c), 5), x34)

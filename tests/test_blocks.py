@@ -6,7 +6,7 @@ from gnasforge.tensor import Tensor, ParameterStore
 from gnasforge.blocks import (
     BlockSpace, BlockChoice, BlockParamsView,
     block_forward, init_block_params, select_operator,
-    attention_coefficients, transform_forward,
+    attention_coefficients, transform_forward, _segment_softmax,
 )
 from gnasforge.graphs import graph_from_dict, generate_sbm
 
@@ -127,6 +127,17 @@ def test_normalized_attention_sums_to_one_per_neighborhood(kind):
     sums = np.zeros(g.num_nodes)
     np.add.at(sums, g.edge_dst, coeff)
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+
+
+def test_segment_softmax_rejects_unsorted_ids():
+    with pytest.raises(ValueError, match="_segment_softmax.*sorted"):
+        _segment_softmax(Tensor(np.zeros((3, 1))), np.array([1, 0, 1]), 2)
+
+
+@pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [-5, 0]])
+def test_segment_softmax_out_of_range_ids(ids):
+    with pytest.raises(IndexError, match="_segment_softmax"):
+        _segment_softmax(Tensor(np.zeros((2, 1))), np.array(ids), 2)
 
 
 def test_unknown_attention_kind_rejected():

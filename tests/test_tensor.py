@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gnasforge import tensor as T
 from gnasforge.tensor import Tensor, ParameterStore, ShapeError
@@ -87,6 +88,30 @@ def test_empty_segment_max_is_zero():
     np.testing.assert_array_equal(out.data, [[0.0], [2.0], [0.0]])
 
 
+def test_segment_max_ties_route_to_first_row_per_column():
+    # segment 0: rows 1 and 2 tie on column 0, row 0 alone wins column 1;
+    # segment 1: rows 3 and 4 tie on both columns
+    v = Tensor([[1.0, 7.0], [4.0, 2.0], [4.0, 3.0], [5.0, 1.0], [5.0, 1.0]],
+               requires_grad=True)
+    out = T.segment_max(v, np.array([0, 0, 0, 1, 1]), 2)
+    np.testing.assert_array_equal(out.data, [[4.0, 7.0], [5.0, 1.0]])
+    T.tsum(T.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0]]))).backward()
+    np.testing.assert_array_equal(v.grad, [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0],
+                                           [3.0, 4.0], [0.0, 0.0]])
+
+
+def test_segment_max_rejects_unsorted_ids():
+    with pytest.raises(ValueError, match="segment_max.*sorted"):
+        T.segment_max(Tensor(np.zeros((3, 2))), np.array([0, 1, 0]), 2)
+
+
+@pytest.mark.parametrize("op", [T.segment_sum, T.segment_mean, T.segment_max])
+@pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [-5, 0]])
+def test_segment_ids_out_of_range(op, ids):
+    with pytest.raises(IndexError, match=op.__name__):
+        op(Tensor(np.zeros((2, 2))), np.array(ids), 2)
+
+
 def test_shape_mismatch_names_primitive_and_shapes():
     with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
@@ -169,3 +194,90 @@ def test_add_commutes(a, b):
     x, y = np.array(a[:n]), np.array(b[:n])
     np.testing.assert_array_equal(T.add(Tensor(x), Tensor(y)).data,
                                   T.add(Tensor(y), Tensor(x)).data)
+
+
+# -- segment kernels vs ufunc.at / per-arc loop references ------------------------
+# The kernels must reproduce these references bit for bit, so every
+# comparison is exact.
+
+def _ref_scatter_add(values, idx, num_rows):
+    acc = np.zeros((num_rows, values.shape[1]))
+    np.add.at(acc, idx, values)
+    return acc
+
+
+def _ref_segment_max(values, segments, num_segments, g):
+    """maximum.at forward; backward to the first row reaching each max, per column."""
+    d = values.shape[1]
+    y = np.full((num_segments, d), -np.inf)
+    np.maximum.at(y, segments, values)
+    y[np.bincount(segments, minlength=num_segments) == 0] = 0.0
+    grad = np.zeros_like(values)
+    for s in range(num_segments):
+        for c in range(d):
+            for r in range(len(values)):
+                if segments[r] == s and values[r, c] == y[s, c]:
+                    grad[r, c] += g[s, c]
+                    break
+    return y, grad
+
+
+def _grad(op, values, g):
+    """Forward value and the gradient of sum(op(x) * g) with respect to x."""
+    x = Tensor(values, requires_grad=True)
+    out = op(x)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    return out.data, x.grad
+
+
+# small repeated values make max ties; mixed magnitudes make sums depend on order
+_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, 2.0, 0.1, 1e16, -1e16]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _segment_case(draw):
+    """Sorted segment ids with empty segments at the start, middle and end."""
+    head = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    tail = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    counts = [0] + head + [0] + tail + [0]
+    segments = np.repeat(np.arange(len(counts)), counts)
+    d = draw(st.integers(1, 3))
+    values = draw(arrays(np.float64, (len(segments), d), elements=_VALUES))
+    g = draw(arrays(np.float64, (len(counts), d), elements=_VALUES))
+    return values, segments, len(counts), g
+
+
+@given(_segment_case())
+def test_segment_sum_and_mean_match_add_at(case):
+    values, segments, n, g = case
+    y, grad = _grad(lambda x: T.segment_sum(x, segments, n), values, g)
+    np.testing.assert_array_equal(y, _ref_scatter_add(values, segments, n))
+    np.testing.assert_array_equal(grad, g[segments])
+
+    counts = np.maximum(np.bincount(segments, minlength=n), 1.0)[:, None]
+    y, grad = _grad(lambda x: T.segment_mean(x, segments, n), values, g)
+    np.testing.assert_array_equal(y, _ref_scatter_add(values, segments, n) / counts)
+    np.testing.assert_array_equal(grad, (g / counts)[segments])
+
+
+@given(_segment_case())
+def test_segment_max_matches_maximum_at_and_first_winner(case):
+    values, segments, n, g = case
+    y, grad = _grad(lambda x: T.segment_max(x, segments, n), values, g)
+    ref_y, ref_grad = _ref_segment_max(values, segments, n, g)
+    np.testing.assert_array_equal(y, ref_y)
+    np.testing.assert_array_equal(grad, ref_grad)
+
+
+@given(st.integers(1, 6).flatmap(lambda rows: st.tuples(
+    st.just(rows),
+    st.lists(st.integers(0, rows - 1), min_size=0, max_size=12),
+    st.integers(1, 3))), st.data())
+def test_gather_rows_backward_matches_add_at(shape, data):
+    rows, idx, d = shape
+    idx = np.array(idx, dtype=np.int64)
+    values = data.draw(arrays(np.float64, (rows, d), elements=_VALUES))
+    g = data.draw(arrays(np.float64, (len(idx), d), elements=_VALUES))
+    y, grad = _grad(lambda x: T.gather_rows(x, idx), values, g)
+    np.testing.assert_array_equal(y, values[idx])
+    np.testing.assert_array_equal(grad, _ref_scatter_add(g, idx, rows))
