@@ -88,16 +88,32 @@ def select_operator(prob_vector):
     return Selection(idx, float(p[idx]))
 
 
-def _attention_param_names(kind, layer, heads, head):
-    base = f"layer{layer}/attn/{kind}/h{heads}/head{head}"
+_ATTN_WEIGHTS = {
+    "gat": ("Wa_dst", "Wa_src"),
+    "sym_gat": ("Wa_dst", "Wa_src"),
+    "cos": ("Wa1", "Wa2"),
+    "linear": ("Wa",),
+    "gene_linear": ("Wa1", "Wa2", "Wg"),
+}
+
+
+def _attention_param_names(kind, layer, heads):
+    """Names of one (layer, kind, head count)'s weight stacks, each shaped (H, ., .)."""
+    base = f"layer{layer}/attn/{kind}/h{heads}"
+    return {k: f"{base}/{k}" for k in _ATTN_WEIGHTS.get(kind, ())}
+
+
+def _draw_head(kind, hd, rng):
+    """One head's attention weights; the draw order fixes the initial values and later draws."""
     if kind in ("gat", "sym_gat"):
-        return {"Wa": f"{base}/Wa"}
+        wa = glorot(rng, 2 * hd, 1)      # a in a^T [Wh_i || Wh_j], split at the ||
+        return {"Wa_dst": wa[:hd], "Wa_src": wa[hd:]}
     if kind == "cos":
-        return {"Wa1": f"{base}/Wa1", "Wa2": f"{base}/Wa2"}
+        return {"Wa1": glorot(rng, hd, hd), "Wa2": glorot(rng, hd, hd)}
     if kind == "linear":
-        return {"Wa": f"{base}/Wa"}
+        return {"Wa": glorot(rng, hd, 1)}
     if kind == "gene_linear":
-        return {"Wa1": f"{base}/Wa1", "Wa2": f"{base}/Wa2", "Wg": f"{base}/Wg"}
+        return {"Wa1": glorot(rng, hd, hd), "Wa2": glorot(rng, hd, hd), "Wg": glorot(rng, hd, 1)}
     return {}
 
 
@@ -105,8 +121,9 @@ def init_block_params(space, store, rng):
     """Register every candidate operator's weights for one layer.
 
     Transform candidates: W1 (e*D_I x D_I) and W2 (D_O x e*D_I) per expansion e.
-    Attention candidates: per (kind, head count, head index) as Table-style
-    scoring requires. No biases anywhere.
+    Attention candidates: one stack per (kind, head count) whose block h holds
+    head h's weights; heads are drawn one after another, then stacked. No
+    biases anywhere.
     """
     L = space.layer
     for e in space.expansions:
@@ -115,20 +132,9 @@ def init_block_params(space, store, rng):
         store.add(f"layer{L}/transform/x{e}/W2", glorot(rng, space.out_dim, de))
     for kind in space.attentions:
         for H in space.head_counts:
-            hd = space.out_dim // H
-            for h in range(H):
-                names = _attention_param_names(kind, L, H, h)
-                if kind in ("gat", "sym_gat"):
-                    store.add(names["Wa"], glorot(rng, 2 * hd, 1))
-                elif kind == "cos":
-                    store.add(names["Wa1"], glorot(rng, hd, hd))
-                    store.add(names["Wa2"], glorot(rng, hd, hd))
-                elif kind == "linear":
-                    store.add(names["Wa"], glorot(rng, hd, 1))
-                elif kind == "gene_linear":
-                    store.add(names["Wa1"], glorot(rng, hd, hd))
-                    store.add(names["Wa2"], glorot(rng, hd, hd))
-                    store.add(names["Wg"], glorot(rng, hd, 1))
+            heads = [_draw_head(kind, space.out_dim // H, rng) for _ in range(H)]
+            for key, name in _attention_param_names(kind, L, H).items():
+                store.add(name, np.stack([w[key] for w in heads]))
 
 
 def block_param_names(space):
@@ -138,32 +144,22 @@ def block_param_names(space):
         names += [f"layer{space.layer}/transform/x{e}/W1", f"layer{space.layer}/transform/x{e}/W2"]
     for kind in space.attentions:
         for H in space.head_counts:
-            for h in range(H):
-                names += list(_attention_param_names(kind, space.layer, H, h).values())
+            names += list(_attention_param_names(kind, space.layer, H).values())
     return names
 
 
 def transform_forward(x, w1, w2):
     """F(x) = W2 relu(W1 x), applied row-wise (weights stored transposed-free)."""
-    return T.matmul(T.relu(T.matmul(x, _transpose(w1))), _transpose(w2))
+    return T.matmul(T.relu(T.matmul(x, T.transpose(w1))), T.transpose(w2))
 
 
-def _transpose(w):
-    # weights are stored (out, in); forward multiplies rows of x by W^T
-    out = Tensor(w.data.T, _parents=(w,))
-
-    def bw(g):
-        if w.requires_grad:
-            if w.grad is None:
-                w.grad = np.zeros_like(w.data)
-            w.grad += g.T
-
-    out._backward = bw
-    return out
+def _head_map(heads, width):
+    """Constant heads x width 0/1 matrix: row h is 1 on head h's column block."""
+    return np.repeat(np.eye(heads), width // heads, axis=1)
 
 
 def _segment_softmax(logits, segments, num_segments):
-    """Softmax of per-edge logits within each destination's neighborhood.
+    """Softmax of per-edge logits within each destination's neighborhood, per column.
 
     ``segments`` must be sorted, as ``Graph.edge_dst`` is; unsorted ids raise
     ValueError.
@@ -171,57 +167,58 @@ def _segment_softmax(logits, segments, num_segments):
     seg = T._check_segments("_segment_softmax", logits, segments, num_segments)
     ids, starts = T._segment_starts("_segment_softmax", seg)
     # the max shift is a constant w.r.t. the tape; softmax is shift-invariant
-    m = np.zeros(num_segments)
-    m[ids] = np.maximum.reduceat(logits.data.reshape(-1), starts)
+    m = np.zeros((num_segments, logits.data.shape[1]))
+    m[ids] = np.maximum.reduceat(logits.data, starts, axis=0)
     m[~np.isfinite(m)] = 0.0
-    e = T.exp(logits - Tensor(m[seg].reshape(-1, 1)))
+    e = T.exp(logits - Tensor(m[seg]))
     denom = T.segment_sum(e, seg, num_segments)
     return T.div(e, T.gather_rows(denom, seg))
 
 
-def attention_coefficients(kind, head_feats, graph, params):
-    """Per-edge attention coefficients for one head (shape E x 1).
+def attention_coefficients(kind, feats, graph, params):
+    """Per-edge attention coefficients of every head at once (shape E x H).
 
-    ``head_feats`` holds the head's transformed node features. Learned kinds
-    (gat, sym_gat, cos, linear, gene_linear) are softmax-normalized over each
-    destination's in-neighborhood; const and gcn are used raw.
+    ``feats`` holds the block's transformed node features, n x D, with head h
+    on columns [h*D/H, (h+1)*D/H). Each entry of ``params`` stacks the H
+    heads' weights as (H, ., .). Learned kinds (gat, sym_gat, cos, linear,
+    gene_linear) are softmax-normalized per head over each destination's
+    in-neighborhood; const and gcn are used raw and return one E x 1 column
+    that every head shares.
     """
     dst, src = graph.edge_dst, graph.edge_src
-    n, ne = graph.num_nodes, len(dst)
+    n = graph.num_nodes
     if kind == "const":
-        return Tensor(np.ones((ne, 1)))
+        return Tensor(np.ones((len(dst), 1)))
     if kind == "gcn":
         d = graph.degrees
         return Tensor((1.0 / np.sqrt(d[dst] * d[src])).reshape(-1, 1))
-
-    h_dst = T.gather_rows(head_feats, dst)
-    h_src = T.gather_rows(head_feats, src)
-    if kind in ("gat", "sym_gat"):
-        wa = params["Wa"]
-        raw = T.leaky_relu(T.matmul(T.concat([h_dst, h_src]), wa), ATTN_LEAKY_SLOPE)
-        if kind == "sym_gat":
-            raw = raw + T.leaky_relu(T.matmul(T.concat([h_src, h_dst]), wa), ATTN_LEAKY_SLOPE)
-    elif kind == "cos":
-        left = T.matmul(h_dst, _transpose(params["Wa1"]))
-        right = T.matmul(h_src, _transpose(params["Wa2"]))
-        raw = _rowsum(T.mul(left, right))
-    elif kind == "linear":
-        per_src = T.matmul(head_feats, params["Wa"])          # n x 1 scores
-        summed = T.segment_sum(T.gather_rows(per_src, src), dst, n)
-        raw = T.gather_rows(T.tanh(summed), dst)              # same value for all j in N(i)
-    elif kind == "gene_linear":
-        mix = T.tanh(T.matmul(h_dst, _transpose(params["Wa1"])) +
-                     T.matmul(h_src, _transpose(params["Wa2"])))
-        raw = T.matmul(mix, params["Wg"])
-    else:
+    if kind not in _ATTN_WEIGHTS:
         raise ValueError(f"unknown attention kind {kind!r}")
+
+    if kind in ("gat", "sym_gat"):
+        # a^T [Wh_i || Wh_j] = a_dst^T Wh_i + a_src^T Wh_j: score nodes, then gather
+        s_dst = T.matmul(feats, T.block_diag(params["Wa_dst"]))     # n x H
+        s_src = T.matmul(feats, T.block_diag(params["Wa_src"]))
+        raw = T.leaky_relu(T.gather_rows(s_dst, dst) + T.gather_rows(s_src, src),
+                           ATTN_LEAKY_SLOPE)
+        if kind == "sym_gat":
+            raw = raw + T.leaky_relu(T.gather_rows(s_dst, src) + T.gather_rows(s_src, dst),
+                                     ATTN_LEAKY_SLOPE)
+    elif kind == "linear":
+        per_src = T.matmul(feats, T.block_diag(params["Wa"]))       # n x H scores
+        summed = T.segment_sum(T.gather_rows(per_src, src), dst, n)
+        raw = T.gather_rows(T.tanh(summed), dst)                    # same value for all j in N(i)
+    else:
+        # cos and gene_linear map the n node rows per head, then gather to edges
+        left = T.gather_rows(T.matmul(feats, T.transpose(T.block_diag(params["Wa1"]))), dst)
+        right = T.gather_rows(T.matmul(feats, T.transpose(T.block_diag(params["Wa2"]))), src)
+        if kind == "cos":
+            # per-head row sums of the products: E x D times the D x H 0/1 map
+            head_sum = _head_map(params["Wa1"].data.shape[0], feats.data.shape[1]).T
+            raw = T.matmul(T.mul(left, right), Tensor(head_sum))
+        else:
+            raw = T.matmul(T.tanh(left + right), T.block_diag(params["Wg"]))
     return _segment_softmax(raw, dst, n)
-
-
-def _rowsum(t):
-    """Sum along the last axis, keeping a column shape (n, 1)."""
-    ones = Tensor(np.ones((t.data.shape[1], 1)))
-    return T.matmul(t, ones)
 
 
 _AGG = {"sum": T.segment_sum, "mean": T.segment_mean, "max": T.segment_max}
@@ -238,18 +235,19 @@ class BlockParamsView:
         return self.store[f"layer{L}/transform/x{expansion}/W1"], \
             self.store[f"layer{L}/transform/x{expansion}/W2"]
 
-    def attention(self, kind, heads, head):
-        names = _attention_param_names(kind, self.space.layer, heads, head)
+    def attention(self, kind, heads):
+        names = _attention_param_names(kind, self.space.layer, heads)
         return {k: self.store[v] for k, v in names.items()}
 
 
 def block_forward(graph, x, choice, params, scales=None):
     """Single-path Graph Block forward.
 
-    Per head: messages are the selected transform of source features,
-    weighted by the selected attention, aggregated over in-neighbors; heads
-    concatenate back to out_dim; COMBINE is ADD with the node's own
-    transform; the selected activation finishes the layer.
+    Heads are column blocks of one n x out_dim tensor: messages are the
+    selected transform of source features, each head's block weighted by that
+    head's attention coefficient, aggregated over in-neighbors in one segment
+    op for every head; COMBINE is ADD with the node's own transform; the
+    selected activation finishes the layer.
 
     ``scales`` maps sub-block kind -> scalar Tensor (the controller's
     probability value). When None the scale factor is detached to 1, which
@@ -266,31 +264,14 @@ def block_forward(graph, x, choice, params, scales=None):
     w1, w2 = params.transform(choice.expansion)
     t_all = scaled("expansion", transform_forward(x, w1, w2))   # n x out_dim
 
-    hd = space.out_dim // choice.heads
-    dst, src = graph.edge_dst, graph.edge_src
-    head_outs = []
-    for h in range(choice.heads):
-        feats = _slice_cols(t_all, h * hd, (h + 1) * hd)
-        coeff = attention_coefficients(
-            choice.attention, feats, graph, params.attention(choice.attention, choice.heads, h))
-        coeff = scaled("attention", coeff)
-        msgs = T.mul(T.gather_rows(feats, src), coeff)
-        agg = _AGG[choice.aggregate](msgs, dst, graph.num_nodes)
-        head_outs.append(scaled("aggregate", agg))
-    e = head_outs[0] if len(head_outs) == 1 else T.concat(head_outs)
-    e = scaled("heads", e)
+    coeff = attention_coefficients(choice.attention, t_all, graph,
+                                   params.attention(choice.attention, choice.heads))
+    coeff = scaled("attention", coeff)                          # E x H, or E x 1 for all heads
+    if coeff.data.shape[1] > 1:
+        # widen head h's coefficient over its column block
+        coeff = T.matmul(coeff, Tensor(_head_map(choice.heads, space.out_dim)))
+    msgs = T.mul(T.gather_rows(t_all, graph.edge_src), coeff)
+    agg = _AGG[choice.aggregate](msgs, graph.edge_dst, graph.num_nodes)
+    e = scaled("heads", scaled("aggregate", agg))
     out = T.activation_apply(choice.activation, e + t_all)
     return scaled("activation", out)
-
-
-def _slice_cols(t, lo, hi):
-    out = Tensor(t.data[:, lo:hi], _parents=(t,))
-
-    def bw(g):
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[:, lo:hi] += g
-
-    out._backward = bw
-    return out

@@ -19,7 +19,7 @@ from .search import (
     SearchConfig, SearchError, Genotype, GenotypeNet,
     grid_search_hidden, retrain_genotype, evaluate,
 )
-from .tensor import ParameterStore
+from .tensor import ParameterStore, CheckpointError
 from . import verify
 
 EXIT_OK, EXIT_ERROR, EXIT_CONFIG = 0, 1, 2
@@ -204,7 +204,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, GraphFormatError) as e:
+    except (ConfigError, GraphFormatError, CheckpointError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SearchError, ValueError, OSError) as e:

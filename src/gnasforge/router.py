@@ -133,12 +133,12 @@ class Router:
             if mode == "binary":
                 if (i, j) not in binary:
                     continue
-                contrib = T.matmul(inputs[i], _t(w))
+                contrib = T.matmul(inputs[i], T.transpose(w))
             else:
                 th = T.pick(self.theta, i * self.num_blocks + j)
                 g = noise[i, j] if mode == "sampled" else 0.0
                 gate = gumbel_sigmoid(th, tau, g)
-                contrib = T.mul(T.matmul(inputs[i], _t(w)), gate)
+                contrib = T.mul(T.matmul(inputs[i], T.transpose(w)), gate)
             acc = acc + contrib
         return acc
 
@@ -153,16 +153,3 @@ class Router:
             noise = self.sample_noise(rng)
         return [self.route_step(j, inputs, o, tau, mode=mode, noise=noise)
                 for j, o in enumerate(outputs)]
-
-
-def _t(w):
-    out = Tensor(w.data.T, _parents=(w,))
-
-    def bw(g):
-        if w.requires_grad:
-            if w.grad is None:
-                w.grad = np.zeros_like(w.data)
-            w.grad += g.T
-
-    out._backward = bw
-    return out

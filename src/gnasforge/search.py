@@ -207,7 +207,7 @@ class Supernet:
                 out = self.router.route_step(j, inputs, out, tau,
                                              mode=gate_mode, noise=gate_noise)
             x = out
-        return T.matmul(x, _t(self.classifier))
+        return T.matmul(x, T.transpose(self.classifier))
 
     def w_param_names(self, freeze_layers=()):
         frozen_prefixes = tuple(f"layer{l}/" for l in freeze_layers)
@@ -220,19 +220,6 @@ class Supernet:
         return Genotype(layers=self.choices_from_indices(indices), routing=routing,
                         hidden_sizes=[self.hidden] * len(self.spaces),
                         seed=self.config.seed)
-
-
-def _t(w):
-    out = Tensor(w.data.T, _parents=(w,))
-
-    def bw(g):
-        if w.requires_grad:
-            if w.grad is None:
-                w.grad = np.zeros_like(w.data)
-            w.grad += g.T
-
-    out._backward = bw
-    return out
 
 
 # -- standalone genotype network ------------------------------------------------------
@@ -284,9 +271,9 @@ class GenotypeNet:
             out = block_forward(graph, x, choice, view)
             for i in shortcuts.get(j, ()):
                 w = self.store[f"router/shortcut/{i}_{j}/W"]
-                out = out + T.matmul(inputs[i], _t(w))
+                out = out + T.matmul(inputs[i], T.transpose(w))
             x = out
-        return T.matmul(x, _t(self.classifier))
+        return T.matmul(x, T.transpose(self.classifier))
 
     def w_param_names(self, freeze_layers=()):
         frozen_prefixes = tuple(f"layer{l}/" for l in freeze_layers)

@@ -18,6 +18,10 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for a primitive."""
 
 
+class CheckpointError(ValueError):
+    """Raised when a checkpoint does not match the parameters registered to load it."""
+
+
 def _shape_err(op, *shapes):
     return ShapeError(f"{op}: incompatible shapes {' vs '.join(str(tuple(s)) for s in shapes)}")
 
@@ -220,10 +224,39 @@ def matmul(a, b):
     out = Tensor(a.data @ b.data, _parents=(a, b))
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        # skip the product for a constant operand (features, 0/1 head maps)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     out._backward = bw
+    return out
+
+
+def transpose(a):
+    """Matrix transpose; weights are stored (out, in) and rows of x multiply W^T."""
+    if a.data.ndim != 2:
+        raise _shape_err("transpose", a.data.shape)
+    out = Tensor(a.data.T, _parents=(a,))
+    out._backward = lambda g: _accum(a, g.T)
+    return out
+
+
+def block_diag(a):
+    """Map an (H, p, q) stack to the (H*p, H*q) matrix with block h on the diagonal.
+
+    ``x @ block_diag(W)`` applies head h's map W[h] to x's h-th column block,
+    for every head in one matmul.
+    """
+    if a.data.ndim != 3:
+        raise _shape_err("block_diag", a.data.shape)
+    h, p, q = a.data.shape
+    heads = np.arange(h)
+    y = np.zeros((h, p, h, q))
+    y[heads, :, heads, :] = a.data
+    out = Tensor(y.reshape(h * p, h * q), _parents=(a,))
+    out._backward = lambda g: _accum(a, g.reshape(h, p, h, q)[heads, :, heads, :])
     return out
 
 
@@ -605,18 +638,33 @@ class ParameterStore:
             json.dump(meta, f, indent=2, sort_keys=True)
 
     def load(self, directory):
+        """Overwrite every registered parameter from a checkpoint written by ``save``.
+
+        The checkpoint must hold exactly the registered names, each with its
+        registered shape and a file of that many values; anything else raises
+        CheckpointError and leaves the store unchanged.
+        """
         with open(os.path.join(directory, "meta.json"), encoding="utf-8") as f:
             meta = json.load(f)
-        for rec in meta["params"]:
+        recs = {rec["name"]: rec for rec in meta["params"]}
+        missing = sorted(set(self._params) - set(recs))
+        unknown = sorted(set(recs) - set(self._params))
+        if missing or unknown:
+            raise CheckpointError(f"checkpoint {directory}: parameter names differ; "
+                                  f"missing {missing[:5]}, unknown {unknown[:5]}")
+        values = {}
+        for name, rec in recs.items():
+            shape = tuple(self._params[name].shape)
+            if tuple(rec["shape"]) != shape:
+                raise CheckpointError(f"checkpoint {directory}: {name} has shape "
+                                      f"{tuple(rec['shape'])}, expected {shape}")
             data = np.fromfile(os.path.join(directory, rec["file"]), dtype="<f8")
-            data = data.reshape(rec["shape"])
-            if rec["name"] in self._params:
-                t = self._params[rec["name"]]
-                if list(t.shape) != rec["shape"]:
-                    raise _shape_err(f"checkpoint load of {rec['name']}", t.shape, rec["shape"])
-                t.data = data
-            else:
-                self.add(rec["name"], data, group=rec.get("group", "w"))
+            if data.size != int(np.prod(shape)):
+                raise CheckpointError(f"checkpoint {directory}: {rec['file']} holds "
+                                      f"{data.size} values, expected {int(np.prod(shape))}")
+            values[name] = data.reshape(shape)
+        for name, data in values.items():
+            self._params[name].data = data
         return meta.get("extra", {})
 
 

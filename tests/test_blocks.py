@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from gnasforge import tensor as T
-from gnasforge.tensor import Tensor, ParameterStore
+from gnasforge.tensor import Tensor, ParameterStore, glorot
+from gnasforge import verify
 from gnasforge.blocks import (
     BlockSpace, BlockChoice, BlockParamsView,
     block_forward, init_block_params, select_operator,
     attention_coefficients, transform_forward, _segment_softmax,
+    ATTENTIONS, HEAD_COUNTS, AGGREGATORS, SUB_BLOCKS,
 )
+from gnasforge.gradcheck import check_params
 from gnasforge.graphs import graph_from_dict, generate_sbm
 
 
@@ -96,7 +99,9 @@ def test_gat_hand_trace_on_star():
     feats_np = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     g = tiny_graph(3, [[0, 1], [0, 2]], feats_np.tolist())
     wa_np = np.array([[0.5], [-1.0], [2.0], [0.25]])
-    coeff = attention_coefficients("gat", Tensor(feats_np), g, {"Wa": Tensor(wa_np)})
+    # one head: the [dst || src] halves of Wa, each stacked as (1, 2, 1)
+    params = {"Wa_dst": Tensor(wa_np[None, :2]), "Wa_src": Tensor(wa_np[None, 2:])}
+    coeff = attention_coefficients("gat", Tensor(feats_np), g, params)
 
     def leaky(z):
         return z if z > 0 else 0.2 * z
@@ -117,16 +122,18 @@ def test_gat_hand_trace_on_star():
 def test_normalized_attention_sums_to_one_per_neighborhood(kind):
     rng = np.random.default_rng(4)
     g, _ = generate_sbm(2, 4, 0.8, 0.3, 4, 0.5, seed=5)
-    space = BlockSpace(layer=0, in_dim=4, out_dim=4, head_counts=(1,),
+    space = BlockSpace(layer=0, in_dim=4, out_dim=8, head_counts=(1, 4),
                        attentions=(kind,), expansions=(1,))
     store = ParameterStore()
     init_block_params(space, store, rng)
     view = BlockParamsView(space, store)
-    coeff = attention_coefficients(kind, Tensor(rng.standard_normal((8, 4))), g,
-                                   view.attention(kind, 1, 0)).data.reshape(-1)
-    sums = np.zeros(g.num_nodes)
-    np.add.at(sums, g.edge_dst, coeff)
-    np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+    feats = Tensor(rng.standard_normal((8, 8)))
+    for heads in (1, 4):
+        coeff = attention_coefficients(kind, feats, g, view.attention(kind, heads)).data
+        assert coeff.shape == (len(g.edge_dst), heads)
+        sums = np.zeros((g.num_nodes, heads))
+        np.add.at(sums, g.edge_dst, coeff)      # every head column sums to 1 per neighborhood
+        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
 
 def test_segment_softmax_rejects_unsorted_ids():
@@ -242,6 +249,160 @@ def test_multi_head_width_and_concat():
                         BlockParamsView(space, store))
     assert out.data.shape == (6, 16)
     assert np.isfinite(out.data).all()
+
+
+# -- fused heads vs a per-head reference ---------------------------------------------
+
+def _cols(t, lo, hi):
+    """Columns [lo, hi) of ``t`` through a constant 0/1 selector: exact and differentiable."""
+    sel = np.zeros((t.shape[1], hi - lo))
+    sel[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+    return T.matmul(t, Tensor(sel))
+
+
+def _ref_softmax(raw, dst, n):
+    m = np.full(n, -np.inf)
+    np.maximum.at(m, dst, raw.data[:, 0])
+    e = T.exp(raw - Tensor(m[dst][:, None]))
+    return T.div(e, T.gather_rows(T.segment_sum(e, dst, n), dst))
+
+
+def _ref_head_coeff(kind, f, g, w):
+    """One head's E x 1 coefficients, scored on edge rows as a^T [Wh_i || Wh_j]."""
+    dst, src, n = g.edge_dst, g.edge_src, g.num_nodes
+    if kind == "const":
+        return Tensor(np.ones((len(dst), 1)))
+    if kind == "gcn":
+        return Tensor((1.0 / np.sqrt(g.degrees[dst] * g.degrees[src]))[:, None])
+    h_dst, h_src = T.gather_rows(f, dst), T.gather_rows(f, src)
+
+    def gat(a, b):
+        return T.leaky_relu(T.matmul(a, w["Wa_dst"]) + T.matmul(b, w["Wa_src"]), 0.2)
+
+    if kind == "gat":
+        raw = gat(h_dst, h_src)
+    elif kind == "sym_gat":
+        raw = gat(h_dst, h_src) + gat(h_src, h_dst)
+    elif kind == "linear":
+        scores = T.gather_rows(T.matmul(f, w["Wa"]), src)
+        raw = T.gather_rows(T.tanh(T.segment_sum(scores, dst, n)), dst)
+    else:
+        left = T.matmul(h_dst, T.transpose(w["Wa1"]))
+        right = T.matmul(h_src, T.transpose(w["Wa2"]))
+        if kind == "cos":
+            raw = T.matmul(T.mul(left, right), Tensor(np.ones((f.shape[1], 1))))
+        else:
+            raw = T.matmul(T.tanh(left + right), w["Wg"])
+    return _ref_softmax(raw, dst, n)
+
+
+_REF_AGG = {"sum": T.segment_sum, "mean": T.segment_mean, "max": T.segment_max}
+
+
+def _ref_block(g, x, choice, view, scales):
+    """Per-head loop: each head slices its columns and its block of every stack."""
+    def sc(kind, t):
+        return T.mul(t, scales[kind])
+
+    out_dim, H = view.space.out_dim, choice.heads
+    hd = out_dim // H
+    t_all = sc("expansion", transform_forward(x, *view.transform(choice.expansion)))
+    stacks = view.attention(choice.attention, H)
+    heads = [{k: Tensor(v.data[h].copy(), requires_grad=True) for k, v in stacks.items()}
+             for h in range(H)]
+    e = None
+    for h in range(H):
+        f = _cols(t_all, h * hd, (h + 1) * hd)
+        coeff = sc("attention", _ref_head_coeff(choice.attention, f, g, heads[h]))
+        msgs = T.mul(T.gather_rows(f, g.edge_src), coeff)
+        agg = sc("aggregate", _REF_AGG[choice.aggregate](msgs, g.edge_dst, g.num_nodes))
+        place = np.zeros((hd, out_dim))
+        place[np.arange(hd), np.arange(h * hd, (h + 1) * hd)] = 1.0
+        placed = T.matmul(agg, Tensor(place))
+        e = placed if e is None else e + placed
+    out = T.activation_apply(choice.activation, sc("heads", e) + t_all)
+    return sc("activation", out), heads
+
+
+def test_attention_stacks_hold_per_head_draws_in_order():
+    """Head h's block is its glorot draw, drawn head by head after the transform."""
+    space = BlockSpace(layer=0, in_dim=3, out_dim=4, expansions=(1,),
+                       attentions=("gat", "gene_linear"), head_counts=(2,))
+    store = ParameterStore()
+    init_block_params(space, store, np.random.default_rng(30))
+    rng = np.random.default_rng(30)
+    glorot(rng, 3, 3), glorot(rng, 4, 3)                      # transform W1, W2
+    gat = [glorot(rng, 4, 1) for _ in range(2)]
+    gene = [[glorot(rng, 2, 2), glorot(rng, 2, 2), glorot(rng, 2, 1)] for _ in range(2)]
+    view = BlockParamsView(space, store)
+    np.testing.assert_array_equal(view.attention("gat", 2)["Wa_dst"].data, [w[:2] for w in gat])
+    np.testing.assert_array_equal(view.attention("gat", 2)["Wa_src"].data, [w[2:] for w in gat])
+    for i, key in enumerate(("Wa1", "Wa2", "Wg")):
+        np.testing.assert_array_equal(view.attention("gene_linear", 2)[key].data,
+                                      [head[i] for head in gene])
+
+
+def _rel_err(a, b):
+    # the gradcheck convention: the linear kind's attention gradient is exactly zero
+    return float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max())
+
+
+@pytest.mark.parametrize("agg", AGGREGATORS)
+@pytest.mark.parametrize("heads", HEAD_COUNTS)
+@pytest.mark.parametrize("kind", ATTENTIONS)
+def test_fused_heads_match_per_head_reference(kind, heads, agg):
+    rng = np.random.default_rng(20)
+    g, _ = generate_sbm(2, 5, 0.7, 0.3, 4, 0.5, seed=21)
+    space = BlockSpace(layer=0, in_dim=4, out_dim=16, expansions=(2,),
+                       attentions=(kind,), head_counts=(heads,),
+                       aggregators=(agg,), activations=("elu",))
+    store = ParameterStore()
+    init_block_params(space, store, rng)
+    view = BlockParamsView(space, store)
+    choice = BlockChoice(2, kind, heads, agg, "elu")
+    proj = Tensor(rng.standard_normal((g.num_nodes, 16)))
+
+    def run(forward):
+        store.zero_grad()
+        x = Tensor(g.features, requires_grad=True)
+        scales = {k: Tensor(rng.uniform(0.5, 1.5), requires_grad=True) for k in SUB_BLOCKS}
+        out, extra = forward(x, scales)
+        T.tsum(T.mul(out, proj)).backward()
+        grads = {n: t.grad.copy() for n, t in store.items() if t.grad is not None}
+        grads.update({f"scale/{k}": s.grad for k, s in scales.items()}, x=x.grad)
+        return out.data, grads, extra
+
+    rng_state = rng.bit_generator.state
+    fused, fused_grads, _ = run(lambda x, s: (block_forward(g, x, choice, view, s), None))
+    rng.bit_generator.state = rng_state      # the same scale values for the reference
+    ref, ref_grads, heads_w = run(lambda x, s: _ref_block(g, x, choice, view, s))
+    for key, stack in view.attention(kind, heads).items():
+        ref_grads[stack.name] = np.stack([w[key].grad for w in heads_w])
+
+    assert _rel_err(fused, ref) < 1e-12
+    assert fused_grads.keys() == ref_grads.keys()
+    for name, grad in ref_grads.items():
+        assert fused_grads[name].shape == grad.shape, name
+        assert _rel_err(fused_grads[name], grad) < 1e-12, name
+
+
+@pytest.mark.parametrize("agg", AGGREGATORS)
+@pytest.mark.parametrize("kind", ATTENTIONS)
+def test_block_gradients_finite_difference_four_heads(kind, agg):
+    g = verify._test_graph()
+    space = BlockSpace(layer=0, in_dim=3, out_dim=8, expansions=(1,),
+                       attentions=(kind,), head_counts=(4,),
+                       aggregators=(agg,), activations=("tanh",))
+    store = ParameterStore()
+    init_block_params(space, store, np.random.default_rng(22))
+    view = BlockParamsView(space, store)
+    choice = BlockChoice(1, kind, 4, agg, "tanh")
+    proj = Tensor(np.random.default_rng(23).standard_normal((g.num_nodes, 8)))
+
+    def build_loss():
+        return T.tsum(T.mul(block_forward(g, Tensor(g.features), choice, view), proj))
+
+    assert check_params(build_loss, store, store.names()) < verify.TOLERANCE
 
 
 # -- selection and activations -----------------------------------------------------

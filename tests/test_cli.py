@@ -1,9 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from gnasforge.cli import main, load_run_config, ConfigError
+from gnasforge.search import Genotype, GenotypeNet
+from gnasforge.tensor import ParameterStore
 from gnasforge.graphs import load_graph_json
 
 
@@ -138,6 +141,28 @@ def test_full_pipeline(tmp_path, dataset, capsys):
     assert "test metric:" in printed
     metric = float(printed.split(":")[1])
     assert metric == pytest.approx(report["test_metric"], abs=1e-6)
+
+
+def test_eval_rejects_per_head_checkpoint(tmp_path, dataset, capsys):
+    """A checkpoint in the old one-tensor-per-head layout exits with a config error."""
+    geno = {"layers": [{"expansion": 1, "attention": "gat", "heads": 2,
+                        "aggregate": "sum", "activation": "relu"}],
+            "routing": [], "hidden_sizes": [16], "seed": 0}
+    (tmp_path / "genotype.json").write_text(json.dumps(geno))
+    net = GenotypeNet(Genotype.from_dict(geno), 8, 2)
+    store = ParameterStore()
+    for name, t in net.store.items():
+        if "/attn/" not in name:
+            store.add(name, t.data)
+    for h in range(2):
+        store.add(f"layer0/attn/gat/h2/head{h}/Wa", np.zeros((16, 1)))
+    store.save(tmp_path / "ckpt")
+    capsys.readouterr()
+    assert main(["eval", "--genotype", str(tmp_path / "genotype.json"), "--data", str(dataset),
+                 "--checkpoint", str(tmp_path / "ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "layer0/attn/gat/h2/Wa_dst" in err
+    assert "layer0/attn/gat/h2/head0/Wa" in err
 
 
 def test_search_outputs_byte_identical_across_runs(tmp_path, dataset):

@@ -42,6 +42,24 @@ def test_duplicate_edge_rejected():
         graph_from_dict(doc(3, [[0, 1], [0, 1]]))
 
 
+def test_edge_not_a_pair_rejected():
+    with pytest.raises(GraphFormatError, match=r"edge #1 is not a pair: \[2\]"):
+        graph_from_dict(doc(3, [[0, 1], [2], [0, 1, 2]]))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 1], [0, 3], [0, 1], [1]], r"edge #1 = \(0, 3\) out of range"),
+    ([[0, 1], [1, 2], [0, 1], [-1, 0], [2]], r"duplicate edge #2 = \(0, 1\)"),
+    ([[0, 1], [1, 0], [2, 2], [4, 0]], r"edge #3 = \(4, 0\) out of range"),
+    ([[0, 1], [1, 2], [0, 0, 1], [9, 9]], r"edge #2 is not a pair"),
+    # (1, 3) has the same key as the earlier (2, 0): still reported as out of range
+    ([[0, 1], [2, 0], [1, 3]], r"edge #2 = \(1, 3\) out of range"),
+])
+def test_edge_errors_name_the_first_bad_edge(edges, message):
+    with pytest.raises(GraphFormatError, match=message):
+        graph_from_dict(doc(3, edges))
+
+
 def test_overlapping_masks_rejected():
     with pytest.raises(GraphFormatError, match="overlap"):
         graph_from_dict(doc(5, [], masks={"train": [0, 1], "val": [1]}))

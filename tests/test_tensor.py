@@ -173,11 +173,43 @@ def test_checkpoint_roundtrip(tmp_path):
     store.save(tmp_path / "ckpt", extra_meta={"step": 17})
 
     other = ParameterStore()
+    for name in store.names():
+        other.add(name, np.zeros(store[name].shape), group=store.group_of(name))
     extra = other.load(tmp_path / "ckpt")
     assert extra == {"step": 17}
     for name in store.names():
         np.testing.assert_array_equal(other[name].data, store[name].data)
         assert other.group_of(name) == store.group_of(name)
+
+
+def _ckpt_store(shapes, start=0.0):
+    store = ParameterStore()
+    for name, shape in shapes.items():
+        store.add(name, np.arange(start, start + np.prod(shape)).reshape(shape))
+    return store
+
+
+@pytest.mark.parametrize("registered, match", [
+    ({"a": (2, 3)}, "names differ.*unknown.*'b'"),                          # extra in file
+    ({"a": (2, 3), "b": (4,), "c": (1,)}, "names differ.*missing.*'c'"),    # missing in file
+    ({"a": (2, 3), "b": (2, 2)}, "b has shape"),                            # after a matched
+])
+def test_checkpoint_load_rejects_mismatch(tmp_path, registered, match):
+    _ckpt_store({"a": (2, 3), "b": (4,)}).save(tmp_path / "ckpt")
+    target = _ckpt_store(registered, start=100.0)
+    before = {n: t.data.copy() for n, t in target.items()}
+    with pytest.raises(T.CheckpointError, match=match):
+        target.load(tmp_path / "ckpt")
+    for name, data in before.items():
+        np.testing.assert_array_equal(target[name].data, data)
+
+
+def test_checkpoint_load_rejects_short_file(tmp_path):
+    _ckpt_store({"a": (2, 3), "b": (4,)}).save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "b.bin"
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(T.CheckpointError, match="b.bin holds 3 values, expected 4"):
+        _ckpt_store({"a": (2, 3), "b": (4,)}).load(tmp_path / "ckpt")
 
 
 @given(st.lists(st.lists(st.floats(-50, 50), min_size=3, max_size=3), min_size=1, max_size=6))
