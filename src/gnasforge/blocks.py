@@ -221,7 +221,9 @@ def attention_coefficients(kind, feats, graph, params):
     return _segment_softmax(raw, dst, n)
 
 
-_AGG = {"sum": T.segment_sum, "mean": T.segment_mean, "max": T.segment_max}
+# aggregator candidate -> the ``agg`` argument of T.propagate; perfbench/tracer.py
+# looks this table up by name, so it stays a dict
+_AGG = {"sum": "sum", "mean": "mean", "max": "max"}
 
 
 @dataclass
@@ -245,9 +247,9 @@ def block_forward(graph, x, choice, params, scales=None):
 
     Heads are column blocks of one n x out_dim tensor: messages are the
     selected transform of source features, each head's block weighted by that
-    head's attention coefficient, aggregated over in-neighbors in one segment
-    op for every head; COMBINE is ADD with the node's own transform; the
-    selected activation finishes the layer.
+    head's attention coefficient, aggregated over in-neighbors by one
+    T.propagate call for every head; COMBINE is ADD with the node's own
+    transform; the selected activation finishes the layer.
 
     ``scales`` maps sub-block kind -> scalar Tensor (the controller's
     probability value). When None the scale factor is detached to 1, which
@@ -264,14 +266,14 @@ def block_forward(graph, x, choice, params, scales=None):
     w1, w2 = params.transform(choice.expansion)
     t_all = scaled("expansion", transform_forward(x, w1, w2))   # n x out_dim
 
-    coeff = attention_coefficients(choice.attention, t_all, graph,
-                                   params.attention(choice.attention, choice.heads))
-    coeff = scaled("attention", coeff)                          # E x H, or E x 1 for all heads
-    if coeff.data.shape[1] > 1:
-        # widen head h's coefficient over its column block
-        coeff = T.matmul(coeff, Tensor(_head_map(choice.heads, space.out_dim)))
-    msgs = T.mul(T.gather_rows(t_all, graph.edge_src), coeff)
-    agg = _AGG[choice.aggregate](msgs, graph.edge_dst, graph.num_nodes)
+    if choice.attention == "const" and (scales is None or "attention" not in scales):
+        coeff = None                                            # all ones: no products to take
+    else:
+        coeff = attention_coefficients(choice.attention, t_all, graph,
+                                       params.attention(choice.attention, choice.heads))
+        coeff = scaled("attention", coeff)                      # E x H, or E x 1 for all heads
+    agg = T.propagate(t_all, coeff, graph.edge_src, graph.edge_dst, graph.num_nodes,
+                      _AGG[choice.aggregate])
     e = scaled("heads", scaled("aggregate", agg))
     out = T.activation_apply(choice.activation, e + t_all)
     return scaled("activation", out)

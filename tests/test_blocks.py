@@ -296,7 +296,40 @@ def _ref_head_coeff(kind, f, g, w):
     return _ref_softmax(raw, dst, n)
 
 
-_REF_AGG = {"sum": T.segment_sum, "mean": T.segment_mean, "max": T.segment_max}
+def _ref_segment_mean(values, segments, num_segments):
+    """The engine's former segment_mean tape op: per-segment mean, zero when empty."""
+    segments = T._check_segments("segment_mean", values, segments, num_segments)
+    safe = np.maximum(np.bincount(segments, minlength=num_segments), 1.0)
+    y = T._scatter_add(values.data, segments, num_segments) / safe[:, None]
+    out = Tensor(y, _parents=(values,))
+    out._backward = lambda g: T._accum(values, (g / safe[:, None])[segments])
+    return out
+
+
+def _ref_segment_max(values, segments, num_segments):
+    """The engine's former segment_max tape op: per-segment max over rows, zero when
+    empty; backward routes each column's gradient to the first row reaching the max."""
+    segments = T._check_segments("segment_max", values, segments, num_segments)
+    ids, starts = T._segment_starts("segment_max", segments)
+    v = values.data
+    y = np.zeros((num_segments, v.shape[1]))
+    y[ids] = np.maximum.reduceat(v, starts, axis=0)
+    row = np.arange(len(v))[:, None]
+    first = np.minimum.reduceat(np.where(v == y[segments], row, len(v)), starts, axis=0)
+    seg_rank, cols = np.nonzero(first < len(v))
+    rows, seg_of = first[seg_rank, cols], ids[seg_rank]
+    out = Tensor(y, _parents=(values,))
+
+    def bw(g):
+        acc = np.zeros_like(v)
+        acc[rows, cols] += g[seg_of, cols]
+        T._accum(values, acc)
+
+    out._backward = bw
+    return out
+
+
+_REF_AGG = {"sum": T.segment_sum, "mean": _ref_segment_mean, "max": _ref_segment_max}
 
 
 def _ref_block(g, x, choice, view, scales):
@@ -403,6 +436,48 @@ def test_block_gradients_finite_difference_four_heads(kind, agg):
         return T.tsum(T.mul(block_forward(g, Tensor(g.features), choice, view), proj))
 
     assert check_params(build_loss, store, store.names()) < verify.TOLERANCE
+
+
+def _held_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _held_arrays(v)
+
+
+def _tape_arrays(root):
+    """Every array the tape under ``root`` keeps: node values and backward closures' arrays."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node.data
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            try:
+                value = cell.cell_contents
+            except ValueError:          # a variable the op never bound
+                continue
+            yield from _held_arrays(value)
+        stack.extend(node._parents)
+
+
+@pytest.mark.parametrize("kind, agg", [("gcn", "sum"), ("gat", "max")])
+def test_block_tape_holds_no_edge_by_width_array(kind, agg):
+    g, _ = generate_sbm(2, 10, 0.6, 0.2, 4, 0.5, seed=24)
+    arcs, width = len(g.edge_dst), 16
+    assert arcs > g.num_nodes
+    space = BlockSpace(layer=0, in_dim=4, out_dim=width, expansions=(1,),
+                       attentions=(kind,), head_counts=(4,),
+                       aggregators=(agg,), activations=("relu",))
+    store = ParameterStore()
+    init_block_params(space, store, np.random.default_rng(25))
+    x = Tensor(g.features, requires_grad=True)
+    out = block_forward(g, x, BlockChoice(1, kind, 4, agg, "relu"), BlockParamsView(space, store))
+    sizes = [a.size for a in _tape_arrays(out)]
+    assert sizes and max(sizes) < arcs * width
 
 
 # -- selection and activations -----------------------------------------------------

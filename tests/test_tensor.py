@@ -19,9 +19,19 @@ def test_segment_sum_direct():
     np.testing.assert_array_equal(out.data, [[4.0, 6.0]])
 
 
+def _over_rows(agg):
+    """T.propagate with ``src = arange(E)`` and no coefficient: row e is arc e's message."""
+    def op(values, segments, num_segments):
+        return T.propagate(values, None, np.arange(len(segments)), segments, num_segments, agg)
+    return op
+
+
+_MEAN, _MAX = _over_rows("mean"), _over_rows("max")
+
+
 def test_segment_max_forward_and_backward_routing():
     v = Tensor([[1.0], [5.0], [2.0]], requires_grad=True)
-    out = T.segment_max(v, np.array([0, 0, 0]), 1)
+    out = _MAX(v, np.array([0, 0, 0]), 1)
     np.testing.assert_array_equal(out.data, [[5.0]])
     T.tsum(out).backward()
     np.testing.assert_array_equal(v.grad, [[0.0], [1.0], [0.0]])
@@ -73,7 +83,7 @@ def test_segment_mean_matches_sum_over_counts():
     rng = np.random.default_rng(2)
     vals = rng.standard_normal((6, 3))
     seg = np.array([0, 0, 1, 1, 1, 3])   # segment 2 is empty
-    mean = T.segment_mean(Tensor(vals), seg, 4).data
+    mean = _MEAN(Tensor(vals), seg, 4).data
     sums = T.segment_sum(Tensor(vals), seg, 4).data
     counts = np.bincount(seg, minlength=4)
     for s in range(4):
@@ -84,7 +94,7 @@ def test_segment_mean_matches_sum_over_counts():
 
 
 def test_empty_segment_max_is_zero():
-    out = T.segment_max(Tensor([[2.0]]), np.array([1]), 3)
+    out = _MAX(Tensor([[2.0]]), np.array([1]), 3)
     np.testing.assert_array_equal(out.data, [[0.0], [2.0], [0.0]])
 
 
@@ -93,7 +103,7 @@ def test_segment_max_ties_route_to_first_row_per_column():
     # segment 1: rows 3 and 4 tie on both columns
     v = Tensor([[1.0, 7.0], [4.0, 2.0], [4.0, 3.0], [5.0, 1.0], [5.0, 1.0]],
                requires_grad=True)
-    out = T.segment_max(v, np.array([0, 0, 0, 1, 1]), 2)
+    out = _MAX(v, np.array([0, 0, 0, 1, 1]), 2)
     np.testing.assert_array_equal(out.data, [[4.0, 7.0], [5.0, 1.0]])
     T.tsum(T.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0]]))).backward()
     np.testing.assert_array_equal(v.grad, [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0],
@@ -101,14 +111,18 @@ def test_segment_max_ties_route_to_first_row_per_column():
 
 
 def test_segment_max_rejects_unsorted_ids():
-    with pytest.raises(ValueError, match="segment_max.*sorted"):
-        T.segment_max(Tensor(np.zeros((3, 2))), np.array([0, 1, 0]), 2)
+    with pytest.raises(ValueError, match="propagate.*sorted"):
+        _MAX(Tensor(np.zeros((3, 2))), np.array([0, 1, 0]), 2)
 
 
-@pytest.mark.parametrize("op", [T.segment_sum, T.segment_mean, T.segment_max])
+@pytest.mark.parametrize("op, name", [
+    pytest.param(T.segment_sum, "segment_sum", id="segment_sum"),
+    pytest.param(_MEAN, "propagate", id="segment_mean"),
+    pytest.param(_MAX, "propagate", id="segment_max"),
+])
 @pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [-5, 0]])
-def test_segment_ids_out_of_range(op, ids):
-    with pytest.raises(IndexError, match=op.__name__):
+def test_segment_ids_out_of_range(op, name, ids):
+    with pytest.raises(IndexError, match=name):
         op(Tensor(np.zeros((2, 2))), np.array(ids), 2)
 
 
@@ -263,7 +277,8 @@ def _grad(op, values, g):
 
 
 # small repeated values make max ties; mixed magnitudes make sums depend on order
-_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, 2.0, 0.1, 1e16, -1e16]), st.floats(-1e3, 1e3))
+_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 2.0, 0.1, 1e16, -1e16]),
+                    st.floats(-1e3, 1e3))
 
 
 @st.composite
@@ -287,7 +302,7 @@ def test_segment_sum_and_mean_match_add_at(case):
     np.testing.assert_array_equal(grad, g[segments])
 
     counts = np.maximum(np.bincount(segments, minlength=n), 1.0)[:, None]
-    y, grad = _grad(lambda x: T.segment_mean(x, segments, n), values, g)
+    y, grad = _grad(lambda x: _MEAN(x, segments, n), values, g)
     np.testing.assert_array_equal(y, _ref_scatter_add(values, segments, n) / counts)
     np.testing.assert_array_equal(grad, (g / counts)[segments])
 
@@ -295,7 +310,7 @@ def test_segment_sum_and_mean_match_add_at(case):
 @given(_segment_case())
 def test_segment_max_matches_maximum_at_and_first_winner(case):
     values, segments, n, g = case
-    y, grad = _grad(lambda x: T.segment_max(x, segments, n), values, g)
+    y, grad = _grad(lambda x: _MAX(x, segments, n), values, g)
     ref_y, ref_grad = _ref_segment_max(values, segments, n, g)
     np.testing.assert_array_equal(y, ref_y)
     np.testing.assert_array_equal(grad, ref_grad)
@@ -313,3 +328,95 @@ def test_gather_rows_backward_matches_add_at(shape, data):
     y, grad = _grad(lambda x: T.gather_rows(x, idx), values, g)
     np.testing.assert_array_equal(y, values[idx])
     np.testing.assert_array_equal(grad, _ref_scatter_add(g, idx, rows))
+
+
+# -- fused message passing vs a gather_rows -> mul -> ufunc.at reference --------------
+
+def _ref_propagate(x, c, src, dst, n, agg, g):
+    """Forward of gather -> mul -> add.at / maximum.at / first winner, and the gradients
+    of sum(out * g). Returns the coefficient gradient with the sum of the absolute
+    values of the terms it adds, which bounds the effect of summation order."""
+    e, d = len(src), x.shape[1]
+    wide = np.ones((e, d)) if c is None else np.repeat(c, d // c.shape[1], axis=1)
+    msgs = x[src] * wide
+    if agg == "max":
+        y, gm = _ref_segment_max(msgs, dst, n, g)
+    else:
+        y, gm = _ref_scatter_add(msgs, dst, n), g[dst]
+        if agg == "mean":
+            counts = np.maximum(np.bincount(dst, minlength=n), 1.0)[:, None]
+            y, gm = y / counts, (g / counts)[dst]
+    gx = _ref_scatter_add(gm * wide, src, len(x))
+    if c is None:
+        return y, gx, None, None
+    terms = (gm * x[src]).reshape(e, c.shape[1], d // c.shape[1])
+    return y, gx, terms.sum(axis=2), np.abs(terms).sum(axis=2)
+
+
+@st.composite
+def _propagate_case(draw):
+    """Sorted dst with zero-in-degree nodes at the start, middle and end; any src."""
+    head = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    tail = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    counts = [0] + head + [0] + tail + [0]
+    dst = np.repeat(np.arange(len(counts)), counts)
+    rows = draw(st.integers(1, 4))
+    src = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=len(dst),
+                                 max_size=len(dst))), dtype=np.int64)
+    heads = draw(st.integers(1, 3))
+    d = heads * draw(st.integers(1, 2))
+    x = draw(arrays(np.float64, (rows, d), elements=_VALUES))
+    c = draw(arrays(np.float64, (len(dst), heads), elements=_VALUES))
+    g = draw(arrays(np.float64, (len(counts), d), elements=_VALUES))
+    return x, c, src, dst, len(counts), g
+
+
+def _assert_same_bits(a, b):
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("width", ["none", "E x 1", "E x H"])
+@pytest.mark.parametrize("agg", ["sum", "mean", "max"])
+@given(case=_propagate_case())
+def test_propagate_matches_gather_mul_reference(agg, width, case):
+    x, c, src, dst, n, g = case
+    c = {"none": None, "E x 1": c[:, :1], "E x H": c}[width]
+    xt = Tensor(x, requires_grad=True)
+    ct = None if c is None else Tensor(c, requires_grad=True)
+    out = T.propagate(xt, ct, src, dst, n, agg)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    y, gx, gc, bound = _ref_propagate(x, c, src, dst, n, agg, g)
+    _assert_same_bits(out.data, y)
+    _assert_same_bits(xt.grad, gx)
+    if c is not None:
+        # the coefficient gradient adds a head's columns in another order
+        assert (np.abs(ct.grad - gc) <= 1e-12 * bound).all()
+
+
+def test_propagate_rejects_bad_input():
+    x = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="propagate.*sorted"):
+        T.propagate(x, None, [0, 1, 2], [1, 0, 1], 2, "sum")
+    for src, dst in [([0, 3], [0, 1]), ([-1, 0], [0, 1]), ([0, 1], [0, 2]), ([0, 1], [-1, 0])]:
+        with pytest.raises(IndexError, match="propagate"):
+            T.propagate(x, None, src, dst, 2, "mean")
+    with pytest.raises(ShapeError, match="propagate"):
+        T.propagate(x, Tensor(np.ones((2, 3))), [0, 1], [0, 1], 2, "max")
+    with pytest.raises(ValueError, match="unknown aggregation"):
+        T.propagate(x, None, [0, 1], [0, 1], 2, "min")
+
+
+@pytest.mark.parametrize("op, const_first", [(T.mul, False), (T.mul, True), (T.div, False)])
+def test_constant_operand_product_is_skipped(op, const_first):
+    # the constant's own gradient product, g * x or -g * x / c**2, would overflow
+    if op is T.mul:
+        x, c = Tensor([[1e300, 2e300]], requires_grad=True), Tensor([[1e-250, 3e-250]])
+    else:
+        x, c = Tensor([[1e-100, 2e-100]], requires_grad=True), Tensor([[1e-200, 3e-200]])
+    out = op(c, x) if const_first else op(x, c)
+    with np.errstate(all="raise"):
+        T.tsum(T.scale(out, 1e20)).backward()
+    assert c.grad is None
+    expect = 1e20 * c.data if op is T.mul else 1e20 / c.data
+    np.testing.assert_array_equal(x.grad, expect)
