@@ -23,11 +23,9 @@ class Adam:
             n: {"m": np.zeros_like(store[n].data), "v": np.zeros_like(store[n].data), "t": 0}
             for n in self.names
         }
-        self.step_count = 0
 
     def step(self, grads):
         """Apply one Adam update from ``grads`` (name -> ndarray)."""
-        self.step_count += 1
         for name in self.names:
             if name not in grads:
                 continue

@@ -411,28 +411,39 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
 
     Early-stops on the validation metric (given patience) and reports the
     test metric at the best-validation checkpoint.
+
+    Each epoch runs one forward. The forward is deterministic and the Adam
+    step is the only update, so the validation forward after epoch e's step
+    sees the weights epoch e + 1 trains on: its logits, tape included, are
+    that epoch's training logits. The best epoch's logits give the final
+    train and test metrics.
     """
     if not graph.masks:
         raise ValueError("retrain_genotype requires a graph with masks")
+    if epochs < 1:
+        raise ValueError(f"retrain_genotype: epochs must be >= 1, got {epochs}")
     task = graph.spec.task
     net = GenotypeNet(genotype, graph.spec.feature_dim, graph.spec.num_classes, seed=seed)
     opt = Adam(net.store, net.w_param_names(freeze_layers), lr, weight_decay)
 
-    best = {"val": -1.0, "epoch": -1, "weights": None}
+    best = {"val": -1.0, "epoch": -1, "weights": None, "logits": None}
     since_best = 0
+    logits = None
     for epoch in range(epochs):
         net.store.zero_grad()
-        logits = net.forward(graph)
+        if logits is None:
+            logits = net.forward(graph)
         loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
         if not np.isfinite(loss.data).all():
             raise SearchError(f"non-finite retraining loss at epoch {epoch}")
         loss.backward()
         opt.step(net.store.grads("w"))
-        del logits, loss   # free the tape and its grads before the validation forward
+        del logits, loss   # free the tape and its grads before the next forward
 
-        val = evaluate(net.forward(graph), graph.labels, graph.masks["val"], task)
+        logits = net.forward(graph)
+        val = evaluate(logits, graph.labels, graph.masks["val"], task)
         if val > best["val"]:
-            best = {"val": val, "epoch": epoch,
+            best = {"val": val, "epoch": epoch, "logits": logits.data,
                     "weights": {n: t.data.copy() for n, t in net.store.items()}}
             since_best = 0
         else:
@@ -442,7 +453,7 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
 
     for n, w in best["weights"].items():
         net.store[n].data = w
-    logits = net.forward(graph)
+    logits = best["logits"]
     report = {
         "train_metric": evaluate(logits, graph.labels, graph.masks["train"], task),
         "val_metric": best["val"],

@@ -89,9 +89,6 @@ class Tensor:
     def sum(self):
         return tsum(self)
 
-    def mean(self):
-        return tmean(self)
-
     # -- backward ----------------------------------------------------------
 
     def backward(self):
@@ -131,8 +128,11 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one write into a fresh array: never an alias of g, which add's backward
+        # hands to both parents; + 0.0 maps -0.0 to +0.0, as zeros + g does
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -265,46 +265,12 @@ def block_diag(a):
     return out
 
 
-def concat(tensors, axis=-1):
-    """Concatenate along the last axis."""
-    if not tensors:
-        raise ValueError("concat: empty list")
-    nd = tensors[0].data.ndim
-    if axis not in (-1, nd - 1):
-        raise ValueError("concat: only last-axis concatenation is supported")
-    for t in tensors[1:]:
-        if t.data.shape[:-1] != tensors[0].data.shape[:-1]:
-            raise _shape_err("concat", tensors[0].data.shape, t.data.shape)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1), _parents=tuple(tensors))
-    splits = np.cumsum([t.data.shape[-1] for t in tensors])[:-1]
-
-    def bw(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=-1)):
-            _accum(t, piece)
-
-    out._backward = bw
-    return out
-
-
-def broadcast_rows(a, n):
-    """Repeat a (1, d) row vector into an (n, d) matrix."""
-    if a.data.ndim != 2 or a.data.shape[0] != 1:
-        raise _shape_err("broadcast_rows", a.data.shape)
-    out = Tensor(np.broadcast_to(a.data, (n, a.data.shape[1])).copy(), _parents=(a,))
-    out._backward = lambda g: _accum(a, g.sum(axis=0, keepdims=True))
-    return out
-
-
 # -- nonlinearities ----------------------------------------------------------
 
 def _unary(a, value, dvalue):
     out = Tensor(value, _parents=(a,))
     out._backward = lambda g: _accum(a, g * dvalue)
     return out
-
-
-def log(a):
-    return _unary(a, np.log(a.data), 1.0 / a.data)
 
 
 def exp(a):
@@ -554,13 +520,6 @@ def propagate(x, coeff, src, dst, num_nodes, agg):
 def tsum(a):
     out = Tensor(a.data.sum(), _parents=(a,))
     out._backward = lambda g: _accum(a, np.full_like(a.data, float(g)))
-    return out
-
-
-def tmean(a):
-    n = a.data.size
-    out = Tensor(a.data.mean(), _parents=(a,))
-    out._backward = lambda g: _accum(a, np.full_like(a.data, float(g) / n))
     return out
 
 

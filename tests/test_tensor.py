@@ -152,6 +152,23 @@ def test_non_trainable_leaf_gets_no_gradient():
     assert c.grad is None
 
 
+def test_first_gradients_are_distinct_arrays():
+    # add's backward hands one upstream array to both parents
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    T.tsum(a + b).backward()
+    assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_negative_zero_first_gradient_lands_as_positive_zero():
+    x = Tensor([1.0, 1.0, 1.0], requires_grad=True)
+    T.tsum(T.mul(x, Tensor([-0.0, 2.0, -3.0]))).backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 2.0, -3.0])
+    np.testing.assert_array_equal(np.signbit(x.grad), [False, False, True])
+
+
 def test_row_vector_broadcast():
     row = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     big = Tensor(np.ones((3, 2)))
