@@ -149,8 +149,13 @@ def block_param_names(space):
 
 
 def transform_forward(x, w1, w2):
-    """F(x) = W2 relu(W1 x), applied row-wise (weights stored transposed-free)."""
-    return T.matmul(T.relu(T.matmul(x, T.transpose(w1))), T.transpose(w2))
+    """F(x) = W2 relu(W1 x), applied row-wise (weights stored transposed-free).
+
+    Returns (F(x), h) with h = relu(W1 x), the e*D_I-wide hidden rows that
+    block_forward aggregates instead of F(x) when they are the narrower side.
+    """
+    h = T.relu(T.matmul(x, T.transpose(w1)))
+    return T.matmul(h, T.transpose(w2)), h
 
 
 def _head_map(heads, width):
@@ -251,6 +256,11 @@ def block_forward(graph, x, choice, params, scales=None):
     T.propagate call for every head; COMBINE is ADD with the node's own
     transform; the selected activation finishes the layer.
 
+    When every column shares one coefficient (none, or E x 1) and the
+    aggregator is linear (sum, mean), aggregating F(x) = h W2^T equals
+    aggregating h and then mapping by W2^T. The block then aggregates
+    whichever side is narrower, as DGL's GraphConv does.
+
     ``scales`` maps sub-block kind -> scalar Tensor (the controller's
     probability value). When None the scale factor is detached to 1, which
     is the pure weight-training path.
@@ -264,7 +274,8 @@ def block_forward(graph, x, choice, params, scales=None):
         return T.mul(t, scales[kind]) if scales is not None and kind in scales else t
 
     w1, w2 = params.transform(choice.expansion)
-    t_all = scaled("expansion", transform_forward(x, w1, w2))   # n x out_dim
+    t, h = transform_forward(x, w1, w2)
+    t_all = scaled("expansion", t)                              # n x out_dim
 
     if choice.attention == "const" and (scales is None or "attention" not in scales):
         coeff = None                                            # all ones: no products to take
@@ -272,8 +283,12 @@ def block_forward(graph, x, choice, params, scales=None):
         coeff = attention_coefficients(choice.attention, t_all, graph,
                                        params.attention(choice.attention, choice.heads))
         coeff = scaled("attention", coeff)                      # E x H, or E x 1 for all heads
-    agg = T.propagate(t_all, coeff, graph.edge_src, graph.edge_dst, graph.num_nodes,
-                      _AGG[choice.aggregate])
+    shared = coeff is None or coeff.shape[1] == 1
+    narrow = shared and choice.aggregate != "max" and h.shape[1] < space.out_dim
+    agg = T.propagate(h if narrow else t_all, coeff, graph.edge_src, graph.edge_dst,
+                      graph.num_nodes, _AGG[choice.aggregate])
+    if narrow:                                                  # A(h) W2^T = A(h W2^T)
+        agg = scaled("expansion", T.matmul(agg, T.transpose(w2)))
     e = scaled("heads", scaled("aggregate", agg))
     out = T.activation_apply(choice.activation, e + t_all)
     return scaled("activation", out)

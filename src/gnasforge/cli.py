@@ -7,6 +7,7 @@ inputs and seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -200,7 +201,31 @@ def build_parser():
     return p
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap():
+    """Make glibc keep freed memory for reuse instead of returning it to the kernel.
+
+    Every training epoch frees its tape arrays (10 MB each at 20k nodes) and
+    allocates the same sizes again. By default glibc hands large freed blocks
+    back to the kernel (it unmaps them, or trims them off the heap top), so
+    each epoch page-faults its memory in anew. Serving them from the heap and
+    never trimming it lets the next epoch reuse the pages. Needs both
+    settings; does nothing where the C library has no mallopt (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 1 << 30)
+    mallopt(_M_TRIM_THRESHOLD, 2 ** 31 - 1)
+
+
 def main(argv=None):
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -41,15 +41,13 @@ class Graph:
     spec: DatasetSpec
     masks: dict = field(default_factory=dict)   # name -> bool ndarray
     degrees: np.ndarray = None                  # in-neighbor counts incl. self-loop
+    # destination node id per arc, sorted (the segment key for aggregation)
+    edge_dst: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.degrees is None:
             self.degrees = np.diff(self.csr_offsets).astype(np.float64)
-
-    @property
-    def edge_dst(self):
-        """Destination node id per arc (the segment key for aggregation)."""
-        return np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
+        self.edge_dst = np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
 
     @property
     def edge_src(self):

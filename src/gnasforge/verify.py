@@ -100,26 +100,35 @@ def operator_combos():
     return combos
 
 
-def block_combo_checks(combos=None, seed=1):
-    """FD-check block_forward over all its parameters per operator combination."""
+def block_combo_checks(seed=1):
+    """FD-check block_forward over all its parameters per operator combination.
+
+    The operator combos run at in 3, out 4, expansion 2: hidden rows (6) at
+    least as wide as the output, so the block aggregates after W2. Then
+    const / gcn with sum / mean run at in 3, out 8, expansion 1: hidden rows
+    (3) narrower than the output, where these blocks aggregate before W2.
+    """
     graph = _test_graph()
     rng = np.random.default_rng(seed)
-    proj = Tensor(rng.standard_normal((graph.num_nodes, 4)))
+    proj = {d: Tensor(rng.standard_normal((graph.num_nodes, d))) for d in (4, 8)}
+    runs = [(combo, 4, 2, "") for combo in operator_combos()]
+    runs += [((attn, agg, "tanh"), 8, 1, "/narrow")
+             for attn in ("const", "gcn") for agg in ("sum", "mean")]
     out = {}
-    for attn, agg, act in combos or operator_combos():
-        space = BlockSpace(layer=0, in_dim=3, out_dim=4, expansions=(2,),
+    for (attn, agg, act), out_dim, e, tag in runs:
+        space = BlockSpace(layer=0, in_dim=3, out_dim=out_dim, expansions=(e,),
                            attentions=(attn,), head_counts=(2,),
                            aggregators=(agg,), activations=(act,))
         store = ParameterStore()
         init_block_params(space, store, np.random.default_rng(seed))
         view = BlockParamsView(space, store)
-        choice = BlockChoice(2, attn, 2, agg, act)
+        choice = BlockChoice(e, attn, 2, agg, act)
         x = Tensor(graph.features)
 
         def build_loss():
-            return T.tsum(T.mul(block_forward(graph, x, choice, view), proj))
+            return T.tsum(T.mul(block_forward(graph, x, choice, view), proj[out_dim]))
 
-        out[f"block[{attn}/{agg}/{act}]"] = check_params(build_loss, store, store.names())
+        out[f"block[{attn}/{agg}/{act}{tag}]"] = check_params(build_loss, store, store.names())
     return out
 
 

@@ -35,24 +35,27 @@ def test_transform_identity_weights_pass_nonnegative_input():
     w1 = Tensor(np.eye(3))
     w2 = Tensor(np.eye(3))
     x = np.abs(np.random.default_rng(0).standard_normal((4, 3)))
-    out = transform_forward(Tensor(x), w1, w2)
+    out, h = transform_forward(Tensor(x), w1, w2)
     np.testing.assert_allclose(out.data, x)
+    np.testing.assert_allclose(h.data, x)
 
 
 def test_transform_zero_input_gives_zero():
     w1 = Tensor(np.random.default_rng(1).standard_normal((6, 3)))
     w2 = Tensor(np.random.default_rng(2).standard_normal((4, 6)))
-    out = transform_forward(Tensor(np.zeros((5, 3))), w1, w2)
+    out, h = transform_forward(Tensor(np.zeros((5, 3))), w1, w2)
     np.testing.assert_array_equal(out.data, 0.0)
+    assert h.shape == (5, 6)
 
 
 def test_transform_matches_hand_arithmetic():
     w1 = np.array([[1.0, -2.0], [0.5, 3.0]])
     w2 = np.array([[2.0, 1.0], [-1.0, 0.0]])
     x = np.array([[1.0, 1.0], [2.0, -1.0]])
-    expect = np.maximum(x @ w1.T, 0.0) @ w2.T
-    out = transform_forward(Tensor(x), Tensor(w1), Tensor(w2))
-    np.testing.assert_allclose(out.data, expect)
+    hidden = np.maximum(x @ w1.T, 0.0)
+    out, h = transform_forward(Tensor(x), Tensor(w1), Tensor(w2))
+    np.testing.assert_allclose(h.data, hidden)
+    np.testing.assert_allclose(out.data, hidden @ w2.T)
 
 
 # -- attention ----------------------------------------------------------------
@@ -251,6 +254,50 @@ def test_multi_head_width_and_concat():
     assert np.isfinite(out.data).all()
 
 
+def _propagated_width(monkeypatch, kind, agg, heads=1, expansion=1, scales=None):
+    """The width of the x that an in 3, out 8 block_forward hands to T.propagate."""
+    widths = []
+
+    def recording(x, *args):
+        widths.append(x.shape[1])
+        return propagate(x, *args)
+
+    propagate = T.propagate
+    monkeypatch.setattr(T, "propagate", recording)
+    g = verify._test_graph()
+    x = Tensor(np.random.default_rng(40).standard_normal((g.num_nodes, 3)))
+    space = BlockSpace(layer=0, in_dim=3, out_dim=8, expansions=(expansion,),
+                       attentions=(kind,), head_counts=(heads,),
+                       aggregators=(agg,), activations=("tanh",))
+    store = ParameterStore()
+    init_block_params(space, store, np.random.default_rng(41))
+    block_forward(g, x, BlockChoice(expansion, kind, heads, agg, "tanh"),
+                  BlockParamsView(space, store), scales)
+    assert len(widths) == 1
+    return widths[0]
+
+
+@pytest.mark.parametrize("kind, agg, heads, scaled", [
+    ("gcn", "sum", 1, False), ("gcn", "sum", 4, True),
+    ("const", "mean", 2, False), ("const", "mean", 1, True),
+    ("gat", "sum", 1, False),     # one head: its E x 1 coefficient is shared too
+])
+def test_shared_linear_blocks_aggregate_the_narrower_hidden_rows(monkeypatch, kind, agg,
+                                                                 heads, scaled):
+    scales = {k: Tensor(0.7) for k in SUB_BLOCKS} if scaled else None
+    assert _propagated_width(monkeypatch, kind, agg, heads, scales=scales) == 3
+
+
+@pytest.mark.parametrize("kind, agg, heads, expansion", [
+    ("gcn", "max", 1, 1),         # max is not linear
+    ("gat", "sum", 4, 1),         # one learned coefficient per head
+    ("gcn", "sum", 1, 4),         # hidden 12 >= out 8
+    ("const", "mean", 1, 8),      # hidden 24 >= out 8
+])
+def test_other_blocks_aggregate_the_output_rows(monkeypatch, kind, agg, heads, expansion):
+    assert _propagated_width(monkeypatch, kind, agg, heads, expansion) == 8
+
+
 # -- fused heads vs a per-head reference ---------------------------------------------
 
 def _cols(t, lo, hi):
@@ -339,7 +386,7 @@ def _ref_block(g, x, choice, view, scales):
 
     out_dim, H = view.space.out_dim, choice.heads
     hd = out_dim // H
-    t_all = sc("expansion", transform_forward(x, *view.transform(choice.expansion)))
+    t_all = sc("expansion", transform_forward(x, *view.transform(choice.expansion))[0])
     stacks = view.attention(choice.attention, H)
     heads = [{k: Tensor(v.data[h].copy(), requires_grad=True) for k, v in stacks.items()}
              for h in range(H)]

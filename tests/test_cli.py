@@ -1,5 +1,7 @@
+import ctypes
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -204,3 +206,30 @@ def test_gradcheck_single_target(capsys):
     assert main(["gradcheck", "sigmoid"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "sigmoid" in out and "worst:" in out
+
+
+# -- allocator policy -------------------------------------------------------------
+
+def test_main_sets_glibc_mmap_and_trim_thresholds(monkeypatch, capsys):
+    calls = []
+
+    def cdll(name):
+        assert name is None
+        return types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["gradcheck", "sigmoid"]) == 0
+    assert calls == [(-3, 1 << 30), (-1, 2 ** 31 - 1)]   # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: types.SimpleNamespace()],
+                         ids=["cdll-raises", "no-mallopt"])
+def test_main_runs_without_mallopt(monkeypatch, capsys, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["gradcheck", "sigmoid"]) == 0
+    assert main(["gradcheck", "no_such_check"]) == 1
+    assert "unknown gradcheck target" in capsys.readouterr().err

@@ -32,6 +32,14 @@ def test_isolated_nodes_have_self_loop_degree():
     np.testing.assert_array_equal(g.degrees, [1, 1])
 
 
+def test_edge_dst_is_computed_once_in_arc_order():
+    g = graph_from_dict(doc(3, [[0, 1], [1, 2]]))
+    np.testing.assert_array_equal(g.edge_dst, [0, 0, 1, 1, 1, 2, 2])
+    assert g.edge_dst is g.edge_dst
+    np.testing.assert_array_equal(random_split(graph_from_dict(doc(5, [[0, 4]]))).edge_dst,
+                                  [0, 0, 1, 2, 3, 4, 4])
+
+
 def test_edge_out_of_range_rejected():
     with pytest.raises(GraphFormatError, match="out of range"):
         graph_from_dict(doc(3, [[0, 3]]))
