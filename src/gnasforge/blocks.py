@@ -195,8 +195,7 @@ def attention_coefficients(kind, feats, graph, params):
     if kind == "const":
         return Tensor(np.ones((len(dst), 1)))
     if kind == "gcn":
-        d = graph.degrees
-        return Tensor((1.0 / np.sqrt(d[dst] * d[src])).reshape(-1, 1))
+        return Tensor(graph.gcn_coefficients)
     if kind not in _ATTN_WEIGHTS:
         raise ValueError(f"unknown attention kind {kind!r}")
 
@@ -285,8 +284,7 @@ def block_forward(graph, x, choice, params, scales=None):
         coeff = scaled("attention", coeff)                      # E x H, or E x 1 for all heads
     shared = coeff is None or coeff.shape[1] == 1
     narrow = shared and choice.aggregate != "max" and h.shape[1] < space.out_dim
-    agg = T.propagate(h if narrow else t_all, coeff, graph.edge_src, graph.edge_dst,
-                      graph.num_nodes, _AGG[choice.aggregate])
+    agg = T.propagate(h if narrow else t_all, coeff, graph.arcs, _AGG[choice.aggregate])
     if narrow:                                                  # A(h) W2^T = A(h W2^T)
         agg = scaled("expansion", T.matmul(agg, T.transpose(w2)))
     e = scaled("heads", scaled("aggregate", agg))

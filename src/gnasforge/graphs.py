@@ -8,10 +8,13 @@ a self-loop is added for every node, so in-degree is always >= 1.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .tensor import Arcs
 
 
 class GraphFormatError(ValueError):
@@ -41,6 +44,8 @@ class Graph:
     spec: DatasetSpec
     masks: dict = field(default_factory=dict)   # name -> bool ndarray
     degrees: np.ndarray = None                  # in-neighbor counts incl. self-loop
+    # the arcs of the message pass, checked once; their layouts are built on first use
+    arcs: Arcs = field(default=None, repr=False, compare=False)
     # destination node id per arc, sorted (the segment key for aggregation)
     edge_dst: np.ndarray = field(init=False, repr=False)
 
@@ -48,10 +53,18 @@ class Graph:
         if self.degrees is None:
             self.degrees = np.diff(self.csr_offsets).astype(np.float64)
         self.edge_dst = np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
+        if self.arcs is None:
+            self.arcs = Arcs(self.csr_targets, self.edge_dst, self.num_nodes)
 
     @property
     def edge_src(self):
         return self.csr_targets
+
+    @functools.cached_property
+    def gcn_coefficients(self):
+        """The E x 1 column 1 / sqrt(d_i d_j) of every arc j -> i."""
+        d = self.degrees
+        return (1.0 / np.sqrt(d[self.edge_dst] * d[self.edge_src])).reshape(-1, 1)
 
     def neighbors(self, i):
         return self.csr_targets[self.csr_offsets[i]:self.csr_offsets[i + 1]]
@@ -232,6 +245,7 @@ def random_split(graph, ratios=(0.6, 0.2, 0.2), seed=0):
         spec=graph.spec,
         masks=masks,
         degrees=graph.degrees,
+        arcs=graph.arcs,
     )
     return out
 

@@ -8,8 +8,10 @@ once in reverse topological order.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -314,7 +316,11 @@ def relu6(a):
 
 def elu(a):
     y = np.where(a.data > 0, a.data, np.expm1(a.data))
-    return _unary(a, y, np.where(a.data > 0, 1.0, np.exp(np.minimum(a.data, 0.0))))
+    # one transcendental pass: the derivative exp(x) is y + 1 where x <= 0 (and
+    # y <= 0), and min(y, 0) + 1 = 1 where x > 0
+    dy = np.minimum(y, 0.0)
+    dy += 1.0
+    return _unary(a, y, dy)
 
 
 def softplus(a):
@@ -415,63 +421,173 @@ def _transposed(a):
     return out
 
 
-def propagate(x, coeff, src, dst, num_nodes, agg):
+# -- message passing ---------------------------------------------------------
+
+class _Diagonals(NamedTuple):
+    """The arcs grouped by a key in jagged diagonals (Saad's JDS sparse format).
+
+    ``keys`` lists every key by its arc count, largest first (ties by key id),
+    and ``degrees`` holds those counts. Diagonal r holds the r-th arc, in arc
+    order, of each key with more than r arcs. Those keys are a prefix of
+    ``keys``, so diagonal r is the slice ``offsets[r]:offsets[r + 1]`` of
+    ``arcs`` and of ``rows``, the input row each of those arcs gathers.
+    """
+    keys: np.ndarray
+    degrees: np.ndarray
+    arcs: np.ndarray
+    rows: np.ndarray
+    offsets: list
+
+
+def _diagonals(key, gather, num_keys):
+    """The layout of the arcs keyed by ``key`` that gather rows ``gather``."""
+    grouped = np.argsort(key, kind="stable")            # by key, each key's arcs in arc order
+    deg = np.bincount(key, minlength=num_keys)
+    keys = np.argsort(-deg, kind="stable")
+    slot = np.empty(num_keys, dtype=np.int64)
+    slot[keys] = np.arange(num_keys)
+    reach = num_keys - np.cumsum(np.bincount(deg))[:-1]    # keys with more than r arcs
+    offsets = np.zeros(len(reach) + 1, dtype=np.int64)
+    np.cumsum(reach, out=offsets[1:])
+    kg = key[grouped]
+    rank = np.arange(len(grouped)) - (np.cumsum(deg) - deg)[kg]   # r for the r-th arc
+    arcs = np.empty(len(grouped), dtype=np.int64)
+    arcs[offsets[rank] + slot[kg]] = grouped
+    return _Diagonals(keys, deg[keys], arcs, gather[arcs], offsets.tolist())
+
+
+class Arcs:
+    """The arcs of a message pass, checked once and laid out for ``propagate``.
+
+    Arc e carries row ``src[e]`` of an input with ``num_rows`` rows (by default
+    ``num_nodes``) to node ``dst[e]``. ``dst`` must be sorted, as
+    ``Graph.edge_dst`` is: unsorted ids raise ValueError, and ids out of range
+    raise IndexError. The jagged-diagonal layouts are built on first use:
+    ``incoming`` groups the arcs by ``dst`` for the forward, ``outgoing`` by
+    ``src`` for the input gradient.
+    """
+
+    def __init__(self, src, dst, num_nodes, num_rows=None):
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        num_rows = num_nodes if num_rows is None else num_rows
+        if src.ndim != 1 or dst.shape != src.shape:
+            raise _shape_err("Arcs", src.shape, dst.shape)
+        if src.size and (src.min() < 0 or src.max() >= num_rows):
+            raise IndexError(f"Arcs: source id out of range for {num_rows} rows")
+        if dst.size and (dst.min() < 0 or dst.max() >= num_nodes):
+            raise IndexError(f"Arcs: destination id out of range for {num_nodes} nodes")
+        self.src, self.dst = src, dst
+        self.num_nodes, self.num_rows = num_nodes, num_rows
+        # the non-empty nodes and the arc each one's segment starts at, for max
+        self.ids, self.starts = _segment_starts("Arcs", dst)
+
+    @functools.cached_property
+    def segment(self):
+        """Per arc, the index of its node's segment in ``ids``."""
+        lengths = np.diff(np.append(self.starts, len(self.dst)))
+        return np.repeat(np.arange(len(self.starts)), lengths)
+
+    @functools.cached_property
+    def counts(self):
+        """In-arcs per node, at least 1, as an n x 1 column: the divisor of mean."""
+        counts = np.bincount(self.dst, minlength=self.num_nodes)
+        return np.maximum(counts, 1).astype(np.float64)[:, None]
+
+    @functools.cached_property
+    def incoming(self):
+        return _diagonals(self.dst, self.src, self.num_nodes)
+
+    @functools.cached_property
+    def outgoing(self):
+        return _diagonals(self.src, self.dst, self.num_rows)
+
+
+# entries of v gathered per block of keys: 256 KB of float64, which stays in cache
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _diagonal_sum(v, coef, layout):
+    """Per key, the sum over its arcs a of ``v[row(a)] * coef[a]``, in arc order.
+
+    ``coef`` is None or holds one row per arc in the layout's ``arcs`` order,
+    whose H columns scale H equal column blocks of ``v``. Keys are taken in
+    blocks; a block's sums start at +0.0 and add one diagonal at a time, so
+    each entry is the sequence of additions that ``np.bincount`` makes over
+    the arcs in arc order, signed zeros included.
+    """
+    d = v.shape[1]
+    keys, offsets = layout.keys, layout.offsets
+    heads = 1 if coef is None else coef.shape[1]
+    out = np.empty((len(keys), d))
+    b = max(1, _BLOCK_ENTRIES // d)
+    buf = np.empty((b, d))
+    for k0 in range(0, len(keys), b):
+        width = min(b, len(keys) - k0)
+        acc = np.zeros((width, d))
+        for r in range(layout.degrees[k0]):
+            lo = offsets[r] + k0
+            c = min(offsets[r + 1] - lo, width)             # this block's keys on diagonal r
+            m = np.take(v, layout.rows[lo:lo + c], axis=0, out=buf[:c])
+            if coef is not None:
+                mh = m.reshape(c, heads, d // heads)
+                mh *= coef[lo:lo + c, :, None]
+            acc[:c] += m
+        out[keys[k0:k0 + width]] = acc
+    return out
+
+
+def propagate(x, coeff, arcs, agg):
     """Message passing as one tape node.
 
-    ``out[i, k]`` is the ``agg`` ("sum", "mean" or "max") over the arcs e with
-    ``dst[e] == i`` of ``coeff[e, head(k)] * x[src[e], k]``. ``coeff`` is an
-    E x H Tensor whose column h weights the h-th of H equal column blocks of
-    ``x``, an E x 1 Tensor shared by every column, or None for all ones. A
+    ``out[i, k]`` is the ``agg`` ("sum", "mean" or "max") over the ``Arcs`` e
+    with ``dst[e] == i`` of ``coeff[e, head(k)] * x[src[e], k]``. ``coeff`` is
+    an E x H Tensor whose column h weights the h-th of H equal column blocks
+    of ``x``, an E x 1 Tensor shared by every column, or None for all ones. A
     node with no in-arcs gets a zero row.
 
-    ``dst`` must be sorted, as ``Graph.edge_dst`` is; unsorted ids raise
-    ValueError. Sums add each node's arcs in arc order. Max routes a column's
-    gradient to the first arc reaching the node's max, and its value is that
-    arc's, so ties and signed zeros follow ``np.maximum.at``.
+    Sum and mean gather whole rows of ``x`` along the jagged diagonals of
+    ``arcs.incoming``, and the gradient of ``x`` gathers rows of the upstream
+    gradient along ``arcs.outgoing``. Each node's sum adds its arcs in arc
+    order from +0.0, as ``np.bincount`` does.
 
-    The kernels run one column at a time on a transposed copy of ``x``, so no
-    E x D array is built or kept: an E-vector per column is gathered by
-    ``src``, scaled by its head's coefficients and reduced by ``bincount`` or
-    ``reduceat``. Backward skips the products for an operand that needs no
-    gradient.
+    Max and the coefficient gradient run one column at a time on transposed
+    copies: an E-vector per column is gathered by ``src``, scaled by its
+    head's coefficients and reduced by ``reduceat`` or ``bincount``. Max
+    routes a column's gradient to the first arc reaching the node's max, and
+    its value is that arc's, so ties and signed zeros follow ``np.maximum.at``.
+
+    No E x D array is built or kept. Backward skips the products for an
+    operand that needs no gradient.
     """
     if agg not in ("sum", "mean", "max"):
         raise ValueError(f"propagate: unknown aggregation {agg!r}")
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
     xd = x.data
-    if xd.ndim != 2 or src.ndim != 1 or dst.shape != src.shape:
-        raise _shape_err("propagate", xd.shape, src.shape, dst.shape)
+    src, dst = arcs.src, arcs.dst
+    if xd.ndim != 2 or xd.shape[0] != arcs.num_rows:
+        raise _shape_err("propagate", xd.shape, (arcs.num_rows, len(src)))
     n_x, d = xd.shape
-    e = len(src)
-    if coeff is not None and (coeff.data.ndim != 2 or coeff.data.shape[0] != e
+    if coeff is not None and (coeff.data.ndim != 2 or coeff.data.shape[0] != len(src)
                               or d % coeff.data.shape[1]):
         raise _shape_err("propagate", xd.shape, coeff.data.shape)
-    if e and (src.min() < 0 or src.max() >= n_x):
-        raise IndexError(f"propagate: source id out of range for {n_x} rows")
-    if e and (dst.min() < 0 or dst.max() >= num_nodes):
-        raise IndexError(f"propagate: destination id out of range for {num_nodes} nodes")
-    ids, starts = _segment_starts("propagate", dst)
-
-    xt = _transposed(xd)                             # column k of x is row k
-    if coeff is None:
-        ct = head = None
-    else:
+    learned = coeff is not None and coeff.requires_grad
+    ct = head = None
+    if coeff is not None and (agg == "max" or learned):
         ct = np.ascontiguousarray(coeff.data.T)      # H x E
         head = np.arange(d) // (d // ct.shape[0])    # coefficient row of each column
-    yt = np.zeros((d, num_nodes))
+
     if agg == "max":
-        rank = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, e)))
+        xt = _transposed(xd)                         # column k of x is row k
+        yt = np.zeros((d, arcs.num_nodes))
         winners = []                                 # per column: (first arcs, their nodes)
-    for k in range(d):
-        m = xt[k].take(src)
-        if ct is not None:
-            m *= ct[head[k]]
-        if agg == "max":
-            top = np.maximum.reduceat(m, starts)
-            yt[k, ids] = top
+        for k in range(d):
+            m = xt[k].take(src)
+            if ct is not None:
+                m *= ct[head[k]]
+            top = np.maximum.reduceat(m, arcs.starts)
+            yt[k, arcs.ids] = top
             # arcs reaching their node's max (none for a NaN max), grouped by node
-            hit = np.flatnonzero(m == top[rank])
+            hit = np.flatnonzero(m == top[arcs.segment])
             node = dst[hit]
             first = np.ones(len(hit), dtype=bool)
             first[1:] = node[1:] != node[:-1]
@@ -481,19 +597,27 @@ def propagate(x, coeff, src, dst, num_nodes, agg):
             # the sign of a zero max; the gradient goes to the first
             yt[k, node[last]] = m[hit[last]]
             winners.append((hit[first], node[first]))
-        else:
-            yt[k] = np.bincount(dst, weights=m, minlength=num_nodes)
-    if agg == "mean":
-        safe = np.maximum(np.bincount(dst, minlength=num_nodes), 1).astype(np.float64)
-        yt /= safe
-    out = Tensor(_transposed(yt), _parents=(x,) if coeff is None else (x, coeff))
+        y = _transposed(yt)
+    else:
+        inc = arcs.incoming
+        y = _diagonal_sum(xd, None if coeff is None else coeff.data[inc.arcs], inc)
+        if agg == "mean":
+            y /= arcs.counts
+    out = Tensor(y, _parents=(x,) if coeff is None else (x, coeff))
 
     def bw(g):
-        gt = _transposed(g)
         if agg == "mean":
-            gt /= safe
-        gx = np.zeros((d, n_x)) if x.requires_grad else None
-        gc = np.zeros(ct.shape) if coeff is not None and coeff.requires_grad else None
+            g = g / arcs.counts
+        if x.requires_grad and agg != "max":
+            outg = arcs.outgoing
+            _accum(x, _diagonal_sum(g, None if coeff is None else coeff.data[outg.arcs], outg))
+        # the column loop: max's input gradient and any learned coefficient's gradient
+        gx = np.zeros((d, n_x)) if x.requires_grad and agg == "max" else None
+        gc = np.zeros(ct.shape) if learned else None
+        if gx is None and gc is None:
+            return
+        gt = _transposed(g)
+        xc = xt if agg == "max" else _transposed(xd)
         for k in range(d):
             if agg == "max":
                 rows, node = winners[k]
@@ -505,7 +629,7 @@ def propagate(x, coeff, src, dst, num_nodes, agg):
                 gx[k] = np.bincount(src[rows], weights=w, minlength=n_x)
             if gc is not None:
                 # max winners are distinct arcs within a column, so += adds each once
-                gc[head[k], rows] += gd * xt[k].take(src[rows])
+                gc[head[k], rows] += gd * xc[k].take(src[rows])
         if gx is not None:
             _accum(x, _transposed(gx))
         if gc is not None:

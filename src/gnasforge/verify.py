@@ -79,15 +79,22 @@ def primitive_checks(seed=0):
         rng.standard_normal((2, 3, 4)))
     # message passing into 4 nodes, node 1 with no in-arcs: a constant E x 1
     # coefficient checks the x gradient, a learned E x 2 one its own gradient
-    src, dst = np.array([2, 0, 1, 1, 0]), np.array([0, 0, 2, 2, 3])
+    arcs = T.Arcs([2, 0, 1, 1, 0], [0, 0, 2, 2, 3], 4, 3)
     c51 = Tensor(rng.uniform(0.5, 1.5, (5, 1)))
     c44 = Tensor(rng.standard_normal((4, 4)))
     for agg in AGGREGATORS:
         chk(f"propagate_{agg}",
-            lambda t, agg=agg: T.tsum(T.mul(T.propagate(t, c51, src, dst, 4, agg), c44)), x34)
+            lambda t, agg=agg: T.tsum(T.mul(T.propagate(t, c51, arcs, agg), c44)), x34)
         chk(f"propagate_{agg}_coeff",
-            lambda t, agg=agg: T.tsum(T.mul(T.propagate(Tensor(x34), t, src, dst, 4, agg), c44)),
+            lambda t, agg=agg: T.tsum(T.mul(T.propagate(Tensor(x34), t, arcs, agg), c44)),
             rng.standard_normal((5, 2)))
+    # in-degrees 0, 1, 2 and 5, out-degrees 4, 2 and 2 with a learned E x 2
+    # coefficient: the x gradient crosses diagonals whose prefixes shrink
+    skew = T.Arcs([1, 0, 2, 0, 0, 1, 2, 0], [1, 2, 2, 3, 3, 3, 3, 3], 4, 3)
+    c82 = Tensor(rng.uniform(0.5, 1.5, (8, 2)), requires_grad=True)
+    for agg in ("sum", "mean"):
+        chk(f"propagate_{agg}_skew",
+            lambda t, agg=agg: T.tsum(T.mul(T.propagate(t, c82, skew, agg), c44)), x34)
     return out
 
 

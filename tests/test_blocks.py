@@ -76,6 +76,15 @@ def test_gcn_attention_inverse_sqrt_degrees():
         np.testing.assert_allclose(coeff[k], 1.0 / np.sqrt(g.degrees[i] * g.degrees[j]))
 
 
+def test_gcn_coefficients_are_computed_once_per_graph():
+    g = tiny_graph(4, [[0, 1], [1, 2], [0, 2], [0, 3]], [[0.0]] * 4)
+    a = attention_coefficients("gcn", Tensor(g.features), g, {})
+    b = attention_coefficients("gcn", Tensor(g.features), g, {})
+    assert a.data is b.data is g.gcn_coefficients
+    d = g.degrees
+    np.testing.assert_array_equal(a.data[:, 0], 1.0 / np.sqrt(d[g.edge_dst] * d[g.edge_src]))
+
+
 def test_gcn_quarter_for_degree_four():
     g = tiny_graph(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], [[0.0]] * 4)
     coeff = attention_coefficients("gcn", Tensor(g.features), g, {})

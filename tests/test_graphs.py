@@ -40,6 +40,14 @@ def test_edge_dst_is_computed_once_in_arc_order():
                                   [0, 0, 1, 2, 3, 4, 4])
 
 
+def test_arcs_are_checked_once_and_shared_by_splits():
+    g = graph_from_dict(doc(5, [[0, 4], [1, 2]]))
+    np.testing.assert_array_equal(g.arcs.dst, g.edge_dst)
+    np.testing.assert_array_equal(g.arcs.src, g.edge_src)
+    assert g.arcs.num_nodes == g.arcs.num_rows == 5
+    assert random_split(g).arcs is g.arcs
+
+
 def test_edge_out_of_range_rejected():
     with pytest.raises(GraphFormatError, match="out of range"):
         graph_from_dict(doc(3, [[0, 3]]))

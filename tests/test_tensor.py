@@ -22,7 +22,8 @@ def test_segment_sum_direct():
 def _over_rows(agg):
     """T.propagate with ``src = arange(E)`` and no coefficient: row e is arc e's message."""
     def op(values, segments, num_segments):
-        return T.propagate(values, None, np.arange(len(segments)), segments, num_segments, agg)
+        arcs = T.Arcs(np.arange(len(segments)), segments, num_segments, len(segments))
+        return T.propagate(values, None, arcs, agg)
     return op
 
 
@@ -61,6 +62,16 @@ def test_random_composite_finite_difference():
 
     err = finite_difference_check(f, rng.standard_normal((4, 4)))
     assert err < 1e-4
+
+
+def test_elu_gradient_is_exp_on_the_negative_side():
+    x = np.array([-800.0, -30.0, -2.5, -1e-300, -0.0, 0.0, 1e-300, 3.0])
+    t = Tensor(x, requires_grad=True)
+    T.tsum(T.elu(t)).backward()
+    neg = x <= 0
+    # expm1(x) + 1 rounds differently from exp(x), by at most an ulp of 1
+    np.testing.assert_allclose(t.grad[neg], np.exp(x[neg]), rtol=0, atol=2 ** -52)
+    np.testing.assert_array_equal(t.grad[~neg], 1.0)
 
 
 def test_backward_linearity():
@@ -111,14 +122,14 @@ def test_segment_max_ties_route_to_first_row_per_column():
 
 
 def test_segment_max_rejects_unsorted_ids():
-    with pytest.raises(ValueError, match="propagate.*sorted"):
+    with pytest.raises(ValueError, match="Arcs.*sorted"):
         _MAX(Tensor(np.zeros((3, 2))), np.array([0, 1, 0]), 2)
 
 
 @pytest.mark.parametrize("op, name", [
     pytest.param(T.segment_sum, "segment_sum", id="segment_sum"),
-    pytest.param(_MEAN, "propagate", id="segment_mean"),
-    pytest.param(_MAX, "propagate", id="segment_max"),
+    pytest.param(_MEAN, "Arcs", id="segment_mean"),
+    pytest.param(_MAX, "Arcs", id="segment_max"),
 ])
 @pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [-5, 0]])
 def test_segment_ids_out_of_range(op, name, ids):
@@ -393,15 +404,13 @@ def _assert_same_bits(a, b):
     np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.mark.parametrize("width", ["none", "E x 1", "E x H"])
-@pytest.mark.parametrize("agg", ["sum", "mean", "max"])
-@given(case=_propagate_case())
-def test_propagate_matches_gather_mul_reference(agg, width, case):
+def _check_propagate(agg, width, case):
+    """T.propagate against the reference: exact bits for the value and the x gradient."""
     x, c, src, dst, n, g = case
     c = {"none": None, "E x 1": c[:, :1], "E x H": c}[width]
     xt = Tensor(x, requires_grad=True)
     ct = None if c is None else Tensor(c, requires_grad=True)
-    out = T.propagate(xt, ct, src, dst, n, agg)
+    out = T.propagate(xt, ct, T.Arcs(src, dst, n, len(x)), agg)
     T.tsum(T.mul(out, Tensor(g))).backward()
     y, gx, gc, bound = _ref_propagate(x, c, src, dst, n, agg, g)
     _assert_same_bits(out.data, y)
@@ -411,17 +420,98 @@ def test_propagate_matches_gather_mul_reference(agg, width, case):
         assert (np.abs(ct.grad - gc) <= 1e-12 * bound).all()
 
 
+_WIDTHS = pytest.mark.parametrize("width", ["none", "E x 1", "E x H"])
+_AGGS = pytest.mark.parametrize("agg", ["sum", "mean", "max"])
+# x entries per block of keys: one key per block, a few keys, and the default
+_BLOCKS = (1, 2, 5, T._BLOCK_ENTRIES)
+
+
+@_WIDTHS
+@_AGGS
+@given(case=_propagate_case())
+def test_propagate_matches_gather_mul_reference(agg, width, case):
+    # small blocks split the keys into several blocks and cut diagonals mid-block
+    for entries in _BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_BLOCK_ENTRIES", entries)
+            _check_propagate(agg, width, case)
+
+
+def _skewed_case(seed):
+    """A hub node with 40 in-arcs, nodes with one, and nodes with none; row 0 is the
+    source of most arcs. Entries mix +-1e16, signed zeros and small values, so any
+    change in the order of additions changes bits. Widths run from 1 to 4 columns."""
+    rng = np.random.default_rng(seed)
+    heads, d = [(1, 1), (2, 2), (1, 2), (2, 4)][seed % 4]
+    counts = [0, 40, 1, 0, 1, 1, 3, 0, 1, 2, 0]
+    dst = np.repeat(np.arange(len(counts)), counts)
+    rows = 5
+    src = np.where(rng.random(len(dst)) < 0.6, 0, rng.integers(1, rows, len(dst)))
+    pool = np.array([1e16, -1e16, 1.0, -1.0, 0.1, 0.0, -0.0, 3.0])
+
+    def draw(shape):
+        return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                        rng.standard_normal(shape))
+
+    return draw((rows, d)), draw((len(dst), heads)), src, dst, len(counts), draw((len(counts), d))
+
+
+@_WIDTHS
+@_AGGS
+@pytest.mark.parametrize("entries", _BLOCKS)
+def test_propagate_matches_reference_on_degree_skewed_arcs(monkeypatch, agg, width, entries):
+    monkeypatch.setattr(T, "_BLOCK_ENTRIES", entries)
+    for seed in range(8):
+        _check_propagate(agg, width, _skewed_case(seed))
+
+
+def test_arc_layouts_list_each_keys_arcs_in_arc_order():
+    rng = np.random.default_rng(3)
+    dst = np.sort(rng.integers(0, 30, 400))
+    src = rng.integers(0, 7, 400)        # many arcs per source: an unstable sort reorders them
+    arcs = T.Arcs(src, dst, 40, 7)
+    for layout, key, other, keys in [(arcs.incoming, dst, src, 40), (arcs.outgoing, src, dst, 7)]:
+        deg = np.bincount(key, minlength=keys)
+        assert sorted(layout.keys.tolist()) == list(range(keys))
+        np.testing.assert_array_equal(layout.degrees, deg[layout.keys])
+        assert (np.diff(layout.degrees) <= 0).all()
+        offsets = layout.offsets
+        assert offsets[0] == 0 and offsets[-1] == len(key)
+        np.testing.assert_array_equal(layout.rows, other[layout.arcs])
+        for slot, k in enumerate(layout.keys):
+            mine = [layout.arcs[offsets[r] + slot] for r in range(layout.degrees[slot])]
+            np.testing.assert_array_equal(mine, np.flatnonzero(key == k))
+        # diagonal r reaches exactly the keys with more than r arcs
+        np.testing.assert_array_equal(np.diff(offsets),
+                                      [(deg > r).sum() for r in range(deg.max())])
+
+
+def test_arc_layouts_are_built_on_first_use():
+    x = Tensor(np.ones((3, 2)), requires_grad=True)
+    arcs = T.Arcs([0, 2, 1], [0, 0, 2], 3)
+    assert "incoming" not in vars(arcs) and "outgoing" not in vars(arcs)
+    out = T.propagate(x, None, arcs, "sum")
+    layout = arcs.incoming
+    assert "outgoing" not in vars(arcs)
+    T.tsum(out).backward()
+    assert arcs.incoming is layout and "outgoing" in vars(arcs)
+    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+
+
 def test_propagate_rejects_bad_input():
     x = Tensor(np.zeros((3, 4)))
-    with pytest.raises(ValueError, match="propagate.*sorted"):
-        T.propagate(x, None, [0, 1, 2], [1, 0, 1], 2, "sum")
+    with pytest.raises(ValueError, match="Arcs.*sorted"):
+        T.Arcs([0, 1, 2], [1, 0, 1], 2, 3)
     for src, dst in [([0, 3], [0, 1]), ([-1, 0], [0, 1]), ([0, 1], [0, 2]), ([0, 1], [-1, 0])]:
-        with pytest.raises(IndexError, match="propagate"):
-            T.propagate(x, None, src, dst, 2, "mean")
+        with pytest.raises(IndexError, match="Arcs"):
+            T.Arcs(src, dst, 2, 3)
+    arcs = T.Arcs([0, 1], [0, 1], 2, 3)
     with pytest.raises(ShapeError, match="propagate"):
-        T.propagate(x, Tensor(np.ones((2, 3))), [0, 1], [0, 1], 2, "max")
+        T.propagate(x, Tensor(np.ones((2, 3))), arcs, "max")
+    with pytest.raises(ShapeError, match="propagate"):
+        T.propagate(Tensor(np.zeros((2, 4))), None, arcs, "sum")   # arcs read 3 rows
     with pytest.raises(ValueError, match="unknown aggregation"):
-        T.propagate(x, None, [0, 1], [0, 1], 2, "min")
+        T.propagate(x, None, arcs, "min")
 
 
 @pytest.mark.parametrize("op, const_first", [(T.mul, False), (T.mul, True), (T.div, False)])
