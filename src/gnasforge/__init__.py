@@ -7,7 +7,7 @@ from .graphs import (
     Graph, DatasetSpec, load_graph_json, save_graph_json, random_split,
     generate_sbm, generate_chain_task,
 )
-from .blocks import BlockSpace, BlockChoice, block_forward, select_operator
+from .blocks import BlockSpace, BlockChoice, block_forward
 from .controller import Controller, add_noise, extract_indices
 from .router import Router, TempSchedule, temp_anneal, gumbel_sigmoid
 from .search import (
@@ -19,7 +19,7 @@ __all__ = [
     "Tensor", "ParameterStore", "Adam", "finite_difference_check",
     "Graph", "DatasetSpec", "load_graph_json", "save_graph_json", "random_split",
     "generate_sbm", "generate_chain_task",
-    "BlockSpace", "BlockChoice", "block_forward", "select_operator",
+    "BlockSpace", "BlockChoice", "block_forward",
     "Controller", "add_noise", "extract_indices",
     "Router", "TempSchedule", "temp_anneal", "gumbel_sigmoid",
     "SearchConfig", "Genotype", "GenotypeNet", "Supernet",

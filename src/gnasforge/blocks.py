@@ -70,24 +70,6 @@ class BlockChoice:
     activation: str
 
 
-@dataclass
-class Selection:
-    """Chosen candidate index plus the probability value used for gradient scaling."""
-    index: int
-    value: float
-
-
-def select_operator(prob_vector):
-    """Argmax selection (ties -> lowest index) with its probability value."""
-    p = np.asarray(prob_vector, dtype=np.float64).reshape(-1)
-    if p.size == 0:
-        raise ValueError("select_operator: empty probability vector")
-    if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("select_operator: not a probability vector")
-    idx = int(np.argmax(p))
-    return Selection(idx, float(p[idx]))
-
-
 _ATTN_WEIGHTS = {
     "gat": ("Wa_dst", "Wa_src"),
     "sym_gat": ("Wa_dst", "Wa_src"),
@@ -135,17 +117,6 @@ def init_block_params(space, store, rng):
             heads = [_draw_head(kind, space.out_dim // H, rng) for _ in range(H)]
             for key, name in _attention_param_names(kind, L, H).items():
                 store.add(name, np.stack([w[key] for w in heads]))
-
-
-def block_param_names(space):
-    """All parameter names init_block_params would register for this layer."""
-    names = []
-    for e in space.expansions:
-        names += [f"layer{space.layer}/transform/x{e}/W1", f"layer{space.layer}/transform/x{e}/W2"]
-    for kind in space.attentions:
-        for H in space.head_counts:
-            names += list(_attention_param_names(kind, space.layer, H).values())
-    return names
 
 
 def transform_forward(x, w1, w2):
@@ -261,7 +232,7 @@ def block_forward(graph, x, choice, params, scales=None):
     whichever side is narrower, as DGL's GraphConv does.
 
     ``scales`` maps sub-block kind -> scalar Tensor (the controller's
-    probability value). When None the scale factor is detached to 1, which
+    probability value). When None the scale factor is a constant 1, which
     is the pure weight-training path.
     """
     space = params.space

@@ -17,7 +17,7 @@ from dataclasses import fields, asdict
 from .graphs import load_graph_json, save_graph_json, random_split, \
     generate_sbm, generate_chain_task, GraphFormatError
 from .search import (
-    SearchConfig, SearchError, Genotype, GenotypeNet,
+    SearchConfig, SearchError, SearchResult, Genotype, GenotypeNet,
     grid_search_hidden, retrain_genotype, evaluate,
 )
 from .tensor import ParameterStore, CheckpointError
@@ -83,9 +83,8 @@ def cmd_search(args):
 
     result["genotype"].save(os.path.join(out_dir, "genotype.json"))
     best_log = result["per_size"][result["hidden"]]["log"]
-    with open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8") as f:
-        for rec in best_log:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+    SearchResult(result["genotype"], best_log, supernet=None).write_log(
+        os.path.join(out_dir, "metrics.jsonl"))
     resolved = dict(asdict(config), **extras)
     with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as f:
         json.dump(resolved, f, indent=2, sort_keys=True, default=list)
@@ -119,7 +118,7 @@ def cmd_eval(args):
     graph = _load_dataset(args.data)
     net = GenotypeNet(genotype, graph.spec.feature_dim, graph.spec.num_classes)
     net.store.load(args.checkpoint)
-    logits = net.forward(graph)
+    logits = net.forward(graph, genotype.layers, gate_mode="binary")
     metric = evaluate(logits, graph.labels, graph.masks["test"], graph.spec.task)
     print(f"test metric: {metric:.6f}")
     return EXIT_OK

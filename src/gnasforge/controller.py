@@ -41,25 +41,36 @@ class Controller:
         return {key: T.softmax_rows(T.matmul(h, p)) for key, p in self.proj.items()}
 
 
-def add_noise(pbar, tau, rng):
-    """P = (P-bar + tau * U) / Z with U ~ Uniform(0,1) i.i.d. per entry.
+def add_noise(pbar, tau, uniforms):
+    """P = (P-bar + tau * U) / Z, with U the pre-drawn Uniform(0, 1) draws.
 
-    Z renormalizes so the result sums to one exactly; tau=0 returns P-bar.
-    The draws stay in the tape as constants, so gradients flow through P-bar.
+    ``uniforms`` maps each key of ``pbar`` to one draw per entry, in any shape
+    of that size. Z renormalizes so the result sums to one exactly; tau=0
+    returns P-bar. The draws stay in the tape as constants, so gradients flow
+    through P-bar.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     noisy = {}
     for key, p in sorted(pbar.items()):
-        u = rng.random(p.data.shape)
         if tau == 0.0:
             noisy[key] = p
             continue
-        numer = p + Tensor(tau * u)
+        numer = p + Tensor(tau * np.reshape(uniforms[key], p.data.shape))
         noisy[key] = T.div(numer, T.tsum(numer))
     return noisy
 
 
 def extract_indices(probs):
-    """Argmax candidate per (layer, sub-block); ties break to the lowest index."""
-    return {key: int(np.argmax(p.data.reshape(-1))) for key, p in probs.items()}
+    """Argmax candidate per (layer, sub-block); ties break to the lowest index.
+
+    Each value must be a probability vector: non-empty, with no negative or
+    NaN entry, summing to 1 within 1e-9. Anything else raises ValueError.
+    """
+    indices = {}
+    for key, p in probs.items():
+        v = p.data.reshape(-1)
+        if v.size == 0 or not (v >= 0).all() or abs(v.sum() - 1.0) > 1e-9:
+            raise ValueError(f"extract_indices: {key} is not a probability vector")
+        indices[key] = int(np.argmax(v))
+    return indices

@@ -4,38 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import ParameterStore
 
 
 def finite_difference_check(f, x, h=1e-5):
     """Max relative error between the analytic gradient of ``f`` at ``x`` and
     central finite differences.
 
-    ``f`` maps a Tensor to a scalar Tensor. Error per coordinate is
-    |analytic - fd| / max(1, |analytic|).
+    ``f`` maps a Tensor to a scalar Tensor; ``x`` is checked as the one
+    parameter of ``check_params``.
     """
-    x = Tensor(np.array(x, dtype=np.float64), requires_grad=True)
-    out = f(x)
-    if not np.isfinite(out.data).all():
-        raise ValueError("finite_difference_check: non-finite forward value")
-    out.backward()
-    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-
-    flat = x.data.reshape(-1)
-    fd = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = f(Tensor(x.data)).item()
-        flat[i] = orig - h
-        lo = f(Tensor(x.data)).item()
-        flat[i] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError("finite_difference_check: non-finite perturbed value")
-        fd[i] = (hi - lo) / (2.0 * h)
-
-    err = np.abs(analytic.reshape(-1) - fd) / np.maximum(1.0, np.abs(analytic.reshape(-1)))
-    return float(err.max()) if err.size else 0.0
+    store = ParameterStore()
+    x = store.add("x", x)
+    return check_params(lambda: f(x), store, ["x"], h)
 
 
 def check_params(build_loss, store, names, h=1e-5):
@@ -43,10 +24,14 @@ def check_params(build_loss, store, names, h=1e-5):
 
     ``build_loss`` takes no arguments and rebuilds the scalar loss from the
     current parameter values (so the whole tape is reconstructed per probe).
-    Returns the max relative error across all coordinates of all params.
+    Returns the max relative error across all coordinates of all params; the
+    error per coordinate is |analytic - fd| / max(1, |analytic|). A
+    non-finite loss, at the parameters or at a probe, raises ValueError.
     """
     store.zero_grad()
     loss = build_loss()
+    if not np.isfinite(loss.data).all():
+        raise ValueError("check_params: non-finite loss")
     loss.backward()
     worst = 0.0
     for name in names:
@@ -61,6 +46,8 @@ def check_params(build_loss, store, names, h=1e-5):
             flat[i] = orig - h
             lo = build_loss().item()
             flat[i] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise ValueError(f"check_params: non-finite loss probing {name}[{i}]")
             fd = (hi - lo) / (2.0 * h)
             err = abs(aflat[i] - fd) / max(1.0, abs(aflat[i]))
             worst = max(worst, err)

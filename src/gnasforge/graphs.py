@@ -263,12 +263,13 @@ def generate_sbm(num_classes, nodes_per_class, p_in, p_out, feature_dim,
     n = num_classes * nodes_per_class
     labels = np.repeat(np.arange(num_classes), nodes_per_class)
 
-    edges = []
+    # row i draws one uniform per pair (i, j > i), in the order a pair-by-pair loop would
+    rows = [np.zeros((0, 2), dtype=np.int64)]
     for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if labels[i] == labels[j] else p_out
-            if rng.random() < p:
-                edges.append((i, j))
+        p = np.where(labels[i + 1:] == labels[i], p_in, p_out)
+        j = i + 1 + np.flatnonzero(rng.random(n - i - 1) < p)
+        rows.append(np.stack([np.full(j.size, i), j], axis=1))
+    edges = np.concatenate(rows)
 
     centroids = np.zeros((num_classes, feature_dim))
     centroids[np.arange(num_classes), np.arange(num_classes)] = 1.0

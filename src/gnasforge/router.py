@@ -85,26 +85,30 @@ def gumbel_sigmoid(theta, tau, g):
 
 
 class Router:
-    """Owns theta (a_macro) and the shortcut linear maps g_ij (w-parameters)."""
+    """Owns the shortcut linear maps g_ij (w-parameters) and their gates' theta (a_macro).
 
-    def __init__(self, store, input_dims, output_dims, rng):
+    ``shortcuts=None`` searches every pair i <= j, each behind a gate with
+    log-prior theta_ij. A list of pairs fixes the routing to those shortcuts,
+    always on and with no theta, as in a derived genotype's network. The maps
+    are drawn in shortcut order.
+    """
+
+    def __init__(self, store, input_dims, output_dims, rng, shortcuts=None):
         self.store = store
-        self.num_blocks = len(input_dims)
-        self.input_dims = list(input_dims)
-        self.output_dims = list(output_dims)
-        self.theta = store.add("router/theta",
-                               np.zeros((self.num_blocks, self.num_blocks)),
-                               group="a_macro")
-        for i in range(self.num_blocks):
-            for j in range(i, self.num_blocks):
-                store.add(f"router/shortcut/{i}_{j}/W",
-                          glorot(rng, output_dims[j], input_dims[i]))
+        self.num_blocks = n = len(input_dims)
+        self.theta = None
+        if shortcuts is None:
+            self.theta = store.add("router/theta", np.zeros((n, n)), group="a_macro")
+            shortcuts = [(i, j) for i in range(n) for j in range(i, n)]
+        self._shortcuts = [tuple(p) for p in shortcuts]
+        for (i, j) in self._shortcuts:
+            store.add(f"router/shortcut/{i}_{j}/W", glorot(rng, output_dims[j], input_dims[i]))
 
     def shortcut(self, i, j):
         return self.store[f"router/shortcut/{i}_{j}/W"]
 
     def pairs(self):
-        return [(i, j) for i in range(self.num_blocks) for j in range(i, self.num_blocks)]
+        return list(self._shortcuts)
 
     def gate_expectations(self):
         """Noise-free expected gates sigmoid(theta) on the active triangle."""
@@ -112,19 +116,29 @@ class Router:
         return {(i, j): float(s[i, j]) for (i, j) in self.pairs()}
 
     def derive_binary_routing(self):
-        """Keep (i, j) iff sigmoid(theta_ij) > 0.5, i.e. theta_ij > 0 (strict)."""
+        """Keep (i, j) iff sigmoid(theta_ij) > 0.5, i.e. theta_ij > 0 (strict).
+
+        Without theta, every shortcut is kept.
+        """
+        if self.theta is None:
+            return self.pairs()
         return [(i, j) for (i, j) in self.pairs() if self.theta.data[i, j] > 0.0]
 
     def sample_noise(self, rng):
         return sample_gumbel(rng, (self.num_blocks, self.num_blocks))
 
     def route_step(self, j, inputs, output, tau, mode="sampled", noise=None):
-        """Routed output O_j = O'_j + sum_{i<=j} gate_ij * g_ij(I_i) for one block."""
+        """Routed output O_j = O'_j + sum_{i<=j} gate_ij * g_ij(I_i) for one block.
+
+        Shortcuts into block j are added in shortcut order.
+        """
         if mode not in ("sampled", "deterministic", "binary"):
             raise ValueError(f"unknown routing mode {mode!r}")
+        if self.theta is None and mode != "binary":
+            raise ValueError(f"a router without theta has no {mode!r} gates")
         binary = set(self.derive_binary_routing()) if mode == "binary" else None
         acc = output
-        for i in range(j + 1):
+        for i in [i for (i, k) in self._shortcuts if k == j]:
             w = self.shortcut(i, j)
             if output.data.shape[1] != w.data.shape[0]:
                 raise T.ShapeError(

@@ -162,11 +162,7 @@ class Supernet:
         self.config = config
         self.hidden = hidden
         self.num_classes = num_classes
-        self.spaces = config.spaces(feat_dim, hidden)
-        self.store = ParameterStore()
-        for space in self.spaces:
-            init_block_params(space, self.store, rng)
-        self.views = [BlockParamsView(s, self.store) for s in self.spaces]
+        self._add_blocks(config.spaces(feat_dim, hidden), rng)
         self.classifier = self.store.add("classifier/W", glorot(rng, num_classes, hidden))
         head_sizes = {(s.layer, kind): len(s.candidates(kind))
                       for s in self.spaces for kind in SUB_BLOCKS}
@@ -176,6 +172,14 @@ class Supernet:
             in_dims = [s.in_dim for s in self.spaces]
             out_dims = [s.out_dim for s in self.spaces]
             self.router = Router(self.store, in_dims, out_dims, rng)
+
+    def _add_blocks(self, spaces, rng):
+        """A fresh store holding every candidate operator of each layer's space."""
+        self.spaces = spaces
+        self.store = ParameterStore()
+        for space in spaces:
+            init_block_params(space, self.store, rng)
+        self.views = [BlockParamsView(s, self.store) for s in spaces]
 
     def choices_from_indices(self, indices):
         return [
@@ -224,12 +228,14 @@ class Supernet:
 
 # -- standalone genotype network ------------------------------------------------------
 
-class GenotypeNet:
+class GenotypeNet(Supernet):
     """Network containing only a genotype's chosen operators and binary shortcuts.
 
-    Built from the Genotype alone: no controller, no gate priors. Parameter
-    names match the supernet's, so ``copy_weights_from`` can transplant the
-    selected slice of a supernet for equivalence checks.
+    Built from the Genotype alone: each layer's space holds just its chosen
+    candidate, at the genotype's hidden size for that layer, and the router
+    owns just the genotype's shortcuts, with no theta; there is no
+    controller. Parameter names match the supernet's. The forward is the
+    supernet's, run on the genotype's layers with ``gate_mode="binary"``.
     """
 
     def __init__(self, genotype, feat_dim, num_classes, seed=0):
@@ -237,7 +243,7 @@ class GenotypeNet:
         self.genotype = genotype
         self.num_classes = num_classes
         hidden = genotype.hidden_sizes
-        self.spaces = [
+        self._add_blocks([
             BlockSpace(layer=l,
                        in_dim=feat_dim if l == 0 else hidden[l - 1],
                        out_dim=hidden[l],
@@ -245,39 +251,12 @@ class GenotypeNet:
                        head_counts=(c.heads,), aggregators=(c.aggregate,),
                        activations=(c.activation,))
             for l, c in enumerate(genotype.layers)
-        ]
-        self.store = ParameterStore()
-        for space in self.spaces:
-            init_block_params(space, self.store, rng)
-        self.views = [BlockParamsView(s, self.store) for s in self.spaces]
-        for (i, j) in genotype.routing:
-            self.store.add(f"router/shortcut/{i}_{j}/W",
-                           glorot(rng, self.spaces[j].out_dim, self.spaces[i].in_dim))
+        ], rng)
+        self.router = Router(self.store, [s.in_dim for s in self.spaces],
+                             [s.out_dim for s in self.spaces], rng,
+                             shortcuts=genotype.routing)
         self.classifier = self.store.add("classifier/W",
                                          glorot(rng, num_classes, hidden[-1]))
-
-    def copy_weights_from(self, store):
-        for name in self.store.names():
-            self.store[name].data = store[name].data.copy()
-
-    def forward(self, graph):
-        x = Tensor(graph.features)
-        inputs = []
-        shortcuts = {}
-        for (i, j) in self.genotype.routing:
-            shortcuts.setdefault(j, []).append(i)
-        for j, (view, choice) in enumerate(zip(self.views, self.genotype.layers)):
-            inputs.append(x)
-            out = block_forward(graph, x, choice, view)
-            for i in shortcuts.get(j, ()):
-                w = self.store[f"router/shortcut/{i}_{j}/W"]
-                out = out + T.matmul(inputs[i], T.transpose(w))
-            x = out
-        return T.matmul(x, T.transpose(self.classifier))
-
-    def w_param_names(self, freeze_layers=()):
-        frozen_prefixes = tuple(f"layer{l}/" for l in freeze_layers)
-        return [n for n in self.store.names("w") if not n.startswith(frozen_prefixes)]
 
 
 # -- dual search -------------------------------------------------------------------
@@ -337,7 +316,7 @@ def dual_search(config, graph, hidden=None, seed=None):
                  for key in sorted(model.controller.proj)}
 
         pbar = model.controller.forward()
-        pg = _apply_noise(pbar, tau, noise)
+        pg = add_noise(pbar, tau, noise)
         indices = extract_indices(pg)
         choices = model.choices_from_indices(indices)
 
@@ -357,7 +336,7 @@ def dual_search(config, graph, hidden=None, seed=None):
         # architecture update: rebuild the controller tape with the same noise
         store.zero_grad()
         pbar_t = model.controller.forward()
-        pg_t = _apply_noise(pbar_t, tau, noise)
+        pg_t = add_noise(pbar_t, tau, noise)
         scales = model.scales_from_probs(pg_t, indices)
         logits = model.forward(graph, choices, scales=scales,
                                gate_mode="sampled", tau=tau, rng=rng)
@@ -392,17 +371,6 @@ def dual_search(config, graph, hidden=None, seed=None):
                         supernet=model, counters=counters)
 
 
-def _apply_noise(pbar, tau, noise):
-    out = {}
-    for key, p in sorted(pbar.items()):
-        if tau == 0.0:
-            out[key] = p
-            continue
-        numer = p + Tensor(tau * noise[key].reshape(p.data.shape))
-        out[key] = T.div(numer, T.tsum(numer))
-    return out
-
-
 # -- retraining ----------------------------------------------------------------------
 
 def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
@@ -432,7 +400,7 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
     for epoch in range(epochs):
         net.store.zero_grad()
         if logits is None:
-            logits = net.forward(graph)
+            logits = net.forward(graph, genotype.layers, gate_mode="binary")
         loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
         if not np.isfinite(loss.data).all():
             raise SearchError(f"non-finite retraining loss at epoch {epoch}")
@@ -440,7 +408,7 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
         opt.step(net.store.grads("w"))
         del logits, loss   # free the tape and its grads before the next forward
 
-        logits = net.forward(graph)
+        logits = net.forward(graph, genotype.layers, gate_mode="binary")
         val = evaluate(logits, graph.labels, graph.masks["val"], task)
         if val > best["val"]:
             best = {"val": val, "epoch": epoch, "logits": logits.data,

@@ -52,44 +52,16 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        """A new leaf with the same values and no tape history."""
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- operators ---------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
+        return add(self, other)
 
     def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self):
-        return tsum(self)
+        return sub(self, other)
 
     # -- backward ----------------------------------------------------------
 
@@ -120,10 +92,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-
-def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accum(t, g):

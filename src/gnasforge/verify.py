@@ -14,7 +14,7 @@ from .blocks import (
     BlockSpace, BlockChoice, BlockParamsView, block_forward, init_block_params,
     ATTENTIONS, AGGREGATORS, ACTIVATION_KINDS,
 )
-from .controller import Controller, extract_indices
+from .controller import Controller, add_noise, extract_indices
 from .router import Router
 from .graphs import generate_sbm
 
@@ -171,11 +171,7 @@ def controller_check(seed=3):
     weights = {key: 1.0 + rng.random() for key in noise}
 
     def build_loss():
-        pbar = ctrl.forward()
-        pg = {}
-        for key, p in sorted(pbar.items()):
-            numer = p + Tensor(0.4 * noise[key].reshape(p.data.shape))
-            pg[key] = T.div(numer, T.tsum(numer))
+        pg = add_noise(ctrl.forward(), 0.4, noise)
         idx = extract_indices(pg)
         total = None
         for key in sorted(pg):

@@ -75,7 +75,8 @@ def test_probability_and_schedule_suite():
     sum_err = 0.0
     for tau in (0.0, 0.05, 0.5, 1.0):
         pbar = ctrl.forward()
-        pg = add_noise(pbar, tau, rng)
+        pg = add_noise(pbar, tau, {key: rng.random(p.data.shape)
+                                   for key, p in sorted(pbar.items())})
         for d in (pbar, pg):
             for p in d.values():
                 sum_err = max(sum_err, abs(p.data.sum() - 1.0))
@@ -110,11 +111,8 @@ def test_probability_and_schedule_suite():
     sched_ok = sched_err <= 1e-12
 
     # noise hand example: p=[.5,.5], tau=1, u=[.2,.6] -> [.7,1.1]/1.8
-    class FakeRng:
-        def random(self, shape):
-            return np.array([[0.2, 0.6]])
-
-    pg = add_noise({"k": Tensor(np.array([[0.5, 0.5]]))}, 1.0, FakeRng())["k"].data
+    pg = add_noise({"k": Tensor(np.array([[0.5, 0.5]]))}, 1.0,
+                   {"k": np.array([0.2, 0.6])})["k"].data
     noise_err = np.abs(pg - np.array([[0.7, 1.1]]) / 1.8).max()
     noise_ok = noise_err <= 1e-12
 
@@ -169,9 +167,10 @@ def test_single_path_equivalence():
         genotype = Genotype(layers=choices, routing=net.router.derive_binary_routing(),
                             hidden_sizes=[16, 16], seed=trial)
         standalone = GenotypeNet(genotype, 8, 2, seed=1000 + trial)
-        standalone.copy_weights_from(net.store)
+        for name in standalone.store.names():
+            standalone.store[name].data = net.store[name].data.copy()
         a = net.forward(g, choices, scales=None, gate_mode="binary").data
-        b = standalone.forward(g).data
+        b = standalone.forward(g, genotype.layers, gate_mode="binary").data
         worst = max(worst, float(np.abs(a - b).max()))
     _report("single-path supernet vs standalone equivalence (5 selections)",
             worst <= 1e-12, f"max abs diff {worst:.1e}")

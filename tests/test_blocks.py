@@ -6,7 +6,7 @@ from gnasforge.tensor import Tensor, ParameterStore, glorot
 from gnasforge import verify
 from gnasforge.blocks import (
     BlockSpace, BlockChoice, BlockParamsView,
-    block_forward, init_block_params, select_operator,
+    block_forward, init_block_params,
     attention_coefficients, transform_forward, _segment_softmax,
     ATTENTIONS, HEAD_COUNTS, AGGREGATORS, SUB_BLOCKS,
 )
@@ -536,28 +536,7 @@ def test_block_tape_holds_no_edge_by_width_array(kind, agg):
     assert sizes and max(sizes) < arcs * width
 
 
-# -- selection and activations -----------------------------------------------------
-
-def test_select_operator_argmax():
-    s = select_operator([0.1, 0.7, 0.2])
-    assert (s.index, s.value) == (1, 0.7)
-
-
-def test_select_operator_tie_breaks_low():
-    assert select_operator([0.5, 0.5]).index == 0
-
-
-def test_select_operator_degenerate_one_hot():
-    s = select_operator([0.0, 0.0, 1.0, 0.0])
-    assert (s.index, s.value) == (2, 1.0)
-
-
-def test_select_operator_rejects_bad_input():
-    with pytest.raises(ValueError):
-        select_operator([])
-    with pytest.raises(ValueError):
-        select_operator([0.5, 0.9])
-
+# -- activations ------------------------------------------------------------------
 
 def test_relu6_clamps():
     assert T.activation_apply("relu6", Tensor(7.0)).item() == 6.0

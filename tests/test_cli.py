@@ -146,6 +146,27 @@ def test_full_pipeline(tmp_path, dataset, capsys):
     assert metric == pytest.approx(report["test_metric"], abs=1e-6)
 
 
+def test_eval_loads_retrained_checkpoint_with_routing(tmp_path, dataset, capsys):
+    """A genotype's shortcuts, in its routing order, round-trip through retrain and eval."""
+    geno = tmp_path / "genotype.json"
+    Genotype(layers=[BlockChoice(1, "gcn", 1, "sum", "relu"),
+                     BlockChoice(2, "gat", 2, "mean", "tanh")],
+             routing=[(1, 1), (0, 1)], hidden_sizes=[16, 16], seed=0).save(geno)
+    rt = tmp_path / "rt"
+    assert main(["retrain", "--genotype", str(geno), "--data", str(dataset),
+                 "--out", str(rt), "--epochs", "5", "--seed", "2"]) == 0
+    report = json.loads((rt / "retrain_report.json").read_text())
+    names = [rec["name"] for rec in
+             json.loads((rt / "checkpoint" / "meta.json").read_text())["params"]]
+    assert {"router/shortcut/0_1/W", "router/shortcut/1_1/W"} <= set(names)
+    assert not any(n == "router/theta" or n.startswith("controller/") for n in names)
+    capsys.readouterr()
+    assert main(["eval", "--genotype", str(geno), "--data", str(dataset),
+                 "--checkpoint", str(rt / "checkpoint")]) == 0
+    metric = float(capsys.readouterr().out.split(":")[1])
+    assert metric == pytest.approx(report["test_metric"], abs=1e-6)
+
+
 def test_retrain_zero_epochs_is_an_error(tmp_path, dataset, capsys):
     geno = tmp_path / "genotype.json"
     Genotype(layers=[BlockChoice(1, "gcn", 1, "sum", "relu")] * 2, routing=[],

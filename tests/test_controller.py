@@ -46,7 +46,10 @@ def test_forward_is_deterministic():
 
 def test_noise_preserves_normalization():
     _, ctrl = make_controller(seed=7)
-    noisy = add_noise(ctrl.forward(), tau=0.8, rng=np.random.default_rng(1))
+    pbar = ctrl.forward()
+    rng = np.random.default_rng(1)
+    noisy = add_noise(pbar, tau=0.8, uniforms={k: rng.random(p.data.shape)
+                                               for k, p in sorted(pbar.items())})
     for p in noisy.values():
         np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-12)
         assert (p.data > 0).all()
@@ -55,7 +58,7 @@ def test_noise_preserves_normalization():
 def test_zero_tau_returns_prior_exactly():
     _, ctrl = make_controller(seed=9)
     pbar = ctrl.forward()
-    noisy = add_noise(pbar, tau=0.0, rng=np.random.default_rng(2))
+    noisy = add_noise(pbar, tau=0.0, uniforms={k: np.full(n, 0.5) for k, n in HEADS.items()})
     for k in pbar:
         assert noisy[k] is pbar[k]
 
@@ -63,27 +66,27 @@ def test_zero_tau_returns_prior_exactly():
 def test_negative_tau_rejected():
     _, ctrl = make_controller()
     with pytest.raises(ValueError):
-        add_noise(ctrl.forward(), tau=-0.1, rng=np.random.default_rng(0))
+        add_noise(ctrl.forward(), tau=-0.1, uniforms={k: np.zeros(n) for k, n in HEADS.items()})
 
 
 def test_noise_formula_hand_example():
     # (p + tau*u) / sum(p + tau*u) on a two-entry vector: p=[0.5, 0.5],
     # tau=0.5, u=[0.2, 0.6] -> numer=[0.6, 0.8] -> [0.6/1.4, 0.8/1.4]
-    class FakeRng:
-        def random(self, shape):
-            return np.array([[0.2, 0.6]])
-
     pbar = {("x",): Tensor(np.array([[0.5, 0.5]]))}
-    noisy = add_noise(pbar, tau=0.5, rng=FakeRng())
+    noisy = add_noise(pbar, tau=0.5, uniforms={("x",): np.array([0.2, 0.6])})
     np.testing.assert_allclose(noisy[("x",)].data, [[0.6 / 1.4, 0.8 / 1.4]], atol=1e-15)
 
 
 def test_noise_gradient_flows_to_prior():
     p = Tensor(np.array([[0.3, 0.7]]), requires_grad=True)
-    noisy = add_noise({("k",): p}, tau=0.4, rng=np.random.default_rng(3))
+    noisy = add_noise({("k",): p}, tau=0.4, uniforms={("k",): np.array([0.9, 0.1])})
     from gnasforge import tensor as T
     T.pick(noisy[("k",)], 1).backward()
     assert p.grad is not None and np.abs(p.grad).sum() > 0
+
+
+def _one(vector):
+    return {"k": Tensor(np.array([vector], dtype=float).reshape(1, -1))}
 
 
 def test_extract_indices_argmax_with_tie_break():
@@ -94,12 +97,27 @@ def test_extract_indices_argmax_with_tie_break():
     assert extract_indices(probs) == {"a": 1, "b": 0}
 
 
-def test_rng_stream_consumed_even_at_zero_tau():
-    # the same generator must land in the same state regardless of tau, so
-    # downstream draws stay aligned between noisy and noise-free epochs
+def test_extract_indices_argmax():
+    assert extract_indices(_one([0.1, 0.7, 0.2])) == {"k": 1}
+
+
+def test_extract_indices_tie_breaks_low():
+    assert extract_indices(_one([0.5, 0.5])) == {"k": 0}
+
+
+def test_extract_indices_degenerate_one_hot():
+    assert extract_indices(_one([0.0, 0.0, 1.0, 0.0])) == {"k": 2}
+
+
+def test_extract_indices_rejects_bad_input():
+    for bad in ([], [0.5, 0.9], [1.2, -0.2], [np.nan, 1.0], [0.5, 0.5 + 1e-8]):
+        with pytest.raises(ValueError, match="not a probability vector"):
+            extract_indices({"ok": Tensor(np.array([[0.5, 0.5]])), **_one(bad)})
+
+
+def test_extract_indices_rejects_nan_controller_output():
+    """A NaN controller output raises instead of silently picking candidate 0."""
     _, ctrl = make_controller(seed=4)
-    pbar = ctrl.forward()
-    r1, r2 = np.random.default_rng(8), np.random.default_rng(8)
-    add_noise(pbar, tau=0.0, rng=r1)
-    add_noise(pbar, tau=0.5, rng=r2)
-    assert r1.random() == r2.random()
+    ctrl.z.data[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not a probability vector"):
+        extract_indices(ctrl.forward())

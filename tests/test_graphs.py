@@ -173,6 +173,48 @@ def test_sbm_zero_crossing_components_stay_in_class():
             stack.extend(g.neighbors(u))
 
 
+def _scalar_loop_sbm(num_classes, nodes_per_class, p_in, p_out, feature_dim,
+                     feature_noise, seed):
+    """Reference: one rng.random() per node pair (i, j > i), pair by pair."""
+    rng = np.random.default_rng(seed)
+    n = num_classes * nodes_per_class
+    labels = np.repeat(np.arange(num_classes), nodes_per_class)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = p_in if labels[i] == labels[j] else p_out
+            if rng.random() < p:
+                edges.append((i, j))
+    centroids = np.zeros((num_classes, feature_dim))
+    centroids[np.arange(num_classes), np.arange(num_classes)] = 1.0
+    features = centroids[labels] + feature_noise * rng.standard_normal((n, feature_dim))
+    return graph_from_dict({
+        "num_nodes": n, "feature_dim": feature_dim, "task": "single",
+        "num_classes": num_classes, "features": features.tolist(), "edges": edges,
+        "labels": labels.tolist(),
+    })
+
+
+@pytest.mark.parametrize("args", [
+    (4, 25, 0.3, 0.02, 16, 0.5, 11),
+    (2, 3, 0.9, 0.3, 3, 0.5, 7),
+    (3, 7, 1.0, 0.0, 4, 0.1, 3),      # cliques, no crossing edges
+    (5, 1, 0.9, 0.4, 5, 0.2, 2),      # one node per class: every pair crosses
+    (2, 1, 0.8, 0.0, 2, 0.0, 0),      # two nodes, no edge possible
+    (3, 40, 0.1, 0.01, 3, 1.0, 5),
+])
+def test_sbm_matches_pair_by_pair_reference(args):
+    """The vectorised generator draws the same uniform stream as a pair loop."""
+    g, spec = generate_sbm(*args)
+    ref = _scalar_loop_sbm(*args)
+    assert spec == ref.spec
+    np.testing.assert_array_equal(g.csr_offsets, ref.csr_offsets)
+    np.testing.assert_array_equal(g.csr_targets, ref.csr_targets)
+    np.testing.assert_array_equal(g.labels, ref.labels)
+    # features come after the edges in the stream: equal features, equal draw count
+    np.testing.assert_array_equal(g.features, ref.features)
+
+
 def test_sbm_validates_probabilities_and_dims():
     with pytest.raises(ValueError):
         generate_sbm(2, 3, 0.2, 0.5, 4, 0.0, seed=0)

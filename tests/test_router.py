@@ -123,6 +123,25 @@ def test_binary_routing_keeps_strictly_positive_theta():
     assert router.derive_binary_routing() == [(0, 1), (2, 2)]
 
 
+def test_fixed_shortcuts_route_in_binary_mode_only():
+    store = ParameterStore()
+    router = Router(store, [3, 4], [4, 4], np.random.default_rng(0), shortcuts=[(1, 1), (0, 1)])
+    assert router.theta is None and "router/theta" not in store
+    assert store.names() == ["router/shortcut/1_1/W", "router/shortcut/0_1/W"]
+    assert router.derive_binary_routing() == [(1, 1), (0, 1)]
+    rng = np.random.default_rng(1)
+    inputs = [Tensor(rng.standard_normal((2, d))) for d in (3, 4)]
+    outputs = [Tensor(rng.standard_normal((2, 4))) for _ in range(2)]
+    routed = router.route(inputs, outputs, 1.0, mode="binary")
+    np.testing.assert_array_equal(routed[0].data, outputs[0].data)
+    w11, w01 = router.shortcut(1, 1).data, router.shortcut(0, 1).data
+    want = outputs[1].data + inputs[1].data @ w11.T + inputs[0].data @ w01.T
+    np.testing.assert_array_equal(routed[1].data, want)   # added in shortcut order
+    for mode in ("sampled", "deterministic"):
+        with pytest.raises(ValueError, match="without theta"):
+            router.route(inputs, outputs, 1.0, rng=rng, mode=mode)
+
+
 def test_lower_triangle_never_routes():
     store, router = make_router()
     router.theta.data[:] = 5.0            # even with positive lower-triangle entries

@@ -5,13 +5,14 @@ import pytest
 
 from gnasforge import search as search_mod
 from gnasforge.blocks import BlockChoice
+from gnasforge.controller import add_noise
 from gnasforge.graphs import generate_sbm, random_split
 from gnasforge.optim import Adam
 from gnasforge.search import (
     Genotype, GenotypeNet, SearchConfig, SearchError, Supernet,
     compute_loss, dual_search, evaluate, grid_search_hidden, retrain_genotype,
 )
-from gnasforge.tensor import ParameterStore, Tensor
+from gnasforge.tensor import ParameterStore, Tensor, glorot
 
 
 def tiny_config(**kw):
@@ -122,10 +123,78 @@ def test_single_path_matches_standalone_network(graph):
     assert genotype.layers == choices
 
     standalone = GenotypeNet(genotype, 8, 2, seed=99)
-    standalone.copy_weights_from(net.store)
+    for name in standalone.store.names():
+        standalone.store[name].data = net.store[name].data.copy()
     a = net.forward(graph, choices, scales=None, gate_mode="binary").data
-    b = standalone.forward(graph).data
+    b = standalone.forward(graph, genotype.layers, gate_mode="binary").data
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def _assert_store_holds(store, ref):
+    assert store.names() == list(ref)
+    for name, value in ref.items():
+        np.testing.assert_array_equal(store[name].data, value, err_msg=name)
+
+
+def test_supernet_draws_blocks_classifier_controller_router():
+    net = Supernet(tiny_config(), 8, 2, 16, seed=5)
+    rng = np.random.default_rng(5)
+    ref = {}
+    for layer, d_in in enumerate((8, 16)):
+        ref[f"layer{layer}/transform/x1/W1"] = glorot(rng, d_in, d_in)
+        ref[f"layer{layer}/transform/x1/W2"] = glorot(rng, 16, d_in)
+    ref["classifier/W"] = glorot(rng, 2, 16)
+    ref["controller/z"] = 0.01 * rng.standard_normal((1, 256))
+    ref["controller/mlp/W1"] = glorot(rng, 256, 256)
+    ref["controller/mlp/W2"] = glorot(rng, 256, 256)
+    sizes = {"activation": 2, "aggregate": 1, "attention": 2, "expansion": 1, "heads": 1}
+    for layer in range(2):
+        for kind, size in sizes.items():
+            ref[f"controller/proj/layer{layer}/{kind}"] = glorot(rng, 256, size)
+    ref["router/theta"] = np.zeros((2, 2))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        ref[f"router/shortcut/{i}_{j}/W"] = glorot(rng, 16, (8, 16)[i])
+    _assert_store_holds(net.store, ref)
+
+
+def test_genotype_net_draws_blocks_then_shortcuts_in_routing_order_then_classifier():
+    genotype = Genotype(layers=[BlockChoice(1, "gcn", 1, "sum", "relu"),
+                                BlockChoice(2, "const", 1, "mean", "tanh")],
+                        routing=[(1, 1), (0, 1)], hidden_sizes=[16, 32], seed=0)
+    net = GenotypeNet(genotype, 8, 2, seed=4)
+    rng = np.random.default_rng(4)
+    ref = {
+        "layer0/transform/x1/W1": glorot(rng, 8, 8),
+        "layer0/transform/x1/W2": glorot(rng, 16, 8),
+        "layer1/transform/x2/W1": glorot(rng, 32, 16),
+        "layer1/transform/x2/W2": glorot(rng, 32, 32),
+        "router/shortcut/1_1/W": glorot(rng, 32, 16),
+        "router/shortcut/0_1/W": glorot(rng, 32, 8),
+        "classifier/W": glorot(rng, 2, 32),
+    }
+    _assert_store_holds(net.store, ref)
+    assert net.router.theta is None
+
+
+def test_dual_search_draws_one_uniform_per_candidate(graph, monkeypatch):
+    """Each epoch's controller noise is rng.random(T) per sub-block, in key order."""
+    seen = []
+
+    def recording(pbar, tau, uniforms):
+        seen.append(uniforms)
+        return add_noise(pbar, tau, uniforms)
+
+    monkeypatch.setattr(search_mod, "add_noise", recording)
+    cfg = tiny_config(max_iter=1)
+    dual_search(cfg, graph)
+    rng = np.random.default_rng(cfg.seed + 0x5EED)
+    sizes = {"activation": 2, "aggregate": 1, "attention": 2, "expansion": 1, "heads": 1}
+    keys = [(layer, kind) for layer in range(2) for kind in sorted(sizes)]
+    assert [list(u) for u in seen] == [keys, keys]       # training and architecture step
+    for key in keys:
+        want = rng.random(sizes[key[1]])
+        for uniforms in seen:
+            np.testing.assert_array_equal(uniforms[key], want, err_msg=str(key))
 
 
 def test_supernet_forward_shapes(graph):
@@ -245,10 +314,12 @@ def _two_forward_retrain(genotype, graph, epochs, seed, patience, lr=0.005,
     since_best = 0
     for epoch in range(epochs):
         net.store.zero_grad()
-        loss = compute_loss(net.forward(graph), graph.labels, graph.masks["train"], task)
+        logits = net.forward(graph, genotype.layers, gate_mode="binary")
+        loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
         loss.backward()
         opt.step(net.store.grads("w"))
-        val = evaluate(net.forward(graph), graph.labels, graph.masks["val"], task)
+        logits = net.forward(graph, genotype.layers, gate_mode="binary")
+        val = evaluate(logits, graph.labels, graph.masks["val"], task)
         if val > best["val"]:
             best = {"val": val, "epoch": epoch,
                     "weights": {n: t.data.copy() for n, t in net.store.items()}}
@@ -259,7 +330,7 @@ def _two_forward_retrain(genotype, graph, epochs, seed, patience, lr=0.005,
                 break
     for n, w in best["weights"].items():
         net.store[n].data = w
-    logits = net.forward(graph)
+    logits = net.forward(graph, genotype.layers, gate_mode="binary")
     report = {
         "train_metric": evaluate(logits, graph.labels, graph.masks["train"], task),
         "val_metric": best["val"],

@@ -199,12 +199,14 @@ def test_finite_difference_tanh_at_zero():
     np.testing.assert_allclose(x.grad, 1.0)
 
 
-def test_detach_blocks_gradient():
-    x = Tensor([2.0], requires_grad=True)
-    y = T.mul(x, x).detach()
-    loss = T.tsum(T.mul(y, x))
-    loss.backward()
-    np.testing.assert_allclose(x.grad, [4.0])   # only the attached factor
+def test_finite_difference_rejects_non_finite_losses():
+    """check_params fails loudly on a non-finite loss, at x or at a probe."""
+    with pytest.raises(ValueError, match="non-finite loss$"):
+        finite_difference_check(T.tsum, np.array([1.0, np.inf]))
+    ones = Tensor(np.ones(2))
+    with np.errstate(divide="ignore"), \
+            pytest.raises(ValueError, match=r"non-finite loss probing x\[1\]"):
+        finite_difference_check(lambda t: T.tsum(T.div(ones, t)), np.array([1.0, 1e-5]))
 
 
 def test_checkpoint_roundtrip(tmp_path):
