@@ -134,21 +134,15 @@ def _head_map(heads, width):
     return np.repeat(np.eye(heads), width // heads, axis=1)
 
 
-def _segment_softmax(logits, segments, num_segments):
-    """Softmax of per-edge logits within each destination's neighborhood, per column.
-
-    ``segments`` must be sorted, as ``Graph.edge_dst`` is; unsorted ids raise
-    ValueError.
-    """
-    seg = T._check_segments("_segment_softmax", logits, segments, num_segments)
-    ids, starts = T._segment_starts("_segment_softmax", seg)
+def _segment_softmax(logits, arcs):
+    """Softmax of per-arc logits over each node's in-arcs (a checked ``Arcs``), per column."""
     # the max shift is a constant w.r.t. the tape; softmax is shift-invariant
-    m = np.zeros((num_segments, logits.data.shape[1]))
-    m[ids] = np.maximum.reduceat(logits.data, starts, axis=0)
+    m = np.zeros((arcs.num_nodes, logits.data.shape[1]))
+    m[arcs.ids] = np.maximum.reduceat(logits.data, arcs.starts, axis=0)
     m[~np.isfinite(m)] = 0.0
-    e = T.exp(logits - Tensor(m[seg]))
-    denom = T.segment_sum(e, seg, num_segments)
-    return T.div(e, T.gather_rows(denom, seg))
+    e = T.exp(logits - Tensor(m[arcs.dst]))
+    denom = T.segment_sum(e, arcs.dst, arcs.num_nodes)
+    return T.div(e, T.gather_rows(denom, arcs.dst))
 
 
 def attention_coefficients(kind, feats, graph, params):
@@ -162,7 +156,6 @@ def attention_coefficients(kind, feats, graph, params):
     that every head shares.
     """
     dst, src = graph.edge_dst, graph.edge_src
-    n = graph.num_nodes
     if kind == "const":
         return Tensor(np.ones((len(dst), 1)))
     if kind == "gcn":
@@ -181,7 +174,7 @@ def attention_coefficients(kind, feats, graph, params):
                                      ATTN_LEAKY_SLOPE)
     elif kind == "linear":
         per_src = T.matmul(feats, T.block_diag(params["Wa"]))       # n x H scores
-        summed = T.segment_sum(T.gather_rows(per_src, src), dst, n)
+        summed = T.propagate(per_src, None, graph.arcs, "sum")
         raw = T.gather_rows(T.tanh(summed), dst)                    # same value for all j in N(i)
     else:
         # cos and gene_linear map the n node rows per head, then gather to edges
@@ -193,7 +186,7 @@ def attention_coefficients(kind, feats, graph, params):
             raw = T.matmul(T.mul(left, right), Tensor(head_sum))
         else:
             raw = T.matmul(T.tanh(left + right), T.block_diag(params["Wg"]))
-    return _segment_softmax(raw, dst, n)
+    return _segment_softmax(raw, graph.arcs)
 
 
 # aggregator candidate -> the ``agg`` argument of T.propagate; perfbench/tracer.py

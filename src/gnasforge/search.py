@@ -46,8 +46,6 @@ class SearchConfig:
     aggregators: tuple = AGGREGATORS
     activations: tuple = ACTIVATION_KINDS
     freeze_layers: tuple = ()
-    retrain_epochs: int = 300
-    patience: int = 50
 
     def __post_init__(self):
         if self.max_iter < 1 or self.train_step < 1:
@@ -197,10 +195,10 @@ class Supernet:
         ]
 
     def forward(self, graph, choices, scales=None, gate_mode="sampled",
-                tau=1.0, gate_noise=None, rng=None):
+                tau=1.0, rng=None):
         """Single-path supernet forward to classifier logits."""
-        if self.router is not None and gate_mode == "sampled" and gate_noise is None:
-            gate_noise = self.router.sample_noise(rng)
+        sampled = self.router is not None and gate_mode == "sampled"
+        gate_noise = self.router.sample_noise(rng) if sampled else None
         x = Tensor(graph.features)
         inputs = []
         for j, (view, choice) in enumerate(zip(self.views, choices)):
@@ -333,11 +331,9 @@ def dual_search(config, graph, hidden=None, seed=None):
             train_loss = loss.item()
             del logits, loss   # free the tape and its grads before the next forward
 
-        # architecture update: rebuild the controller tape with the same noise
+        # architecture update on the epoch's controller tape: weight steps change only w
         store.zero_grad()
-        pbar_t = model.controller.forward()
-        pg_t = add_noise(pbar_t, tau, noise)
-        scales = model.scales_from_probs(pg_t, indices)
+        scales = model.scales_from_probs(pg, indices)
         logits = model.forward(graph, choices, scales=scales,
                                gate_mode="sampled", tau=tau, rng=rng)
         val_loss = compute_loss(logits, graph.labels, graph.masks["val"], task)

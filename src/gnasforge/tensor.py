@@ -313,6 +313,13 @@ def softmax_rows(a):
 
 # -- gather / segment ops ----------------------------------------------------
 
+def _bincount(keys, weights, shape):
+    """``weights`` summed into a zero array of ``shape`` at flat ``keys``, in input order."""
+    sums = np.bincount(keys, weights=weights, minlength=shape[0] * shape[1])
+    # an empty input makes bincount return integers
+    return sums.astype(np.float64, copy=False).reshape(shape)
+
+
 def _scatter_add(values, idx, num_rows):
     """Sum rows of ``values`` into ``num_rows`` rows keyed by ``idx``, in any index order.
 
@@ -320,10 +327,7 @@ def _scatter_add(values, idx, num_rows):
     ``np.add.at`` does, so the sums are bit-identical to an ordered loop.
     """
     d = values.shape[1]
-    keys = (idx[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(keys, weights=values.ravel(), minlength=num_rows * d)
-    # an empty input makes bincount return integers
-    return sums.astype(np.float64, copy=False).reshape(num_rows, d)
+    return _bincount((idx[:, None] * d + np.arange(d)).ravel(), values.ravel(), (num_rows, d))
 
 
 def gather_rows(a, idx):
@@ -383,7 +387,7 @@ def _transposed(a):
     transpose is several times slower: 14 ms against 4 ms for a 20,000 x 64
     array on a 2-vCPU Xeon VM.
     """
-    out = np.empty(a.shape[::-1])
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
     for i in range(0, a.shape[0], 512):
         out[:, i:i + 512] = a[i:i + 512].T
     return out
@@ -447,14 +451,9 @@ class Arcs:
             raise IndexError(f"Arcs: destination id out of range for {num_nodes} nodes")
         self.src, self.dst = src, dst
         self.num_nodes, self.num_rows = num_nodes, num_rows
-        # the non-empty nodes and the arc each one's segment starts at, for max
+        # the non-empty nodes and the arc each one's in-arcs start at, for the
+        # attention softmax of blocks._segment_softmax
         self.ids, self.starts = _segment_starts("Arcs", dst)
-
-    @functools.cached_property
-    def segment(self):
-        """Per arc, the index of its node's segment in ``ids``."""
-        lengths = np.diff(np.append(self.starts, len(self.dst)))
-        return np.repeat(np.arange(len(self.starts)), lengths)
 
     @functools.cached_property
     def counts(self):
@@ -475,19 +474,25 @@ class Arcs:
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _diagonal_sum(v, coef, layout):
-    """Per key, the sum over its arcs a of ``v[row(a)] * coef[a]``, in arc order.
+def _diagonal_reduce(v, coef, layout, agg):
+    """Per key, the max (agg "max") or else the sum of ``v[row(a)] * coef[a]`` over its arcs a.
 
     ``coef`` is None or holds one row per arc in the layout's ``arcs`` order,
     whose H columns scale H equal column blocks of ``v``. Keys are taken in
-    blocks; a block's sums start at +0.0 and add one diagonal at a time, so
-    each entry is the sequence of additions that ``np.bincount`` makes over
-    the arcs in arc order, signed zeros included.
+    blocks, and a block reduces one diagonal at a time. A sum starts at +0.0,
+    so each entry is the sequence of additions that ``np.bincount`` makes over
+    the arcs in arc order, signed zeros included. A max starts from diagonal
+    0 and takes ``np.maximum`` with each later one, which returns the later
+    operand on ties, as ``np.maximum.at`` does. A key with no arcs gets zeros.
+
+    Returns the reduced rows and, for max, per (key, column) the first arc
+    reaching the max: the arc its gradient goes to, or -1 where there is none
+    (no arcs, or a NaN max). For a sum the second value is None.
     """
     d = v.shape[1]
     keys, offsets = layout.keys, layout.offsets
-    heads = 1 if coef is None else coef.shape[1]
     out = np.empty((len(keys), d))
+    win = np.full((len(keys), d), -1) if agg == "max" else None     # by slot, until the end
     b = max(1, _BLOCK_ENTRIES // d)
     buf = np.empty((b, d))
     for k0 in range(0, len(keys), b):
@@ -498,11 +503,21 @@ def _diagonal_sum(v, coef, layout):
             c = min(offsets[r + 1] - lo, width)             # this block's keys on diagonal r
             m = np.take(v, layout.rows[lo:lo + c], axis=0, out=buf[:c])
             if coef is not None:
-                mh = m.reshape(c, heads, d // heads)
+                mh = m.reshape(c, coef.shape[1], -1)
                 mh *= coef[lo:lo + c, :, None]
-            acc[:c] += m
+            if win is None:
+                acc[:c] += m
+            elif r == 0:
+                acc[:c] = m
+                win[k0:k0 + c] = layout.arcs[lo:lo + c, None]
+            else:
+                np.copyto(win[k0:k0 + c], layout.arcs[lo:lo + c, None], where=m > acc[:c])
+                np.maximum(acc[:c], m, out=acc[:c])
         out[keys[k0:k0 + width]] = acc
-    return out
+    if win is not None:
+        win = win[np.argsort(keys)]                 # by key, as ``out`` is
+        win[np.isnan(out)] = -1
+    return out, win
 
 
 def propagate(x, coeff, arcs, agg):
@@ -514,16 +529,13 @@ def propagate(x, coeff, arcs, agg):
     of ``x``, an E x 1 Tensor shared by every column, or None for all ones. A
     node with no in-arcs gets a zero row.
 
-    Sum and mean gather whole rows of ``x`` along the jagged diagonals of
-    ``arcs.incoming``, and the gradient of ``x`` gathers rows of the upstream
-    gradient along ``arcs.outgoing``. Each node's sum adds its arcs in arc
-    order from +0.0, as ``np.bincount`` does.
-
-    Max and the coefficient gradient run one column at a time on transposed
-    copies: an E-vector per column is gathered by ``src``, scaled by its
-    head's coefficients and reduced by ``reduceat`` or ``bincount``. Max
-    routes a column's gradient to the first arc reaching the node's max, and
-    its value is that arc's, so ties and signed zeros follow ``np.maximum.at``.
+    Every aggregator gathers whole rows of ``x`` along the jagged diagonals
+    of ``arcs.incoming``. Each node's sum adds its arcs in arc order from
+    +0.0, as ``np.bincount`` does, and the gradient of ``x`` gathers rows of
+    the upstream gradient along ``arcs.outgoing``. Max takes the last tied
+    arc's value, so ties and signed zeros follow ``np.maximum.at``; its
+    gradient goes to the first arc reaching the max, by one ``bincount`` per
+    operand. A NaN max routes no gradient.
 
     No E x D array is built or kept. Backward skips the products for an
     operand that needs no gradient.
@@ -539,68 +551,41 @@ def propagate(x, coeff, arcs, agg):
                               or d % coeff.data.shape[1]):
         raise _shape_err("propagate", xd.shape, coeff.data.shape)
     learned = coeff is not None and coeff.requires_grad
-    ct = head = None
-    if coeff is not None and (agg == "max" or learned):
-        ct = np.ascontiguousarray(coeff.data.T)      # H x E
-        head = np.arange(d) // (d // ct.shape[0])    # coefficient row of each column
-
-    if agg == "max":
-        xt = _transposed(xd)                         # column k of x is row k
-        yt = np.zeros((d, arcs.num_nodes))
-        winners = []                                 # per column: (first arcs, their nodes)
-        for k in range(d):
-            m = xt[k].take(src)
-            if ct is not None:
-                m *= ct[head[k]]
-            top = np.maximum.reduceat(m, arcs.starts)
-            yt[k, arcs.ids] = top
-            # arcs reaching their node's max (none for a NaN max), grouped by node
-            hit = np.flatnonzero(m == top[arcs.segment])
-            node = dst[hit]
-            first = np.ones(len(hit), dtype=bool)
-            first[1:] = node[1:] != node[:-1]
-            last = np.ones(len(hit), dtype=bool)
-            last[:-1] = first[1:]
-            # np.maximum keeps the later of equal values, so the last tied arc sets
-            # the sign of a zero max; the gradient goes to the first
-            yt[k, node[last]] = m[hit[last]]
-            winners.append((hit[first], node[first]))
-        y = _transposed(yt)
-    else:
-        inc = arcs.incoming
-        y = _diagonal_sum(xd, None if coeff is None else coeff.data[inc.arcs], inc)
-        if agg == "mean":
-            y /= arcs.counts
+    heads = 1 if coeff is None else coeff.data.shape[1]
+    inc = arcs.incoming
+    y, win = _diagonal_reduce(xd, None if coeff is None else coeff.data[inc.arcs], inc, agg)
+    if agg == "mean":
+        y /= arcs.counts
     out = Tensor(y, _parents=(x,) if coeff is None else (x, coeff))
 
     def bw(g):
+        if agg == "max":
+            # column by column, each column's bins in cache; each bin adds its
+            # terms in arc order, as a scatter-add of the per-arc gradients does
+            wt = _transposed(win).ravel()
+            hit = np.flatnonzero(wt >= 0)
+            arc = wt[hit]
+            col = hit // len(win)
+            gw = _transposed(g).ravel()[hit]
+            if x.requires_grad:
+                w = gw if coeff is None else gw * coeff.data[arc, col // (d // heads)]
+                _accum(x, _transposed(_bincount(col * n_x + src[arc], w, (d, n_x))))
+            if learned:
+                _accum(coeff, _bincount(arc * heads + col // (d // heads),
+                                        gw * xd[src[arc], col], (len(src), heads)))
+            return
         if agg == "mean":
             g = g / arcs.counts
-        if x.requires_grad and agg != "max":
+        if x.requires_grad:
             outg = arcs.outgoing
-            _accum(x, _diagonal_sum(g, None if coeff is None else coeff.data[outg.arcs], outg))
-        # the column loop: max's input gradient and any learned coefficient's gradient
-        gx = np.zeros((d, n_x)) if x.requires_grad and agg == "max" else None
-        gc = np.zeros(ct.shape) if learned else None
-        if gx is None and gc is None:
-            return
-        gt = _transposed(g)
-        xc = xt if agg == "max" else _transposed(xd)
-        for k in range(d):
-            if agg == "max":
-                rows, node = winners[k]
-                gd = gt[k][node]
-            else:
-                rows, gd = slice(None), gt[k].take(dst)
-            if gx is not None:
-                w = gd if ct is None else gd * ct[head[k]][rows]
-                gx[k] = np.bincount(src[rows], weights=w, minlength=n_x)
-            if gc is not None:
-                # max winners are distinct arcs within a column, so += adds each once
-                gc[head[k], rows] += gd * xc[k].take(src[rows])
-        if gx is not None:
-            _accum(x, _transposed(gx))
-        if gc is not None:
+            _accum(x, _diagonal_reduce(g, None if coeff is None else coeff.data[outg.arcs],
+                                       outg, "sum")[0])
+        if learned:
+            # the one column loop left, until an edge-wise row product replaces it
+            gt, xt = _transposed(g), _transposed(xd)
+            gc = np.zeros((heads, len(src)))
+            for k in range(d):
+                gc[k // (d // heads)] += gt[k].take(dst) * xt[k].take(src)
             _accum(coeff, gc.T)
 
     out._backward = bw

@@ -7,7 +7,7 @@ from gnasforge import verify
 from gnasforge.blocks import (
     BlockSpace, BlockChoice, BlockParamsView,
     block_forward, init_block_params,
-    attention_coefficients, transform_forward, _segment_softmax,
+    attention_coefficients, transform_forward,
     ATTENTIONS, HEAD_COUNTS, AGGREGATORS, SUB_BLOCKS,
 )
 from gnasforge.gradcheck import check_params
@@ -146,17 +146,6 @@ def test_normalized_attention_sums_to_one_per_neighborhood(kind):
         sums = np.zeros((g.num_nodes, heads))
         np.add.at(sums, g.edge_dst, coeff)      # every head column sums to 1 per neighborhood
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-
-
-def test_segment_softmax_rejects_unsorted_ids():
-    with pytest.raises(ValueError, match="_segment_softmax.*sorted"):
-        _segment_softmax(Tensor(np.zeros((3, 1))), np.array([1, 0, 1]), 2)
-
-
-@pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [-5, 0]])
-def test_segment_softmax_out_of_range_ids(ids):
-    with pytest.raises(IndexError, match="_segment_softmax"):
-        _segment_softmax(Tensor(np.zeros((2, 1))), np.array(ids), 2)
 
 
 def test_unknown_attention_kind_rejected():

@@ -79,6 +79,14 @@ def test_search_missing_dataset_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["retrain_epochs", "patience"])
+def test_search_config_with_retrain_settings_exits_2(tmp_path, dataset, capsys, key):
+    """Search configs hold no retrain settings, so naming one is an error, not a no-op."""
+    cfg = write_config(tmp_path / "c.json", dataset, **{key: 10})
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
 def test_search_missing_out_dir_exits_2(tmp_path, dataset):
     cfg = write_config(tmp_path / "c.json", dataset)
     assert main(["search", "--config", str(cfg)]) == 2

@@ -190,7 +190,7 @@ def test_dual_search_draws_one_uniform_per_candidate(graph, monkeypatch):
     rng = np.random.default_rng(cfg.seed + 0x5EED)
     sizes = {"activation": 2, "aggregate": 1, "attention": 2, "expansion": 1, "heads": 1}
     keys = [(layer, kind) for layer in range(2) for kind in sorted(sizes)]
-    assert [list(u) for u in seen] == [keys, keys]       # training and architecture step
+    assert [list(u) for u in seen] == [keys]       # one draw serves both kinds of step
     for key in keys:
         want = rng.random(sizes[key[1]])
         for uniforms in seen:

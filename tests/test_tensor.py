@@ -407,19 +407,29 @@ def _assert_same_bits(a, b):
 
 
 def _check_propagate(agg, width, case):
-    """T.propagate against the reference: exact bits for the value and the x gradient."""
+    """T.propagate against the reference: exact bits for the value and the x gradient.
+
+    It runs with x, the coefficient, or both requiring a gradient."""
     x, c, src, dst, n, g = case
     c = {"none": None, "E x 1": c[:, :1], "E x H": c}[width]
-    xt = Tensor(x, requires_grad=True)
-    ct = None if c is None else Tensor(c, requires_grad=True)
-    out = T.propagate(xt, ct, T.Arcs(src, dst, n, len(x)), agg)
-    T.tsum(T.mul(out, Tensor(g))).backward()
     y, gx, gc, bound = _ref_propagate(x, c, src, dst, n, agg, g)
-    _assert_same_bits(out.data, y)
-    _assert_same_bits(xt.grad, gx)
-    if c is not None:
-        # the coefficient gradient adds a head's columns in another order
-        assert (np.abs(ct.grad - gc) <= 1e-12 * bound).all()
+    for need_x, need_c in [(True, True), (True, False), (False, True)]:
+        if c is None and not need_x:
+            continue
+        xt = Tensor(x, requires_grad=need_x)
+        ct = None if c is None else Tensor(c, requires_grad=need_c)
+        out = T.propagate(xt, ct, T.Arcs(src, dst, n, len(x)), agg)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        _assert_same_bits(out.data, y)
+        if need_x:
+            _assert_same_bits(xt.grad, gx)
+        else:
+            assert xt.grad is None
+        if c is not None and need_c:
+            # the coefficient gradient adds a head's columns in another order
+            assert (np.abs(ct.grad - gc) <= 1e-12 * bound).all()
+        elif c is not None:
+            assert ct.grad is None
 
 
 _WIDTHS = pytest.mark.parametrize("width", ["none", "E x 1", "E x H"])
@@ -465,6 +475,17 @@ def test_propagate_matches_reference_on_degree_skewed_arcs(monkeypatch, agg, wid
     monkeypatch.setattr(T, "_BLOCK_ENTRIES", entries)
     for seed in range(8):
         _check_propagate(agg, width, _skewed_case(seed))
+
+
+def test_propagate_nan_max_stays_nan_and_routes_no_gradient():
+    x = Tensor([[1.0, 2.0], [np.nan, 3.0], [0.5, -1.0]], requires_grad=True)
+    c = Tensor([[1.0], [2.0], [1.0], [1.0]], requires_grad=True)
+    out = T.propagate(x, c, T.Arcs([0, 1, 2, 0], [0, 0, 0, 1], 2, 3), "max")
+    np.testing.assert_array_equal(out.data, [[np.nan, 6.0], [1.0, 2.0]])
+    T.tsum(T.mul(out, Tensor([[1.0, 1.0], [1.0, 1.0]]))).backward()
+    # node 0's column 0 is NaN: neither arc 0 nor arc 2 gets a gradient
+    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 2.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(c.grad, [[0.0], [3.0], [0.0], [3.0]])
 
 
 def test_arc_layouts_list_each_keys_arcs_in_arc_order():
