@@ -31,21 +31,18 @@ class TempSchedule:
     e_max: int = 400
     e_cos: int = 100
     e_exp: int = 300
-    omega: float = None        # defaults to a 1 -> 0 sweep over the cosine window
-    tau_min: float = TAU_MIN
 
     def __post_init__(self):
         if self.kind not in ("exp", "cosine_exp"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.omega is None:
-            self.omega = np.pi / (2.0 * max(self.e_exp - self.e_cos, 1))
 
 
 def temp_anneal(e, schedule):
     """tau(e): flat at 1, then (optionally cosine, then) exponential decay.
 
-    The cosine variant is discontinuous at e_exp by its published definition;
-    values are clamped to [tau_min, 1].
+    The cosine part sweeps omega * (e - e_cos) from 0 to pi / 2 over
+    [e_cos, e_exp). The cosine variant is discontinuous at e_exp by its
+    published definition; values are clamped to [TAU_MIN, 1].
     """
     s = schedule
     if s.kind == "exp":
@@ -54,10 +51,11 @@ def temp_anneal(e, schedule):
         if e < s.e_cos:
             tau = 1.0
         elif e < s.e_exp:
-            tau = np.cos(s.omega * (e - s.e_cos))
+            omega = np.pi / (2.0 * max(s.e_exp - s.e_cos, 1))
+            tau = np.cos(omega * (e - s.e_cos))
         else:
             tau = np.exp(-(s.alpha / s.e_max) * (e - s.e_exp))
-    return float(np.clip(tau, s.tau_min, 1.0))
+    return float(np.clip(tau, TAU_MIN, 1.0))
 
 
 def sample_gumbel(rng, size=None):
@@ -116,27 +114,28 @@ class Router:
         return {(i, j): float(s[i, j]) for (i, j) in self.pairs()}
 
     def derive_binary_routing(self):
-        """Keep (i, j) iff sigmoid(theta_ij) > 0.5, i.e. theta_ij > 0 (strict).
-
-        Without theta, every shortcut is kept.
-        """
-        if self.theta is None:
-            return self.pairs()
+        """Keep (i, j) iff sigmoid(theta_ij) > 0.5, i.e. theta_ij > 0 (strict)."""
         return [(i, j) for (i, j) in self.pairs() if self.theta.data[i, j] > 0.0]
 
     def sample_noise(self, rng):
         return sample_gumbel(rng, (self.num_blocks, self.num_blocks))
 
-    def route_step(self, j, inputs, output, tau, mode="sampled", noise=None):
+    def gates(self, tau, noise=None):
+        """All L x L gates as one Tensor: gumbel_sigmoid(theta, tau, noise).
+
+        Without noise the gates are the deterministic sigmoid(theta / tau).
+        """
+        if self.theta is None:
+            raise ValueError("a router without theta has no gates")
+        return gumbel_sigmoid(self.theta, tau, 0.0 if noise is None else noise)
+
+    def route_step(self, j, inputs, output, gates=None):
         """Routed output O_j = O'_j + sum_{i<=j} gate_ij * g_ij(I_i) for one block.
 
-        Shortcuts into block j are added in shortcut order.
+        ``gates`` is an L x L Tensor from ``gates``; without it every shortcut
+        this router owns has weight 1. Shortcuts into block j are added in
+        shortcut order.
         """
-        if mode not in ("sampled", "deterministic", "binary"):
-            raise ValueError(f"unknown routing mode {mode!r}")
-        if self.theta is None and mode != "binary":
-            raise ValueError(f"a router without theta has no {mode!r} gates")
-        binary = set(self.derive_binary_routing()) if mode == "binary" else None
         acc = output
         for i in [i for (i, k) in self._shortcuts if k == j]:
             w = self.shortcut(i, j)
@@ -144,26 +143,8 @@ class Router:
                 raise T.ShapeError(
                     f"route: shortcut ({i},{j}) maps to width {w.data.shape[0]}, "
                     f"output has width {output.data.shape[1]}")
-            if mode == "binary":
-                if (i, j) not in binary:
-                    continue
-                contrib = T.matmul(inputs[i], T.transpose(w))
-            else:
-                th = T.pick(self.theta, i * self.num_blocks + j)
-                g = noise[i, j] if mode == "sampled" else 0.0
-                gate = gumbel_sigmoid(th, tau, g)
-                contrib = T.mul(T.matmul(inputs[i], T.transpose(w)), gate)
+            contrib = T.matmul(inputs[i], T.transpose(w))
+            if gates is not None:
+                contrib = T.mul(contrib, T.pick(gates, i * self.num_blocks + j))
             acc = acc + contrib
         return acc
-
-    def route(self, inputs, outputs, tau, rng=None, mode="sampled", noise=None):
-        """O_j = O'_j + sum_{i<=j} gate_ij * g_ij(I_i) for every block.
-
-        mode: "sampled" (fresh or supplied Gumbel noise), "deterministic"
-        (gate = sigmoid(theta/tau), no noise), or "binary" (gates from
-        derive_binary_routing).
-        """
-        if mode == "sampled" and noise is None:
-            noise = self.sample_noise(rng)
-        return [self.route_step(j, inputs, o, tau, mode=mode, noise=noise)
-                for j, o in enumerate(outputs)]

@@ -194,11 +194,12 @@ class Supernet:
             for s in self.spaces
         ]
 
-    def forward(self, graph, choices, scales=None, gate_mode="sampled",
-                tau=1.0, rng=None):
-        """Single-path supernet forward to classifier logits."""
-        sampled = self.router is not None and gate_mode == "sampled"
-        gate_noise = self.router.sample_noise(rng) if sampled else None
+    def forward(self, graph, choices, scales=None, gates=None):
+        """Single-path supernet forward to classifier logits.
+
+        ``gates`` is the router's L x L gate Tensor (``Router.gates``); without
+        it every shortcut the router owns is on with weight 1.
+        """
         x = Tensor(graph.features)
         inputs = []
         for j, (view, choice) in enumerate(zip(self.views, choices)):
@@ -206,8 +207,7 @@ class Supernet:
             out = block_forward(graph, x, choice,
                                 view, scales[j] if scales is not None else None)
             if self.router is not None:
-                out = self.router.route_step(j, inputs, out, tau,
-                                             mode=gate_mode, noise=gate_noise)
+                out = self.router.route_step(j, inputs, out, gates)
             x = out
         return T.matmul(x, T.transpose(self.classifier))
 
@@ -233,7 +233,7 @@ class GenotypeNet(Supernet):
     candidate, at the genotype's hidden size for that layer, and the router
     owns just the genotype's shortcuts, with no theta; there is no
     controller. Parameter names match the supernet's. The forward is the
-    supernet's, run on the genotype's layers with ``gate_mode="binary"``.
+    supernet's without gates, run on the genotype's layers.
     """
 
     def __init__(self, genotype, feat_dim, num_classes, seed=0):
@@ -287,7 +287,9 @@ def dual_search(config, graph, hidden=None, seed=None):
     Per epoch: anneal tau, sample controller noise once, fix the argmax
     operator indices, run ``train_step`` weight updates on the training
     loss, then one a_micro and one a_macro update from a single validation
-    backward pass. Bit-deterministic for a fixed seed.
+    backward pass. Each of these forwards draws fresh Gumbel noise for its
+    gates; the eval forward uses the noise-free gates. Bit-deterministic for
+    a fixed seed.
     """
     if not graph.masks:
         raise SearchError("dual_search requires a graph with masks")
@@ -302,9 +304,14 @@ def dual_search(config, graph, hidden=None, seed=None):
     w_names = model.w_param_names(config.freeze_layers)
     opt_w = Adam(store, w_names, config.lr_w, config.weight_decay_w)
     opt_micro = Adam(store, store.names("a_micro"), config.lr_a, config.weight_decay_a)
+    router = model.router
     opt_macro = None
-    if model.router is not None:
+    if router is not None:
         opt_macro = Adam(store, store.names("a_macro"), config.lr_a, config.weight_decay_a)
+
+    def sampled_gates(tau):
+        """Gates for one weight or architecture forward, on fresh Gumbel noise from ``rng``."""
+        return None if router is None else router.gates(tau, router.sample_noise(rng))
 
     counters = {"w_updates": 0, "a_micro_updates": 0, "a_macro_updates": 0}
     log = []
@@ -321,8 +328,7 @@ def dual_search(config, graph, hidden=None, seed=None):
         train_loss = None
         for _ in range(config.train_step):
             store.zero_grad()
-            logits = model.forward(graph, choices, scales=None,
-                                   gate_mode="sampled", tau=tau, rng=rng)
+            logits = model.forward(graph, choices, gates=sampled_gates(tau))
             loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
             _finite_or_raise(loss, epoch, "training loss")
             loss.backward()
@@ -334,8 +340,7 @@ def dual_search(config, graph, hidden=None, seed=None):
         # architecture update on the epoch's controller tape: weight steps change only w
         store.zero_grad()
         scales = model.scales_from_probs(pg, indices)
-        logits = model.forward(graph, choices, scales=scales,
-                               gate_mode="sampled", tau=tau, rng=rng)
+        logits = model.forward(graph, choices, scales=scales, gates=sampled_gates(tau))
         val_loss = compute_loss(logits, graph.labels, graph.masks["val"], task)
         _finite_or_raise(val_loss, epoch, "validation loss")
         val_loss.backward()
@@ -347,8 +352,8 @@ def dual_search(config, graph, hidden=None, seed=None):
         val_loss_value = val_loss.item()
         del logits, val_loss   # free the tape and its grads before the eval forward
 
-        eval_logits = model.forward(graph, choices, scales=None,
-                                    gate_mode="deterministic", tau=tau)
+        eval_gates = None if router is None else router.gates(tau)
+        eval_logits = model.forward(graph, choices, gates=eval_gates)
         val_metric = evaluate(eval_logits, graph.labels, graph.masks["val"], task)
         rec = {
             "epoch": epoch,
@@ -358,9 +363,9 @@ def dual_search(config, graph, hidden=None, seed=None):
             "val_metric": val_metric,
             "indices": {f"l{l}/{k}": v for (l, k), v in sorted(indices.items())},
         }
-        if model.router is not None:
+        if router is not None:
             rec["gates"] = {f"{i}_{j}": v
-                            for (i, j), v in sorted(model.router.gate_expectations().items())}
+                            for (i, j), v in sorted(router.gate_expectations().items())}
         log.append(rec)
 
     return SearchResult(genotype=model.derive_genotype(), log=log,
@@ -396,15 +401,14 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
     for epoch in range(epochs):
         net.store.zero_grad()
         if logits is None:
-            logits = net.forward(graph, genotype.layers, gate_mode="binary")
+            logits = net.forward(graph, genotype.layers)
         loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
-        if not np.isfinite(loss.data).all():
-            raise SearchError(f"non-finite retraining loss at epoch {epoch}")
+        _finite_or_raise(loss, epoch, "retraining loss")
         loss.backward()
         opt.step(net.store.grads("w"))
         del logits, loss   # free the tape and its grads before the next forward
 
-        logits = net.forward(graph, genotype.layers, gate_mode="binary")
+        logits = net.forward(graph, genotype.layers)
         val = evaluate(logits, graph.labels, graph.masks["val"], task)
         if val > best["val"]:
             best = {"val": val, "epoch": epoch, "logits": logits.data,

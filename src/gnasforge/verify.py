@@ -140,7 +140,7 @@ def block_combo_checks(seed=1):
 
 
 def route_check(seed=2):
-    """FD-check routing gradients with frozen Gumbel draws."""
+    """FD-check routing gradients with frozen Gumbel draws, as the search routes."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     router = Router(store, input_dims=[3, 4, 4], output_dims=[4, 4, 4], rng=rng)
@@ -151,10 +151,11 @@ def route_check(seed=2):
     proj = [Tensor(rng.standard_normal((5, 4))) for _ in range(3)]
 
     def build_loss():
-        routed = router.route(inputs, outputs, tau=0.7, mode="sampled", noise=noise)
-        total = T.tsum(T.mul(routed[0], proj[0]))
-        for o, p in zip(routed[1:], proj[1:]):
-            total = total + T.tsum(T.mul(o, p))
+        gates = router.gates(0.7, noise)
+        total = None
+        for j, (o, p) in enumerate(zip(outputs, proj)):
+            term = T.tsum(T.mul(router.route_step(j, inputs, o, gates), p))
+            total = term if total is None else total + term
         return total
 
     return {"route": check_params(build_loss, store, store.names())}

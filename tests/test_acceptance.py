@@ -94,9 +94,14 @@ def test_probability_and_schedule_suite():
     router.theta.data[:] = 5.0
     inputs = [Tensor(rng.standard_normal((3, 4))) for _ in range(2)]
     outputs = [Tensor(rng.standard_normal((3, 4))) for _ in range(2)]
-    base = [o.data.copy() for o in router.route(inputs, outputs, 0.5, mode="deterministic")]
+
+    def routed():
+        gates = router.gates(0.5)
+        return [router.route_step(j, inputs, o, gates).data for j, o in enumerate(outputs)]
+
+    base = routed()
     router.theta.data[1, 0] = 100.0
-    again = [o.data for o in router.route(inputs, outputs, 0.5, mode="deterministic")]
+    again = routed()
     tri_ok = all(np.array_equal(a, b) for a, b in zip(base, again)) and \
         all(i <= j for (i, j) in router.derive_binary_routing())
 
@@ -169,8 +174,11 @@ def test_single_path_equivalence():
         standalone = GenotypeNet(genotype, 8, 2, seed=1000 + trial)
         for name in standalone.store.names():
             standalone.store[name].data = net.store[name].data.copy()
-        a = net.forward(g, choices, scales=None, gate_mode="binary").data
-        b = standalone.forward(g, genotype.layers, gate_mode="binary").data
+        gates = np.zeros((2, 2))   # constant 0/1 gates: on exactly for the derived routing
+        for (i, j) in net.router.derive_binary_routing():
+            gates[i, j] = 1.0
+        a = net.forward(g, choices, scales=None, gates=Tensor(gates)).data
+        b = standalone.forward(g, genotype.layers).data
         worst = max(worst, float(np.abs(a - b).max()))
     _report("single-path supernet vs standalone equivalence (5 selections)",
             worst <= 1e-12, f"max abs diff {worst:.1e}")

@@ -14,6 +14,19 @@ def make_router(num_blocks=3, dim=4, seed=0):
     return store, router
 
 
+def route_all(router, inputs, outputs, gates=None):
+    """Route every block through ``route_step``, as the supernet forward does."""
+    return [router.route_step(j, inputs, o, gates) for j, o in enumerate(outputs)]
+
+
+def binary_gates(router):
+    """Constant 0/1 gates that keep exactly ``derive_binary_routing()``."""
+    g = np.zeros((router.num_blocks, router.num_blocks))
+    for (i, j) in router.derive_binary_routing():
+        g[i, j] = 1.0
+    return Tensor(g)
+
+
 # -- temperature schedule ----------------------------------------------------
 
 def test_exp_schedule_flat_then_decaying():
@@ -34,7 +47,7 @@ def test_exp_schedule_monotone_after_start():
 def test_cosine_exp_schedule_piecewise():
     s = TempSchedule(kind="cosine_exp", e_cos=100, e_exp=300, e_max=400, alpha=1.0)
     assert temp_anneal(50, s) == 1.0
-    np.testing.assert_allclose(s.omega, np.pi / 400.0)
+    # omega = pi / (2 * (e_exp - e_cos)) = pi / 400, so tau(200) = cos(100 * omega)
     np.testing.assert_allclose(temp_anneal(200, s), np.cos(np.pi / 4.0), atol=1e-15)
     # discontinuity: jumps back up to exp(0)=1 at the exponential handoff
     assert temp_anneal(300, s) == 1.0
@@ -128,18 +141,18 @@ def test_fixed_shortcuts_route_in_binary_mode_only():
     router = Router(store, [3, 4], [4, 4], np.random.default_rng(0), shortcuts=[(1, 1), (0, 1)])
     assert router.theta is None and "router/theta" not in store
     assert store.names() == ["router/shortcut/1_1/W", "router/shortcut/0_1/W"]
-    assert router.derive_binary_routing() == [(1, 1), (0, 1)]
+    assert router.pairs() == [(1, 1), (0, 1)]
     rng = np.random.default_rng(1)
     inputs = [Tensor(rng.standard_normal((2, d))) for d in (3, 4)]
     outputs = [Tensor(rng.standard_normal((2, 4))) for _ in range(2)]
-    routed = router.route(inputs, outputs, 1.0, mode="binary")
+    routed = route_all(router, inputs, outputs)
     np.testing.assert_array_equal(routed[0].data, outputs[0].data)
     w11, w01 = router.shortcut(1, 1).data, router.shortcut(0, 1).data
     want = outputs[1].data + inputs[1].data @ w11.T + inputs[0].data @ w01.T
     np.testing.assert_array_equal(routed[1].data, want)   # added in shortcut order
-    for mode in ("sampled", "deterministic"):
+    for noise in (router.sample_noise(rng), None):
         with pytest.raises(ValueError, match="without theta"):
-            router.route(inputs, outputs, 1.0, rng=rng, mode=mode)
+            router.gates(1.0, noise)
 
 
 def test_lower_triangle_never_routes():
@@ -156,7 +169,7 @@ def test_binary_route_matches_hand_sum():
     router.theta.data[0, 1] = 1.0
     inputs = [Tensor(rng.standard_normal((4, 3))) for _ in range(2)]
     outputs = [Tensor(rng.standard_normal((4, 3))) for _ in range(2)]
-    routed = router.route(inputs, outputs, tau=1.0, mode="binary")
+    routed = route_all(router, inputs, outputs, binary_gates(router))
     np.testing.assert_array_equal(routed[0].data, outputs[0].data)
     w = store["router/shortcut/0_1/W"].data
     np.testing.assert_allclose(routed[1].data, outputs[1].data + inputs[0].data @ w.T)
@@ -170,7 +183,7 @@ def test_sampled_route_with_frozen_noise_matches_manual_gates():
     inputs = [Tensor(rng.standard_normal((3, 2))) for _ in range(2)]
     outputs = [Tensor(rng.standard_normal((3, 2))) for _ in range(2)]
     tau = 0.7
-    routed = router.route(inputs, outputs, tau, mode="sampled", noise=noise)
+    routed = route_all(router, inputs, outputs, router.gates(tau, noise))
     expect = outputs[1].data.copy()
     for i in (0, 1):
         gate = 1.0 / (1.0 + np.exp(-(router.theta.data[i, 1] + noise[i, 1]) / tau))
@@ -183,19 +196,15 @@ def test_deterministic_mode_ignores_noise():
     _, router = make_router(num_blocks=2, dim=2, seed=7)
     inputs = [Tensor(rng.standard_normal((3, 2))) for _ in range(2)]
     outputs = [Tensor(rng.standard_normal((3, 2))) for _ in range(2)]
-    a = router.route(inputs, outputs, 0.5, mode="deterministic")
-    b = router.route(inputs, outputs, 0.5, mode="deterministic",
-                     noise=np.full((2, 2), 9.0))
+    router.theta.data[:] = rng.standard_normal((2, 2))
+    gates = router.gates(0.5)   # noise-free: the gates of zero noise, sigmoid(theta / tau)
+    np.testing.assert_array_equal(gates.data, router.gates(0.5, np.zeros((2, 2))).data)
+    np.testing.assert_allclose(gates.data, 1.0 / (1.0 + np.exp(-router.theta.data / 0.5)),
+                               atol=1e-15)
+    a = route_all(router, inputs, outputs, gates)
+    b = route_all(router, inputs, outputs, router.gates(0.5, np.zeros((2, 2))))
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.data, y.data)
-
-
-def test_unknown_mode_rejected():
-    rng = np.random.default_rng(8)
-    _, router = make_router(num_blocks=1, dim=2, seed=9)
-    x = [Tensor(rng.standard_normal((2, 2)))]
-    with pytest.raises(ValueError, match="mode"):
-        router.route(x, x, 0.5, mode="soft")
 
 
 def test_route_gradient_reaches_theta():
@@ -204,7 +213,8 @@ def test_route_gradient_reaches_theta():
     store, router = make_router(num_blocks=2, dim=2, seed=11)
     inputs = [Tensor(rng.standard_normal((3, 2))) for _ in range(2)]
     outputs = [Tensor(rng.standard_normal((3, 2))) for _ in range(2)]
-    routed = router.route(inputs, outputs, 0.8, rng=np.random.default_rng(12))
+    noise = router.sample_noise(np.random.default_rng(12))
+    routed = route_all(router, inputs, outputs, router.gates(0.8, noise))
     T.tsum(routed[0] + routed[1]).backward()
     g = store["router/theta"].grad
     assert g is not None

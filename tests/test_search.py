@@ -1,18 +1,29 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from gnasforge import search as search_mod
+from gnasforge import tensor as T
 from gnasforge.blocks import BlockChoice
 from gnasforge.controller import add_noise
 from gnasforge.graphs import generate_sbm, random_split
 from gnasforge.optim import Adam
+from gnasforge.router import Router, sample_gumbel
 from gnasforge.search import (
     Genotype, GenotypeNet, SearchConfig, SearchError, Supernet,
     compute_loss, dual_search, evaluate, grid_search_hidden, retrain_genotype,
 )
 from gnasforge.tensor import ParameterStore, Tensor, glorot
+
+
+def binary_gates(router):
+    """Constant 0/1 gates that keep exactly ``derive_binary_routing()``."""
+    g = np.zeros((router.num_blocks, router.num_blocks))
+    for (i, j) in router.derive_binary_routing():
+        g[i, j] = 1.0
+    return Tensor(g)
 
 
 def tiny_config(**kw):
@@ -125,8 +136,8 @@ def test_single_path_matches_standalone_network(graph):
     standalone = GenotypeNet(genotype, 8, 2, seed=99)
     for name in standalone.store.names():
         standalone.store[name].data = net.store[name].data.copy()
-    a = net.forward(graph, choices, scales=None, gate_mode="binary").data
-    b = standalone.forward(graph, genotype.layers, gate_mode="binary").data
+    a = net.forward(graph, choices, scales=None, gates=binary_gates(net.router)).data
+    b = standalone.forward(graph, genotype.layers).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -197,11 +208,77 @@ def test_dual_search_draws_one_uniform_per_candidate(graph, monkeypatch):
             np.testing.assert_array_equal(uniforms[key], want, err_msg=str(key))
 
 
+def test_sampled_forward_builds_one_gate_sigmoid(graph, monkeypatch):
+    """A 7-layer supernet has 28 gated shortcuts; their gates are one sigmoid node."""
+    made = []
+
+    def recording(a):
+        out = sigmoid(a)
+        made.append(out)
+        return out
+
+    sigmoid = T.sigmoid
+    monkeypatch.setattr(T, "sigmoid", recording)
+    net = Supernet(tiny_config(num_layers=7), 8, 2, 16, seed=3)
+    assert len(net.router.pairs()) == 28
+    choices = [BlockChoice(1, "gcn", 1, "sum", "relu")] * 7
+    gates = net.router.gates(0.7, net.router.sample_noise(np.random.default_rng(4)))
+    logits = net.forward(graph, choices, gates=gates)
+    tape, stack = set(), [logits]
+    while stack:
+        node = stack.pop()
+        if id(node) not in tape:
+            tape.add(id(node))
+            stack.extend(node._parents)
+    assert [out for out in made if id(out) in tape] == [gates]
+    T.tsum(logits).backward()
+    g = net.router.theta.grad
+    assert np.all(g[np.triu_indices(7)] != 0.0) and np.all(g[np.tril_indices(7, -1)] == 0.0)
+
+
+def test_dual_search_draws_gate_noise_per_sampled_forward(graph, monkeypatch):
+    """Each epoch draws controller uniforms, then Gumbel noise for each of its
+    train_step + 1 sampled forwards, from one stream; the eval forward draws none."""
+    seen = []
+
+    def recording(self, rng):
+        seen.append(sample_noise(self, rng))
+        return seen[-1]
+
+    sample_noise = Router.sample_noise
+    monkeypatch.setattr(Router, "sample_noise", recording)
+    cfg = tiny_config(max_iter=2, train_step=3)
+    dual_search(cfg, graph)
+    assert len(seen) == cfg.max_iter * (cfg.train_step + 1)
+    rng = np.random.default_rng(cfg.seed + 0x5EED)
+    sizes = {"activation": 2, "aggregate": 1, "attention": 2, "expansion": 1, "heads": 1}
+    want = []
+    for _ in range(cfg.max_iter):
+        for _layer in range(2):
+            for kind in sorted(sizes):
+                rng.random(sizes[kind])
+        want += [sample_gumbel(rng, (2, 2)) for _ in range(cfg.train_step + 1)]
+    for got, ref in zip(seen, want):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_non_finite_losses_raise_at_their_epoch(graph):
+    features = graph.features.copy()
+    features[0, 0] = np.nan
+    bad = dataclasses.replace(graph, features=features)
+    with pytest.raises(SearchError, match="^non-finite training loss at epoch 0$"):
+        dual_search(tiny_config(), bad)
+    genotype = Genotype(layers=[BlockChoice(1, "gcn", 1, "sum", "relu")] * 2,
+                        routing=[(0, 1)], hidden_sizes=[16, 16], seed=0)
+    with pytest.raises(SearchError, match="^non-finite retraining loss at epoch 0$"):
+        retrain_genotype(genotype, bad, epochs=3)
+
+
 def test_supernet_forward_shapes(graph):
     cfg = tiny_config(router_enabled=False)
     net = Supernet(cfg, 8, 2, 16, seed=6)
     choices = [BlockChoice(1, "const", 1, "sum", "relu")] * 2
-    logits = net.forward(graph, choices, gate_mode="deterministic")
+    logits = net.forward(graph, choices)
     assert logits.data.shape == (graph.num_nodes, 2)
 
 
@@ -314,11 +391,11 @@ def _two_forward_retrain(genotype, graph, epochs, seed, patience, lr=0.005,
     since_best = 0
     for epoch in range(epochs):
         net.store.zero_grad()
-        logits = net.forward(graph, genotype.layers, gate_mode="binary")
+        logits = net.forward(graph, genotype.layers)
         loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
         loss.backward()
         opt.step(net.store.grads("w"))
-        logits = net.forward(graph, genotype.layers, gate_mode="binary")
+        logits = net.forward(graph, genotype.layers)
         val = evaluate(logits, graph.labels, graph.masks["val"], task)
         if val > best["val"]:
             best = {"val": val, "epoch": epoch,
@@ -330,7 +407,7 @@ def _two_forward_retrain(genotype, graph, epochs, seed, patience, lr=0.005,
                 break
     for n, w in best["weights"].items():
         net.store[n].data = w
-    logits = net.forward(graph, genotype.layers, gate_mode="binary")
+    logits = net.forward(graph, genotype.layers)
     report = {
         "train_metric": evaluate(logits, graph.labels, graph.masks["train"], task),
         "val_metric": best["val"],
