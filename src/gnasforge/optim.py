@@ -9,7 +9,8 @@ class Adam:
     """Standard Adam with bias correction and L2 weight decay folded into the gradient.
 
     Parameters without a gradient in a given ``step`` are left untouched,
-    including their moment state (frozen-parameter contract).
+    including their moment state (frozen-parameter contract). A step writes
+    the moments and each parameter's ``data`` in place.
     """
 
     def __init__(self, store, names, lr, weight_decay=0.0,
@@ -35,8 +36,14 @@ class Adam:
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
             st["t"] += 1
-            st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
-            st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * (g * g)
-            m_hat = st["m"] / (1.0 - self.beta1 ** st["t"])
-            v_hat = st["v"] / (1.0 - self.beta2 ** st["t"])
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, rounding as m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2
+            # and p = p - lr m_hat / (sqrt(v_hat) + eps) do
+            m, v = st["m"], st["v"]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = m / (1.0 - self.beta1 ** st["t"])
+            update *= self.lr
+            update /= np.sqrt(v / (1.0 - self.beta2 ** st["t"])) + self.eps
+            p.data -= update

@@ -290,6 +290,11 @@ def dual_search(config, graph, hidden=None, seed=None):
     backward pass. Each of these forwards draws fresh Gumbel noise for its
     gates; the eval forward uses the noise-free gates. Bit-deterministic for
     a fixed seed.
+
+    Each step freezes every leaf that its optimizers do not update, so its
+    tape and backward cover only the gradients a step reads: the weight
+    steps skip theta and the ``freeze_layers`` weights, the architecture
+    step every weight, and the eval forward keeps no tape at all.
     """
     if not graph.masks:
         raise SearchError("dual_search requires a graph with masks")
@@ -313,6 +318,11 @@ def dual_search(config, graph, hidden=None, seed=None):
         """Gates for one weight or architecture forward, on fresh Gumbel noise from ``rng``."""
         return None if router is None else router.gates(tau, router.sample_noise(rng))
 
+    def stepping(*opts):
+        """Freeze every leaf that none of ``opts`` updates."""
+        kept = {n for opt in opts if opt is not None for n in opt.names}
+        return store.frozen([n for n in store.names() if n not in kept])
+
     counters = {"w_updates": 0, "a_micro_updates": 0, "a_macro_updates": 0}
     log = []
     for epoch in range(config.max_iter):
@@ -328,10 +338,11 @@ def dual_search(config, graph, hidden=None, seed=None):
         train_loss = None
         for _ in range(config.train_step):
             store.zero_grad()
-            logits = model.forward(graph, choices, gates=sampled_gates(tau))
-            loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
-            _finite_or_raise(loss, epoch, "training loss")
-            loss.backward()
+            with stepping(opt_w):
+                logits = model.forward(graph, choices, gates=sampled_gates(tau))
+                loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
+                _finite_or_raise(loss, epoch, "training loss")
+                loss.backward()
             opt_w.step(store.grads("w"))
             counters["w_updates"] += 1
             train_loss = loss.item()
@@ -339,11 +350,12 @@ def dual_search(config, graph, hidden=None, seed=None):
 
         # architecture update on the epoch's controller tape: weight steps change only w
         store.zero_grad()
-        scales = model.scales_from_probs(pg, indices)
-        logits = model.forward(graph, choices, scales=scales, gates=sampled_gates(tau))
-        val_loss = compute_loss(logits, graph.labels, graph.masks["val"], task)
-        _finite_or_raise(val_loss, epoch, "validation loss")
-        val_loss.backward()
+        with stepping(opt_micro, opt_macro):
+            scales = model.scales_from_probs(pg, indices)
+            logits = model.forward(graph, choices, scales=scales, gates=sampled_gates(tau))
+            val_loss = compute_loss(logits, graph.labels, graph.masks["val"], task)
+            _finite_or_raise(val_loss, epoch, "validation loss")
+            val_loss.backward()
         opt_micro.step(store.grads("a_micro"))
         counters["a_micro_updates"] += 1
         if opt_macro is not None:
@@ -352,8 +364,9 @@ def dual_search(config, graph, hidden=None, seed=None):
         val_loss_value = val_loss.item()
         del logits, val_loss   # free the tape and its grads before the eval forward
 
-        eval_gates = None if router is None else router.gates(tau)
-        eval_logits = model.forward(graph, choices, gates=eval_gates)
+        with stepping():
+            eval_gates = None if router is None else router.gates(tau)
+            eval_logits = model.forward(graph, choices, gates=eval_gates)
         val_metric = evaluate(eval_logits, graph.labels, graph.masks["val"], task)
         rec = {
             "epoch": epoch,
@@ -385,7 +398,8 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
     step is the only update, so the validation forward after epoch e's step
     sees the weights epoch e + 1 trains on: its logits, tape included, are
     that epoch's training logits. The best epoch's logits give the final
-    train and test metrics.
+    train and test metrics. The ``freeze_layers`` weights are frozen
+    leaves throughout, so no tape or gradient goes to them.
     """
     if not graph.masks:
         raise ValueError("retrain_genotype requires a graph with masks")
@@ -398,26 +412,27 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
     best = {"val": -1.0, "epoch": -1, "weights": None, "logits": None}
     since_best = 0
     logits = None
-    for epoch in range(epochs):
-        net.store.zero_grad()
-        if logits is None:
-            logits = net.forward(graph, genotype.layers)
-        loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
-        _finite_or_raise(loss, epoch, "retraining loss")
-        loss.backward()
-        opt.step(net.store.grads("w"))
-        del logits, loss   # free the tape and its grads before the next forward
+    with net.store.frozen([n for n in net.store.names() if n not in opt.names]):
+        for epoch in range(epochs):
+            net.store.zero_grad()
+            if logits is None:
+                logits = net.forward(graph, genotype.layers)
+            loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
+            _finite_or_raise(loss, epoch, "retraining loss")
+            loss.backward()
+            opt.step(net.store.grads("w"))
+            del logits, loss   # free the tape and its grads before the next forward
 
-        logits = net.forward(graph, genotype.layers)
-        val = evaluate(logits, graph.labels, graph.masks["val"], task)
-        if val > best["val"]:
-            best = {"val": val, "epoch": epoch, "logits": logits.data,
-                    "weights": {n: t.data.copy() for n, t in net.store.items()}}
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > patience:
-                break
+            logits = net.forward(graph, genotype.layers)
+            val = evaluate(logits, graph.labels, graph.masks["val"], task)
+            if val > best["val"]:
+                best = {"val": val, "epoch": epoch, "logits": logits.data,
+                        "weights": {n: t.data.copy() for n, t in net.store.items()}}
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best > patience:
+                    break
 
     for n, w in best["weights"].items():
         net.store[n].data = w

@@ -3,11 +3,14 @@
 The engine is deliberately small: exactly the primitives the graph blocks,
 controller and router need. Tensors are immutable values; a computation
 builds an implicit tape (parent links + closures) and ``backward`` walks it
-once in reverse topological order.
+once in reverse topological order. A result that no gradient-requiring leaf
+reaches keeps no tape, and its op computes nothing that only a backward
+reads; ``ParameterStore.frozen`` turns leaves off for a block of code.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -37,8 +40,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        # a result no gradient goes through keeps no tape
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
         self.name = name
 
     @property
@@ -94,19 +98,32 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def _accum(t, g):
+def _accum(t, g, owned=False):
+    """Add the gradient ``g`` into ``t.grad``.
+
+    A first gradient gets + 0.0, which maps -0.0 to +0.0 as zeros + g does.
+    ``owned`` says that the caller allocated ``g`` (or the array it views)
+    for this call alone: when it is an array with ``t.data``'s strides, ``t``
+    keeps it and the + 0.0 runs in place. Anything else is copied into a
+    fresh array laid out as ``t.data``: add's backward hands one upstream
+    array to both parents, transpose's is a view of it, and numpy returns a
+    0-d operation's result as a scalar.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # one write into a fresh array: never an alias of g, which add's backward
-        # hands to both parents; + 0.0 maps -0.0 to +0.0, as zeros + g does
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif owned and isinstance(g, np.ndarray) and g.strides == t.data.strides:
+        t.grad = np.add(g, 0.0, out=g)
+    else:
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
 
 
 def _unbroadcast(g, shape):
-    """Reduce an upstream gradient back to the broadcast operand's shape."""
+    """Reduce an upstream gradient back to the broadcast operand's shape.
+
+    Returns ``g`` itself when no reduction is needed, else a fresh value.
+    """
     if g.shape == shape:
         return g
     if shape == () or all(s == 1 for s in shape):
@@ -130,65 +147,63 @@ def _check_ew(op, a, b):
 
 # -- elementwise arithmetic --------------------------------------------------
 
+def _accum_shared(t, g):
+    """``_accum`` of an upstream gradient ``g`` that other operands may receive too."""
+    if t.requires_grad:
+        gt = _unbroadcast(g, t.data.shape)
+        _accum(t, gt, owned=gt is not g)         # a reduction is a fresh array
+
+
 def add(a, b):
     _check_ew("add", a, b)
-    out = Tensor(a.data + b.data, _parents=(a, b))
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum_shared(a, g)
+        _accum_shared(b, g)
 
-    out._backward = bw
-    return out
+    return Tensor(a.data + b.data, _parents=(a, b), _backward=bw)
 
 
 def sub(a, b):
     _check_ew("sub", a, b)
-    out = Tensor(a.data - b.data, _parents=(a, b))
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum_shared(a, g)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
 
-    out._backward = bw
-    return out
+    return Tensor(a.data - b.data, _parents=(a, b), _backward=bw)
 
 
 def mul(a, b):
     _check_ew("mul", a, b)
-    out = Tensor(a.data * b.data, _parents=(a, b))
 
     def bw(g):
         # skip the product for a constant operand, as matmul does
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
-    out._backward = bw
-    return out
+    return Tensor(a.data * b.data, _parents=(a, b), _backward=bw)
 
 
 def div(a, b):
     _check_ew("div", a, b)
-    out = Tensor(a.data / b.data, _parents=(a, b))
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
+            _accum(a, _unbroadcast(g / b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), owned=True)
 
-    out._backward = bw
-    return out
+    return Tensor(a.data / b.data, _parents=(a, b), _backward=bw)
 
 
 def scale(a, c):
     """Multiply by a python scalar constant."""
     c = float(c)
-    out = Tensor(a.data * c, _parents=(a,))
-    out._backward = lambda g: _accum(a, g * c)
-    return out
+    return Tensor(a.data * c, _parents=(a,), _backward=lambda g: _accum(a, g * c, owned=True))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -196,26 +211,22 @@ def scale(a, c):
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise _shape_err("matmul", a.data.shape, b.data.shape)
-    out = Tensor(a.data @ b.data, _parents=(a, b))
 
     def bw(g):
         # skip the product for a constant operand (features, 0/1 head maps)
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ b.data.T, owned=True)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, a.data.T @ g, owned=True)
 
-    out._backward = bw
-    return out
+    return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
 
 
 def transpose(a):
     """Matrix transpose; weights are stored (out, in) and rows of x multiply W^T."""
     if a.data.ndim != 2:
         raise _shape_err("transpose", a.data.shape)
-    out = Tensor(a.data.T, _parents=(a,))
-    out._backward = lambda g: _accum(a, g.T)
-    return out
+    return Tensor(a.data.T, _parents=(a,), _backward=lambda g: _accum(a, g.T))
 
 
 def block_diag(a):
@@ -230,27 +241,32 @@ def block_diag(a):
     heads = np.arange(h)
     y = np.zeros((h, p, h, q))
     y[heads, :, heads, :] = a.data
-    out = Tensor(y.reshape(h * p, h * q), _parents=(a,))
-    out._backward = lambda g: _accum(a, g.reshape(h, p, h, q)[heads, :, heads, :])
-    return out
+    return Tensor(y.reshape(h * p, h * q), _parents=(a,),
+                  _backward=lambda g: _accum(a, g.reshape(h, p, h, q)[heads, :, heads, :],
+                                             owned=True))
 
 
 # -- nonlinearities ----------------------------------------------------------
 
-def _unary(a, value, dvalue):
-    out = Tensor(value, _parents=(a,))
-    out._backward = lambda g: _accum(a, g * dvalue)
-    return out
+def _unary(a, value, derivative):
+    """``value`` as a tape node over ``a``, whose gradient is g times ``derivative()``.
+
+    The derivative is computed in the forward, and only when ``a`` needs a gradient.
+    """
+    if not a.requires_grad:
+        return Tensor(value)
+    dvalue = derivative()
+    return Tensor(value, _parents=(a,), _backward=lambda g: _accum(a, g * dvalue, owned=True))
 
 
 def exp(a):
     y = np.exp(a.data)
-    return _unary(a, y, y)
+    return _unary(a, y, lambda: y)
 
 
 def tanh(a):
     y = np.tanh(a.data)
-    return _unary(a, y, 1.0 - y * y)
+    return _unary(a, y, lambda: 1.0 - y * y)
 
 
 def _sigmoid_np(x):
@@ -265,35 +281,39 @@ def _sigmoid_np(x):
 
 def sigmoid(a):
     y = _sigmoid_np(a.data)
-    return _unary(a, y, y * (1.0 - y))
+    return _unary(a, y, lambda: y * (1.0 - y))
 
 
 def relu(a):
-    return _unary(a, np.maximum(a.data, 0.0), (a.data > 0).astype(np.float64))
+    return _unary(a, np.maximum(a.data, 0.0), lambda: (a.data > 0).astype(np.float64))
 
 
 def leaky_relu(a, slope=0.2):
     y = np.where(a.data > 0, a.data, slope * a.data)
-    return _unary(a, y, np.where(a.data > 0, 1.0, slope))
+    return _unary(a, y, lambda: np.where(a.data > 0, 1.0, slope))
 
 
 def relu6(a):
     y = np.clip(a.data, 0.0, 6.0)
-    return _unary(a, y, ((a.data > 0) & (a.data < 6)).astype(np.float64))
+    return _unary(a, y, lambda: ((a.data > 0) & (a.data < 6)).astype(np.float64))
 
 
 def elu(a):
     y = np.where(a.data > 0, a.data, np.expm1(a.data))
-    # one transcendental pass: the derivative exp(x) is y + 1 where x <= 0 (and
-    # y <= 0), and min(y, 0) + 1 = 1 where x > 0
-    dy = np.minimum(y, 0.0)
-    dy += 1.0
-    return _unary(a, y, dy)
+
+    def derivative():
+        # one transcendental pass: the derivative exp(x) is y + 1 where x <= 0
+        # (and y <= 0), and min(y, 0) + 1 = 1 where x > 0
+        dy = np.minimum(y, 0.0)
+        dy += 1.0
+        return dy
+
+    return _unary(a, y, derivative)
 
 
 def softplus(a):
     y = np.logaddexp(0.0, a.data)
-    return _unary(a, y, _sigmoid_np(a.data))
+    return _unary(a, y, lambda: _sigmoid_np(a.data))
 
 
 def softmax_rows(a):
@@ -301,14 +321,12 @@ def softmax_rows(a):
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, _parents=(a,))
 
     def bw(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, y * (g - dot))
+        _accum(a, y * (g - dot), owned=True)
 
-    out._backward = bw
-    return out
+    return Tensor(y, _parents=(a,), _backward=bw)
 
 
 # -- gather / segment ops ----------------------------------------------------
@@ -343,9 +361,8 @@ def gather_rows(a, idx):
         raise _shape_err("gather_rows", a.data.shape)
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise IndexError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
-    out = Tensor(a.data[idx], _parents=(a,))
-    out._backward = lambda g: _accum(a, _scatter_add(g, idx, a.data.shape[0]))
-    return out
+    return Tensor(a.data[idx], _parents=(a,),
+                  _backward=lambda g: _accum(a, _scatter_add(g, idx, a.data.shape[0]), owned=True))
 
 
 def _check_segments(op, values, segments, num_segments):
@@ -375,9 +392,8 @@ def segment_sum(values, segments, num_segments):
     Ids may come in any order; each bucket accumulates its rows in input order.
     """
     segments = _check_segments("segment_sum", values, segments, num_segments)
-    out = Tensor(_scatter_add(values.data, segments, num_segments), _parents=(values,))
-    out._backward = lambda g: _accum(values, g[segments])
-    return out
+    return Tensor(_scatter_add(values.data, segments, num_segments), _parents=(values,),
+                  _backward=lambda g: _accum(values, g[segments], owned=True))
 
 
 def _transposed(a):
@@ -474,7 +490,7 @@ class Arcs:
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _diagonal_reduce(v, coef, layout, agg):
+def _diagonal_reduce(v, coef, layout, agg, winners=False):
     """Per key, the max (agg "max") or else the sum of ``v[row(a)] * coef[a]`` over its arcs a.
 
     ``coef`` is None or holds one row per arc in the layout's ``arcs`` order,
@@ -485,14 +501,15 @@ def _diagonal_reduce(v, coef, layout, agg):
     0 and takes ``np.maximum`` with each later one, which returns the later
     operand on ties, as ``np.maximum.at`` does. A key with no arcs gets zeros.
 
-    Returns the reduced rows and, for max, per (key, column) the first arc
-    reaching the max: the arc its gradient goes to, or -1 where there is none
-    (no arcs, or a NaN max). For a sum the second value is None.
+    Returns the reduced rows and, for a max with ``winners``, per (key,
+    column) the first arc reaching the max: the arc its gradient goes to, or
+    -1 where there is none (no arcs, or a NaN max). Otherwise the second
+    value is None.
     """
     d = v.shape[1]
     keys, offsets = layout.keys, layout.offsets
     out = np.empty((len(keys), d))
-    win = np.full((len(keys), d), -1) if agg == "max" else None     # by slot, until the end
+    win = np.full((len(keys), d), -1) if agg == "max" and winners else None  # by slot, until the end
     b = max(1, _BLOCK_ENTRIES // d)
     buf = np.empty((b, d))
     for k0 in range(0, len(keys), b):
@@ -505,13 +522,15 @@ def _diagonal_reduce(v, coef, layout, agg):
             if coef is not None:
                 mh = m.reshape(c, coef.shape[1], -1)
                 mh *= coef[lo:lo + c, :, None]
-            if win is None:
+            if agg != "max":
                 acc[:c] += m
             elif r == 0:
                 acc[:c] = m
-                win[k0:k0 + c] = layout.arcs[lo:lo + c, None]
+                if win is not None:
+                    win[k0:k0 + c] = layout.arcs[lo:lo + c, None]
             else:
-                np.copyto(win[k0:k0 + c], layout.arcs[lo:lo + c, None], where=m > acc[:c])
+                if win is not None:
+                    np.copyto(win[k0:k0 + c], layout.arcs[lo:lo + c, None], where=m > acc[:c])
                 np.maximum(acc[:c], m, out=acc[:c])
         out[keys[k0:k0 + width]] = acc
     if win is not None:
@@ -538,7 +557,8 @@ def propagate(x, coeff, arcs, agg):
     operand. A NaN max routes no gradient.
 
     No E x D array is built or kept. Backward skips the products for an
-    operand that needs no gradient.
+    operand that needs no gradient, and a result that needs none records no
+    max winners.
     """
     if agg not in ("sum", "mean", "max"):
         raise ValueError(f"propagate: unknown aggregation {agg!r}")
@@ -553,51 +573,56 @@ def propagate(x, coeff, arcs, agg):
     learned = coeff is not None and coeff.requires_grad
     heads = 1 if coeff is None else coeff.data.shape[1]
     inc = arcs.incoming
-    y, win = _diagonal_reduce(xd, None if coeff is None else coeff.data[inc.arcs], inc, agg)
+    y, win = _diagonal_reduce(xd, None if coeff is None else coeff.data[inc.arcs], inc, agg,
+                              winners=x.requires_grad or learned)
     if agg == "mean":
         y /= arcs.counts
-    out = Tensor(y, _parents=(x,) if coeff is None else (x, coeff))
 
     def bw(g):
         if agg == "max":
-            # column by column, each column's bins in cache; each bin adds its
-            # terms in arc order, as a scatter-add of the per-arc gradients does
-            wt = _transposed(win).ravel()
-            hit = np.flatnonzero(wt >= 0)
-            arc = wt[hit]
-            col = hit // len(win)
-            gw = _transposed(g).ravel()[hit]
+            # Arc -1, where no arc wins, reads a padding entry: source row n_x
+            # and coefficient 0, whose bins are dropped, so no mask is built.
+            # Each bin adds its terms in arc order, as a scatter-add of the
+            # per-arc gradients does.
+            cols, hd = np.arange(d), d // heads
+            rows = np.append(src, n_x)[win]
             if x.requires_grad:
-                w = gw if coeff is None else gw * coeff.data[arc, col // (d // heads)]
-                _accum(x, _transposed(_bincount(col * n_x + src[arc], w, (d, n_x))))
+                w = g
+                if coeff is not None:
+                    w = g * np.append(coeff.data, np.zeros((1, heads)), axis=0)[win, cols // hd]
+                _accum(x, _bincount((rows * d + cols).ravel(), w.ravel(), (n_x + 1, d))[:n_x],
+                       owned=True)
             if learned:
-                _accum(coeff, _bincount(arc * heads + col // (d // heads),
-                                        gw * xd[src[arc], col], (len(src), heads)))
+                # column by column, so that each gather reads one column of x in
+                # cache; a padding entry's read is clipped into range and dropped
+                wt, cols = _transposed(win), cols[:, None]
+                xw = np.take(_transposed(xd), _transposed(rows) + cols * n_x, mode="clip")
+                _accum(coeff, _bincount(((wt + 1) * heads + cols // hd).ravel(),
+                                        (_transposed(g) * xw).ravel(), (len(src) + 1, heads))[1:],
+                       owned=True)
             return
         if agg == "mean":
             g = g / arcs.counts
         if x.requires_grad:
             outg = arcs.outgoing
             _accum(x, _diagonal_reduce(g, None if coeff is None else coeff.data[outg.arcs],
-                                       outg, "sum")[0])
+                                       outg, "sum")[0], owned=True)
         if learned:
             # the one column loop left, until an edge-wise row product replaces it
             gt, xt = _transposed(g), _transposed(xd)
             gc = np.zeros((heads, len(src)))
             for k in range(d):
                 gc[k // (d // heads)] += gt[k].take(dst) * xt[k].take(src)
-            _accum(coeff, gc.T)
+            _accum(coeff, gc.T, owned=True)
 
-    out._backward = bw
-    return out
+    return Tensor(y, _parents=(x,) if coeff is None else (x, coeff), _backward=bw)
 
 
 # -- reductions and selection -------------------------------------------------
 
 def tsum(a):
-    out = Tensor(a.data.sum(), _parents=(a,))
-    out._backward = lambda g: _accum(a, np.full_like(a.data, float(g)))
-    return out
+    return Tensor(a.data.sum(), _parents=(a,),
+                  _backward=lambda g: _accum(a, np.full_like(a.data, float(g)), owned=True))
 
 
 def pick(a, index):
@@ -605,15 +630,13 @@ def pick(a, index):
     flat = a.data.reshape(-1)
     if not 0 <= index < flat.size:
         raise IndexError(f"pick: index {index} out of range for size {flat.size}")
-    out = Tensor(flat[index], _parents=(a,))
 
     def bw(g):
         acc = np.zeros_like(a.data)
         acc.reshape(-1)[index] = float(g)
-        _accum(a, acc)
+        _accum(a, acc, owned=True)
 
-    out._backward = bw
-    return out
+    return Tensor(flat[index], _parents=(a,), _backward=bw)
 
 
 # -- losses (fused for numerical stability) -----------------------------------
@@ -627,17 +650,15 @@ def softmax_cross_entropy(logits, labels, mask):
         raise ValueError("softmax_cross_entropy: empty mask")
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = Tensor(-logp[rows, labels[rows]].mean(), _parents=(logits,))
-    p = np.exp(logp)
 
     def bw(g):
         acc = np.zeros_like(logits.data)
-        acc[rows] = p[rows]
+        acc[rows] = np.exp(logp[rows])
         acc[rows, labels[rows]] -= 1.0
-        _accum(logits, acc * (float(g) / rows.size))
+        acc *= float(g) / rows.size
+        _accum(logits, acc, owned=True)
 
-    out._backward = bw
-    return out
+    return Tensor(-logp[rows, labels[rows]].mean(), _parents=(logits,), _backward=bw)
 
 
 def sigmoid_bce(logits, targets, mask):
@@ -652,16 +673,15 @@ def sigmoid_bce(logits, targets, mask):
     x, t = logits.data[rows], targets[rows]
     # softplus(x) - t*x is the stable form of -t*log(s) - (1-t)*log(1-s)
     loss = (np.logaddexp(0.0, x) - t * x).mean()
-    out = Tensor(loss, _parents=(logits,))
     n = x.size
 
     def bw(g):
         acc = np.zeros_like(logits.data)
         acc[rows] = _sigmoid_np(x) - t
-        _accum(logits, acc * (float(g) / n))
+        acc *= float(g) / n
+        _accum(logits, acc, owned=True)
 
-    out._backward = bw
-    return out
+    return Tensor(loss, _parents=(logits,), _backward=bw)
 
 
 ACTIVATIONS = {
@@ -722,6 +742,24 @@ class ParameterStore:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
+
+    @contextlib.contextmanager
+    def frozen(self, names):
+        """Within the block, the named leaves need no gradient.
+
+        A result built only from frozen leaves and constants keeps no tape,
+        and a backward run inside the block gives them no ``.grad``. The
+        flags are restored on exit, also when the block raises.
+        """
+        leaves = [self._params[n] for n in names]
+        flags = [t.requires_grad for t in leaves]
+        for t in leaves:
+            t.requires_grad = False
+        try:
+            yield
+        finally:
+            for t, flag in zip(leaves, flags):
+                t.requires_grad = flag
 
     def grads(self, group=None):
         """Collect accumulated gradients keyed by parameter name."""

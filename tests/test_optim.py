@@ -77,3 +77,25 @@ def test_step_is_deterministic():
             opt.step({"p": np.array([0.3 * (t + 1)])})
         runs.append(store["p"].data.copy())
     assert runs[0].tobytes() == runs[1].tobytes()
+
+
+def test_step_rounds_as_the_textbook_expressions():
+    rng = np.random.default_rng(5)
+    store = ParameterStore()
+    store.add("w", rng.standard_normal((4, 3)))
+    store.add("s", np.array(0.7))
+    opt = Adam(store, ["w", "s"], lr=0.01, weight_decay=5e-4)
+    ref = {n: (store[n].data.copy(), 0.0, 0.0) for n in ("w", "s")}
+    b1, b2 = 0.9, 0.999
+    for t in range(1, 5):
+        grads = {"w": rng.standard_normal((4, 3)), "s": np.array(rng.standard_normal())}
+        opt.step(grads)
+        for n, (p, m, v) in ref.items():
+            g = grads[n] + 5e-4 * p
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            p = p - 0.01 * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + 1e-8)
+            ref[n] = (p, m, v)
+            np.testing.assert_array_equal(store[n].data, p)
+            np.testing.assert_array_equal(opt.state[n]["m"], m)
+            np.testing.assert_array_equal(opt.state[n]["v"], v)

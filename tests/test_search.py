@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 
@@ -342,6 +343,66 @@ def test_architecture_step_leaves_weights_alone(graph):
     assert store.group_of("controller/z") == "a_micro"
     assert np.abs(z.data).max() < 1.0         # still near its tiny init, but updated
     assert store.group_of("router/theta") == "a_macro"
+    # the architecture step's backward, the last one of the search, reached
+    # the architecture leaves and no weight
+    assert [n for n in store.names("w") if store[n].grad is not None] == []
+    assert store["router/theta"].grad is not None and z.grad is not None
+    assert all(t.requires_grad for _, t in store.items())
+
+
+def test_eval_forward_keeps_no_tape(graph, monkeypatch):
+    evaluated = []
+
+    def spy(logits, *args):
+        evaluated.append(logits)
+        return evaluate(logits, *args)
+
+    monkeypatch.setattr(search_mod, "evaluate", spy)
+    dual_search(tiny_config(max_iter=2), graph)
+    assert len(evaluated) == 2
+    for logits in evaluated:
+        assert not logits.requires_grad
+        assert logits._parents == () and logits._backward is None
+
+
+def _dual_search_config(**kw):
+    # live architecture steps, a frozen layer, and max and learned attention
+    return tiny_config(max_iter=4, train_step=2, lr_a=0.05, e_start=1, num_layers=3,
+                       attentions=("gcn", "gat", "cos"), head_counts=(1, 2),
+                       aggregators=("sum", "max"), freeze_layers=(1,), **kw)
+
+
+def test_weight_steps_give_frozen_layers_and_theta_no_gradient(graph, monkeypatch):
+    stepped = []
+    real_step = Adam.step
+
+    def spy(self, grads):
+        theta = self.store["router/theta"]
+        stepped.append((self.names, sorted(grads), theta.grad is None))
+        return real_step(self, grads)
+
+    monkeypatch.setattr(Adam, "step", spy)
+    dual_search(_dual_search_config(), graph)
+    w_steps = [(got, no_theta) for names, got, no_theta in stepped if "classifier/W" in names]
+    assert len(w_steps) == 8
+    for got, no_theta in w_steps:
+        assert "classifier/W" in got and no_theta
+        assert not any(n.startswith("layer1/") for n in got)
+
+
+@pytest.mark.parametrize("router_enabled", [True, False])
+def test_dual_search_matches_a_search_without_frozen_leaves(graph, monkeypatch,
+                                                            router_enabled):
+    """Reference: the same search with every leaf requiring a gradient throughout."""
+    cfg = _dual_search_config(router_enabled=router_enabled)
+    res = dual_search(cfg, graph)
+    monkeypatch.setattr(ParameterStore, "frozen", lambda self, names: contextlib.nullcontext())
+    ref = dual_search(cfg, graph)
+    assert json.dumps(res.log, sort_keys=True) == json.dumps(ref.log, sort_keys=True)
+    assert res.genotype.to_dict() == ref.genotype.to_dict()
+    assert res.counters == ref.counters
+    for name, t in ref.supernet.store.items():
+        np.testing.assert_array_equal(res.supernet.store[name].data, t.data, err_msg=name)
 
 
 def test_write_log_is_jsonl(graph, tmp_path):
@@ -428,6 +489,24 @@ def test_retrain_matches_two_forward_loop(graph, epochs):
     assert net.store.names() == ref_net.store.names()
     for name, t in net.store.items():
         np.testing.assert_array_equal(t.data, ref_net.store[name].data, err_msg=name)
+
+
+def test_retrain_freezes_the_frozen_layers(graph, monkeypatch):
+    """The frozen layer gets no gradient, and the results match a retrain without
+    frozen leaves, whose Adam skips that layer's gradients instead."""
+    genotype = _early_stopping_genotype()
+    net, report = retrain_genotype(genotype, graph, epochs=20, seed=0, freeze_layers=(1,))
+    frozen = [n for n in net.store.names() if n.startswith("layer1/")]
+    assert frozen and all(net.store[n].grad is None for n in frozen)
+    assert net.store["classifier/W"].grad is not None
+    assert all(t.requires_grad for _, t in net.store.items())
+    monkeypatch.setattr(ParameterStore, "frozen", lambda self, names: contextlib.nullcontext())
+    ref_net, ref_report = retrain_genotype(genotype, graph, epochs=20, seed=0,
+                                           freeze_layers=(1,))
+    assert all(ref_net.store[n].grad is not None for n in frozen)
+    assert report == ref_report
+    for name, t in ref_net.store.items():
+        np.testing.assert_array_equal(net.store[name].data, t.data, err_msg=name)
 
 
 @pytest.mark.parametrize("epochs", [1, 60])

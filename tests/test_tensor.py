@@ -171,6 +171,17 @@ def test_first_gradients_are_distinct_arrays():
     assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+    # x receives the upstream array itself (sub's first operand, either add
+    # operand whose _unbroadcast is a no-op) or a view of it (transpose)
+    for op in (lambda x, row: x - row, lambda x, row: x + row, lambda x, row: row + x,
+               lambda x, row: T.transpose(x)):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        row = Tensor(np.ones((1, 3)), requires_grad=True)
+        out = op(x, row)
+        weights = np.arange(6.0).reshape(out.shape)
+        T.tsum(T.mul(out, Tensor(weights))).backward()
+        assert not np.shares_memory(x.grad, out.grad)
+        np.testing.assert_array_equal(x.grad, weights if out.shape == x.shape else weights.T)
 
 
 def test_negative_zero_first_gradient_lands_as_positive_zero():
@@ -178,6 +189,100 @@ def test_negative_zero_first_gradient_lands_as_positive_zero():
     T.tsum(T.mul(x, Tensor([-0.0, 2.0, -3.0]))).backward()
     np.testing.assert_array_equal(x.grad, [0.0, 2.0, -3.0])
     np.testing.assert_array_equal(np.signbit(x.grad), [False, False, True])
+    # backwards that allocate the first gradient keep it and fix it up in place
+    arcs = T.Arcs([0, 1, 2], [0, 0, 1], 3)
+    coeff = Tensor([[-0.0], [1.0], [-2.0]])
+    for op in (lambda x: T.sub(Tensor(np.ones((3, 2))), x),     # -g, where g holds +0.0
+               lambda x: T.scale(x, -2.0),
+               lambda x: T.matmul(x, Tensor([[0.0, -1.0], [-2.0, 0.0]])),
+               lambda x: T.propagate(x, coeff, arcs, "sum"),
+               lambda x: T.propagate(x, coeff, arcs, "max")):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        out = op(x)
+        alternate = np.arange(out.size).reshape(out.shape) % 2
+        T.tsum(T.mul(out, Tensor(alternate.astype(np.float64)))).backward()
+        zeros = x.grad == 0.0
+        assert zeros.any() and not np.signbit(x.grad[zeros]).any()
+
+
+def test_results_without_gradient_keep_no_tape(monkeypatch):
+    x = Tensor(np.array([[0.5, -1.0], [2.0, 0.0], [1.0, 3.0]]))
+    arcs = T.Arcs([0, 1, 2], [0, 0, 1], 3)
+    reduced = []
+    real_reduce = T._diagonal_reduce
+
+    def spy(*args, **kwargs):
+        out = real_reduce(*args, **kwargs)
+        reduced.append(out[1])
+        return out
+
+    monkeypatch.setattr(T, "_diagonal_reduce", spy)
+    results = [T.matmul(x, T.transpose(Tensor(np.ones((2, 2))))), T.add(x, x), T.sub(x, x),
+               T.mul(x, x), T.div(x, Tensor(np.ones((3, 2)))), T.scale(x, 2.0), T.tsum(x),
+               T.pick(x, 1), T.softmax_rows(x), T.gather_rows(x, [2, 0]),
+               T.segment_sum(x, [0, 0, 1], 2), T.block_diag(Tensor(np.ones((2, 1, 1)))),
+               T.softmax_cross_entropy(x, [0, 1, 0], [True, True, False]),
+               T.sigmoid_bce(x, np.ones((3, 2)), [True, False, True]),
+               T.propagate(x, Tensor(np.ones((3, 1))), arcs, "max")]
+    results += [T.activation_apply(kind, x) for kind in T.ACTIVATIONS]
+    for out in results:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+    assert reduced == [None]                    # max recorded no winners
+
+
+def test_unary_ops_skip_the_derivative_without_gradient(monkeypatch):
+    x = Tensor(np.array([[0.5, -1.0, 7.0]]))
+    calls = []
+    real_unary = T._unary
+
+    def spy(a, value, derivative):
+        def counted():
+            calls.append(a)
+            return derivative()
+        return real_unary(a, value, counted)
+
+    monkeypatch.setattr(T, "_unary", spy)
+    ops = [fn for kind, fn in T.ACTIVATIONS.items() if kind != "none"] + [T.exp]
+    for op in ops:
+        op(x)
+    assert calls == []
+    w = Tensor(x.data, requires_grad=True)
+    for op in ops:
+        op(w)
+    assert len(calls) == len(ops)
+
+
+def test_frozen_leaves_keep_no_tape_and_get_no_gradient():
+    store = ParameterStore()
+    w = store.add("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
+    a = store.add("a", np.array([[2.0, 1.0]]), group="a_micro")
+    x = Tensor(np.array([[1.0, 1.0], [2.0, -1.0]]))
+    with store.frozen(["w"]):
+        assert not w.requires_grad and a.requires_grad
+        h = T.relu(T.matmul(x, w))
+        assert h._parents == () and h._backward is None
+        y = T.mul(h, a)
+        T.tsum(y).backward()
+    assert w.requires_grad and w.grad is None
+    np.testing.assert_array_equal(a.grad, h.data.sum(axis=0, keepdims=True))
+
+
+def test_frozen_restores_the_flags_when_the_block_raises():
+    store = ParameterStore()
+    w = store.add("w", np.ones((2, 2)))
+    a = store.add("a", np.ones((1, 2)), group="a_micro")
+    c = store.add("c", np.ones((1, 2)))
+    c.requires_grad = False                     # already frozen: stays frozen
+    with pytest.raises(RuntimeError, match="inside"):
+        with store.frozen(["w"]):
+            with store.frozen(store.names()):
+                assert not (w.requires_grad or a.requires_grad or c.requires_grad)
+                raise RuntimeError("inside")
+    assert w.requires_grad and a.requires_grad and not c.requires_grad
+    with pytest.raises(KeyError):
+        with store.frozen(["w", "missing"]):
+            pass
+    assert w.requires_grad
 
 
 def test_row_vector_broadcast():
