@@ -134,17 +134,6 @@ def _head_map(heads, width):
     return np.repeat(np.eye(heads), width // heads, axis=1)
 
 
-def _segment_softmax(logits, arcs):
-    """Softmax of per-arc logits over each node's in-arcs (a checked ``Arcs``), per column."""
-    # the max shift is a constant w.r.t. the tape; softmax is shift-invariant
-    m = np.zeros((arcs.num_nodes, logits.data.shape[1]))
-    m[arcs.ids] = np.maximum.reduceat(logits.data, arcs.starts, axis=0)
-    m[~np.isfinite(m)] = 0.0
-    e = T.exp(logits - Tensor(m[arcs.dst]))
-    denom = T.segment_sum(e, arcs.dst, arcs.num_nodes)
-    return T.div(e, T.gather_rows(denom, arcs.dst))
-
-
 def attention_coefficients(kind, feats, graph, params):
     """Per-edge attention coefficients of every head at once (shape E x H).
 
@@ -155,7 +144,7 @@ def attention_coefficients(kind, feats, graph, params):
     in-neighborhood; const and gcn are used raw and return one E x 1 column
     that every head shares.
     """
-    dst, src = graph.edge_dst, graph.edge_src
+    dst, src = graph.arcs.dst, graph.arcs.src
     if kind == "const":
         return Tensor(np.ones((len(dst), 1)))
     if kind == "gcn":
@@ -186,7 +175,7 @@ def attention_coefficients(kind, feats, graph, params):
             raw = T.matmul(T.mul(left, right), Tensor(head_sum))
         else:
             raw = T.matmul(T.tanh(left + right), T.block_diag(params["Wg"]))
-    return _segment_softmax(raw, graph.arcs)
+    return T.edge_softmax(raw, graph.arcs)
 
 
 # aggregator candidate -> the ``agg`` argument of T.propagate; perfbench/tracer.py

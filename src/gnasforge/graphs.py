@@ -1,16 +1,17 @@
 """Graph representation, JSON ingestion, splits, and synthetic generators.
 
-Graphs are immutable after load. Neighborhoods N(i) are stored CSR-style
-keyed by destination node: row i lists the source nodes whose messages node
-i aggregates. Undirected input edges are expanded to two directed arcs, and
-a self-loop is added for every node, so in-degree is always >= 1.
+Graphs are immutable after load. Their arcs are one checked ``tensor.Arcs``,
+sorted by (destination, source): the arcs into node i carry the messages
+that i aggregates, its neighborhood N(i). Undirected input edges are
+expanded to two directed arcs, and a self-loop is added for every node, so
+in-degree is always >= 1.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,62 +37,41 @@ class DatasetSpec:
 
 @dataclass
 class Graph:
-    num_nodes: int
     features: np.ndarray          # num_nodes x D_in
-    csr_offsets: np.ndarray       # num_nodes + 1
-    csr_targets: np.ndarray       # source node per arc, grouped by destination
+    arcs: Arcs                    # the message pass's arcs, self-loops included
     labels: np.ndarray            # (n,) int for single-label, (n, C) 0/1 for multi
     spec: DatasetSpec
     masks: dict = field(default_factory=dict)   # name -> bool ndarray
-    degrees: np.ndarray = None                  # in-neighbor counts incl. self-loop
-    # the arcs of the message pass, checked once; their layouts are built on first use
-    arcs: Arcs = field(default=None, repr=False, compare=False)
-    # destination node id per arc, sorted (the segment key for aggregation)
-    edge_dst: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.degrees is None:
-            self.degrees = np.diff(self.csr_offsets).astype(np.float64)
-        self.edge_dst = np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
-        if self.arcs is None:
-            self.arcs = Arcs(self.csr_targets, self.edge_dst, self.num_nodes)
 
     @property
-    def edge_src(self):
-        return self.csr_targets
+    def num_nodes(self):
+        return self.arcs.num_nodes
 
     @functools.cached_property
     def gcn_coefficients(self):
-        """The E x 1 column 1 / sqrt(d_i d_j) of every arc j -> i."""
-        d = self.degrees
-        return (1.0 / np.sqrt(d[self.edge_dst] * d[self.edge_src])).reshape(-1, 1)
-
-    def neighbors(self, i):
-        return self.csr_targets[self.csr_offsets[i]:self.csr_offsets[i + 1]]
+        """The E x 1 column 1 / sqrt(d_i d_j) of every arc j -> i, d the in-degrees."""
+        d = self.arcs.counts[:, 0]
+        return (1.0 / np.sqrt(d[self.arcs.dst] * d[self.arcs.src])).reshape(-1, 1)
 
 
 def _build_csr(num_nodes, dst, src):
-    """CSR over (dst, src) arcs; dedupes, adds self-loops."""
+    """The ``Arcs`` of (dst, src) pairs, sorted by (dst, src); dedupes, adds self-loops."""
     loops = np.arange(num_nodes, dtype=np.int64)
     # one key per arc, sorted and deduplicated, orders the arcs by (dst, src); a plain
     # sort, because np.unique without indices imports numpy.ma (~20 ms) on first use
     keys = np.sort(np.concatenate([dst, loops]) * num_nodes + np.concatenate([src, loops]))
     keys = keys[np.diff(keys, prepend=-1) > 0]
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // num_nodes, minlength=num_nodes), out=offsets[1:])
-    return offsets, keys % num_nodes
+    return Arcs(keys % num_nodes, keys // num_nodes, num_nodes)
 
 
 def _make_graph(num_nodes, features, edges, labels, spec, masks=None):
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     # each undirected edge (s, d) gives the arcs d <- s and s <- d
-    offsets, targets = _build_csr(num_nodes, np.concatenate([e[:, 1], e[:, 0]]),
-                                  np.concatenate([e[:, 0], e[:, 1]]))
+    arcs = _build_csr(num_nodes, np.concatenate([e[:, 1], e[:, 0]]),
+                      np.concatenate([e[:, 0], e[:, 1]]))
     return Graph(
-        num_nodes=num_nodes,
         features=np.asarray(features, dtype=np.float64),
-        csr_offsets=offsets,
-        csr_targets=targets,
+        arcs=arcs,
         labels=np.asarray(labels),
         spec=spec,
         masks=dict(masks or {}),
@@ -190,19 +170,17 @@ def _edge_array(edges, n):
 
 def graph_to_dict(graph):
     """Serialize to the canonical schema. Self-loops are dropped (re-added on load)."""
-    arcs = sorted(
-        (int(s), int(d))
-        for d in range(graph.num_nodes)
-        for s in graph.neighbors(d)
-        if s != d
-    )
+    src, dst = graph.arcs.src, graph.arcs.dst
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    order = np.lexsort((dst, src))              # by (src, dst)
     doc = {
         "num_nodes": graph.num_nodes,
         "feature_dim": graph.spec.feature_dim,
         "task": graph.spec.task,
         "num_classes": graph.spec.num_classes,
         "features": graph.features.tolist(),
-        "edges": [list(a) for a in arcs],
+        "edges": np.stack([src[order], dst[order]], axis=1).tolist(),
         "labels": graph.labels.tolist(),
     }
     if graph.masks:
@@ -236,18 +214,7 @@ def random_split(graph, ratios=(0.6, 0.2, 0.2), seed=0):
         m = np.zeros(n, dtype=bool)
         m[part] = True
         masks[name] = m
-    out = Graph(
-        num_nodes=graph.num_nodes,
-        features=graph.features,
-        csr_offsets=graph.csr_offsets,
-        csr_targets=graph.csr_targets,
-        labels=graph.labels,
-        spec=graph.spec,
-        masks=masks,
-        degrees=graph.degrees,
-        arcs=graph.arcs,
-    )
-    return out
+    return replace(graph, masks=masks)
 
 
 # -- synthetic generators --------------------------------------------------------

@@ -78,8 +78,10 @@ def gumbel_sigmoid(theta, tau, g):
         log.warning("gumbel_sigmoid: tau=%g below floor %g, clamping", tau, TAU_MIN)
         tau = TAU_MIN
     s = T.sigmoid(T.scale(theta + Tensor(g), 1.0 / tau))
-    np.clip(s.data, GATE_EPS, 1.0 - GATE_EPS, out=s.data)
-    return s
+    # clipped into a fresh node, whose gradient passes straight through: theta's
+    # gradient keeps the unclipped y (1 - y) / tau, and no node's value changes
+    return Tensor(np.clip(s.data, GATE_EPS, 1.0 - GATE_EPS), _parents=(s,),
+                  _backward=lambda grad: T._accum(s, grad))
 
 
 class Router:

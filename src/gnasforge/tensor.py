@@ -329,7 +329,7 @@ def softmax_rows(a):
     return Tensor(y, _parents=(a,), _backward=bw)
 
 
-# -- gather / segment ops ----------------------------------------------------
+# -- gather / scatter ops ----------------------------------------------------
 
 def _bincount(keys, weights, shape):
     """``weights`` summed into a zero array of ``shape`` at flat ``keys``, in input order."""
@@ -363,37 +363,6 @@ def gather_rows(a, idx):
         raise IndexError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
     return Tensor(a.data[idx], _parents=(a,),
                   _backward=lambda g: _accum(a, _scatter_add(g, idx, a.data.shape[0]), owned=True))
-
-
-def _check_segments(op, values, segments, num_segments):
-    segments = np.asarray(segments, dtype=np.int64)
-    if values.data.ndim != 2 or segments.shape != (values.data.shape[0],):
-        raise _shape_err(op, values.data.shape, segments.shape)
-    if segments.size and (segments.min() < 0 or segments.max() >= num_segments):
-        raise IndexError(f"{op}: segment id out of range for {num_segments} segments")
-    return segments
-
-
-def _segment_starts(op, segments):
-    """Ids of the non-empty segments and the row each one starts at.
-
-    ``segments`` must be sorted (CSR order); anything else raises ValueError.
-    """
-    step = np.diff(segments, prepend=-1)
-    if (step < 0).any():
-        raise ValueError(f"{op}: segment ids must be sorted")
-    starts = np.flatnonzero(step)
-    return segments[starts], starts
-
-
-def segment_sum(values, segments, num_segments):
-    """Sum rows of ``values`` into ``num_segments`` buckets keyed by ``segments``.
-
-    Ids may come in any order; each bucket accumulates its rows in input order.
-    """
-    segments = _check_segments("segment_sum", values, segments, num_segments)
-    return Tensor(_scatter_add(values.data, segments, num_segments), _parents=(values,),
-                  _backward=lambda g: _accum(values, g[segments], owned=True))
 
 
 def _transposed(a):
@@ -448,9 +417,9 @@ class Arcs:
     """The arcs of a message pass, checked once and laid out for ``propagate``.
 
     Arc e carries row ``src[e]`` of an input with ``num_rows`` rows (by default
-    ``num_nodes``) to node ``dst[e]``. ``dst`` must be sorted, as
-    ``Graph.edge_dst`` is: unsorted ids raise ValueError, and ids out of range
-    raise IndexError. The jagged-diagonal layouts are built on first use:
+    ``num_nodes``) to node ``dst[e]``. ``dst`` must be sorted, so that each
+    node's in-arcs are one run: unsorted ids raise ValueError, and ids out of
+    range raise IndexError. The jagged-diagonal layouts are built on first use:
     ``incoming`` groups the arcs by ``dst`` for the forward, ``outgoing`` by
     ``src`` for the input gradient.
     """
@@ -465,11 +434,15 @@ class Arcs:
             raise IndexError(f"Arcs: source id out of range for {num_rows} rows")
         if dst.size and (dst.min() < 0 or dst.max() >= num_nodes):
             raise IndexError(f"Arcs: destination id out of range for {num_nodes} nodes")
+        step = np.diff(dst, prepend=-1)
+        if (step < 0).any():
+            raise ValueError("Arcs: destination ids must be sorted")
         self.src, self.dst = src, dst
         self.num_nodes, self.num_rows = num_nodes, num_rows
-        # the non-empty nodes and the arc each one's in-arcs start at, for the
-        # attention softmax of blocks._segment_softmax
-        self.ids, self.starts = _segment_starts("Arcs", dst)
+        # the arc where each node with in-arcs starts them, and that node's id:
+        # the per-node max shift of edge_softmax reduces over these runs
+        self.starts = np.flatnonzero(step)
+        self.ids = dst[self.starts]
 
     @functools.cached_property
     def counts(self):
@@ -616,6 +589,29 @@ def propagate(x, coeff, arcs, agg):
             _accum(coeff, gc.T, owned=True)
 
     return Tensor(y, _parents=(x,) if coeff is None else (x, coeff), _backward=bw)
+
+
+def edge_softmax(scores, arcs):
+    """Softmax of E x H per-arc ``scores`` over each node's in-arcs, per column, as one tape node.
+
+    Each node's scores are shifted by their max (a constant, as softmax is
+    shift-invariant; a non-finite max shifts by 0), and the sums of their
+    exponentials add in arc order, as ``np.bincount`` does. The gradient is
+    y * (g - s[dst]), where s sums g * y over each node's in-arcs.
+    """
+    s, dst, n = scores.data, arcs.dst, arcs.num_nodes
+    if s.ndim != 2 or s.shape[0] != len(dst):
+        raise _shape_err("edge_softmax", s.shape, dst.shape)
+    m = np.zeros((n, s.shape[1]))
+    m[arcs.ids] = np.maximum.reduceat(s, arcs.starts, axis=0)
+    m[~np.isfinite(m)] = 0.0
+    e = np.exp(s - m[dst])
+    y = e / _scatter_add(e, dst, n)[dst]
+
+    def bw(g):
+        _accum(scores, y * (g - _scatter_add(g * y, dst, n)[dst]), owned=True)
+
+    return Tensor(y, _parents=(scores,), _backward=bw)
 
 
 # -- reductions and selection -------------------------------------------------

@@ -34,8 +34,6 @@ def primitive_checks(seed=0):
     x34 = rng.standard_normal((3, 4))
     x33 = rng.standard_normal((3, 3))
     pos = rng.random((3, 4)) + 0.5
-    seg = np.array([0, 0, 1])
-    seg_gap = np.array([0, 0, 2])   # segment 1 is empty
     out = {}
 
     def chk(name, f, x):
@@ -61,9 +59,11 @@ def primitive_checks(seed=0):
     chk("elu", lambda t: T.tsum(T.elu(t)), x34)
     chk("softplus", lambda t: T.tsum(T.softplus(t)), x34)
     chk("gather_rows", lambda t: T.tsum(T.mul(T.gather_rows(t, np.array([2, 0, 0])), c)), x34)
-    c24 = Tensor(rng.standard_normal((2, 4)))
-    chk("segment_sum", lambda t: T.tsum(T.mul(T.segment_sum(t, seg, 2), c24)), x34)
-    chk("segment_sum_gap", lambda t: T.tsum(T.mul(T.segment_sum(t, seg_gap, 3), c)), x34)
+    rng.standard_normal((2, 4))              # a removed check's draw: later inputs stay put
+    # two heads over in-degrees 3, 1, 0 and 2: node 2 has no in-arcs
+    soft = T.Arcs([0, 1, 2, 1, 0, 3], [0, 0, 0, 1, 3, 3], 4)
+    c62 = Tensor(c.data.reshape(6, 2))
+    chk("edge_softmax", lambda t: T.tsum(T.mul(T.edge_softmax(t, soft), c62)), x34.reshape(6, 2))
     chk("sum", lambda t: T.tsum(T.mul(t, c)), x34)
     chk("pick", lambda t: T.pick(T.mul(t, c), 5), x34)
     chk("softmax_cross_entropy",

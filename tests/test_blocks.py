@@ -70,10 +70,11 @@ def test_gcn_attention_inverse_sqrt_degrees():
     # 3-clique + one extra neighbor on node 0: after self-loops d = [4, 3, 3, 2]
     g = tiny_graph(4, [[0, 1], [1, 2], [0, 2], [0, 3]],
                    [[0.0]] * 4)
-    np.testing.assert_array_equal(g.degrees, [4, 3, 3, 2])
+    d = g.arcs.counts[:, 0]
+    np.testing.assert_array_equal(d, [4, 3, 3, 2])
     coeff = attention_coefficients("gcn", Tensor(g.features), g, {}).data.reshape(-1)
-    for k, (i, j) in enumerate(zip(g.edge_dst, g.edge_src)):
-        np.testing.assert_allclose(coeff[k], 1.0 / np.sqrt(g.degrees[i] * g.degrees[j]))
+    for k, (i, j) in enumerate(zip(g.arcs.dst, g.arcs.src)):
+        np.testing.assert_allclose(coeff[k], 1.0 / np.sqrt(d[i] * d[j]))
 
 
 def test_gcn_coefficients_are_computed_once_per_graph():
@@ -81,8 +82,8 @@ def test_gcn_coefficients_are_computed_once_per_graph():
     a = attention_coefficients("gcn", Tensor(g.features), g, {})
     b = attention_coefficients("gcn", Tensor(g.features), g, {})
     assert a.data is b.data is g.gcn_coefficients
-    d = g.degrees
-    np.testing.assert_array_equal(a.data[:, 0], 1.0 / np.sqrt(d[g.edge_dst] * d[g.edge_src]))
+    d = np.bincount(g.arcs.dst).astype(np.float64)
+    np.testing.assert_array_equal(a.data[:, 0], 1.0 / np.sqrt(d[g.arcs.dst] * d[g.arcs.src]))
 
 
 def test_gcn_quarter_for_degree_four():
@@ -119,11 +120,11 @@ def test_gat_hand_trace_on_star():
         return z if z > 0 else 0.2 * z
 
     raw = {}
-    for k, (i, j) in enumerate(zip(g.edge_dst, g.edge_src)):
+    for k, (i, j) in enumerate(zip(g.arcs.dst, g.arcs.src)):
         raw[k] = leaky(np.concatenate([feats_np[i], feats_np[j]]) @ wa_np.reshape(-1))
     expect = np.empty(len(raw))
     for i in range(3):
-        ks = [k for k in raw if g.edge_dst[k] == i]
+        ks = [k for k in raw if g.arcs.dst[k] == i]
         e = np.exp([raw[k] for k in ks])
         for k, v in zip(ks, e / e.sum()):
             expect[k] = v
@@ -142,9 +143,9 @@ def test_normalized_attention_sums_to_one_per_neighborhood(kind):
     feats = Tensor(rng.standard_normal((8, 8)))
     for heads in (1, 4):
         coeff = attention_coefficients(kind, feats, g, view.attention(kind, heads)).data
-        assert coeff.shape == (len(g.edge_dst), heads)
+        assert coeff.shape == (len(g.arcs.dst), heads)
         sums = np.zeros((g.num_nodes, heads))
-        np.add.at(sums, g.edge_dst, coeff)      # every head column sums to 1 per neighborhood
+        np.add.at(sums, g.arcs.dst, coeff)      # every head column sums to 1 per neighborhood
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
 
@@ -220,7 +221,7 @@ def test_permutation_equivariance():
     inv = np.argsort(perm)
     # relabeled copy of the same graph
     edges = sorted({(int(min(inv[s], inv[d])), int(max(inv[s], inv[d])))
-                    for d in range(g.num_nodes) for s in g.neighbors(d) if s != d})
+                    for s, d in zip(g.arcs.src, g.arcs.dst) if s != d})
     g2 = graph_from_dict({
         "num_nodes": g.num_nodes, "feature_dim": 4, "task": "single", "num_classes": 2,
         "features": g.features[perm].tolist(), "edges": [list(e) for e in edges],
@@ -296,6 +297,97 @@ def test_other_blocks_aggregate_the_output_rows(monkeypatch, kind, agg, heads, e
     assert _propagated_width(monkeypatch, kind, agg, heads, expansion) == 8
 
 
+# -- segment references and the edge softmax -------------------------------------
+
+def _check_segments(op, values, segments, num_segments):
+    segments = np.asarray(segments, dtype=np.int64)
+    if values.data.ndim != 2 or segments.shape != (values.data.shape[0],):
+        raise T.ShapeError(f"{op}: shapes {values.data.shape} vs {segments.shape}")
+    if segments.size and (segments.min() < 0 or segments.max() >= num_segments):
+        raise IndexError(f"{op}: segment id out of range for {num_segments} segments")
+    return segments
+
+
+def _segment_starts(op, segments):
+    """Ids of the non-empty segments of sorted ``segments`` and the row each one starts at."""
+    step = np.diff(segments, prepend=-1)
+    if (step < 0).any():
+        raise ValueError(f"{op}: segment ids must be sorted")
+    starts = np.flatnonzero(step)
+    return segments[starts], starts
+
+
+def _segment_sum(values, segments, num_segments):
+    """The engine's former segment_sum tape op: rows summed per segment id, in input order."""
+    segments = _check_segments("segment_sum", values, segments, num_segments)
+    return Tensor(T._scatter_add(values.data, segments, num_segments), _parents=(values,),
+                  _backward=lambda g: T._accum(values, g[segments], owned=True))
+
+
+def _chain_softmax(logits, arcs):
+    """The former five-node softmax chain: shift, exp, segment sum, gather, divide."""
+    m = np.zeros((arcs.num_nodes, logits.data.shape[1]))
+    m[arcs.ids] = np.maximum.reduceat(logits.data, arcs.starts, axis=0)
+    m[~np.isfinite(m)] = 0.0
+    e = T.exp(logits - Tensor(m[arcs.dst]))
+    denom = _segment_sum(e, arcs.dst, arcs.num_nodes)
+    return T.div(e, T.gather_rows(denom, arcs.dst))
+
+
+# in-degrees 3, 2, 0, 1 and 2: node 2 has no in-arcs
+_SOFT_ARCS = T.Arcs([1, 0, 4, 3, 1, 2, 4, 0], [0, 0, 0, 1, 1, 3, 4, 4], 5)
+
+
+@pytest.mark.parametrize("heads", [1, 3])
+@pytest.mark.parametrize("case", ["finite", "non-finite"])
+def test_edge_softmax_matches_the_former_chain(case, heads):
+    rng = np.random.default_rng(50 + heads)
+    scores = rng.standard_normal((8, heads)) * 3.0
+    if case == "non-finite":
+        scores[3] = -np.inf      # node 1's other arc takes all of its weight
+        scores[5] = -np.inf      # node 3's only arc: its -inf max shifts by 0, and 0 / 0
+        scores[6] = np.inf       # node 4: an +inf max shifts by 0, so arc 7 still reads 0
+    upstream = Tensor(rng.standard_normal((8, heads)))
+
+    def run(op):
+        x = Tensor(scores, requires_grad=True)
+        out = op(x, _SOFT_ARCS)
+        T.tsum(T.mul(out, upstream)).backward()
+        return out.data, x.grad
+
+    with np.errstate(all="ignore"):
+        y, grad = run(T.edge_softmax)
+        ref, ref_grad = run(_chain_softmax)
+    np.testing.assert_array_equal(y, ref)
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+    sums = np.bincount(_SOFT_ARCS.dst, np.nan_to_num(y[:, 0]), minlength=5)
+    if case == "non-finite":
+        assert (y[3] == 0.0).all() and (y[4] == 1.0).all() and (y[7] == 0.0).all()
+        assert np.isnan(y[5]).all() and np.isnan(y[6]).all()
+        np.testing.assert_allclose(sums, [1, 1, 0, 0, 0])
+    else:
+        np.testing.assert_allclose(sums, [1, 1, 0, 1, 1])
+
+
+def test_edge_softmax_rejects_bad_shapes():
+    for shape in ((7, 2), (8,), (8, 2, 1)):
+        with pytest.raises(T.ShapeError, match="edge_softmax"):
+            T.edge_softmax(Tensor(np.zeros(shape)), _SOFT_ARCS)
+
+
+@pytest.mark.parametrize("kind", ["gat", "sym_gat", "cos", "linear", "gene_linear"])
+def test_learned_attention_is_one_softmax_node_over_the_scores(kind):
+    g = verify._test_graph()
+    space = BlockSpace(layer=0, in_dim=3, out_dim=4, attentions=(kind,), head_counts=(2,))
+    store = ParameterStore()
+    init_block_params(space, store, np.random.default_rng(51))
+    feats = Tensor(np.random.default_rng(52).standard_normal((g.num_nodes, 4)))
+    params = BlockParamsView(space, store).attention(kind, 2)
+    coeff = attention_coefficients(kind, feats, g, params)
+    assert len(coeff._parents) == 1
+    assert coeff._parents[0].shape == coeff.shape == (len(g.arcs.dst), 2)
+
+
 # -- fused heads vs a per-head reference ---------------------------------------------
 
 def _cols(t, lo, hi):
@@ -309,16 +401,17 @@ def _ref_softmax(raw, dst, n):
     m = np.full(n, -np.inf)
     np.maximum.at(m, dst, raw.data[:, 0])
     e = T.exp(raw - Tensor(m[dst][:, None]))
-    return T.div(e, T.gather_rows(T.segment_sum(e, dst, n), dst))
+    return T.div(e, T.gather_rows(_segment_sum(e, dst, n), dst))
 
 
 def _ref_head_coeff(kind, f, g, w):
     """One head's E x 1 coefficients, scored on edge rows as a^T [Wh_i || Wh_j]."""
-    dst, src, n = g.edge_dst, g.edge_src, g.num_nodes
+    dst, src, n = g.arcs.dst, g.arcs.src, g.num_nodes
     if kind == "const":
         return Tensor(np.ones((len(dst), 1)))
     if kind == "gcn":
-        return Tensor((1.0 / np.sqrt(g.degrees[dst] * g.degrees[src]))[:, None])
+        d = np.bincount(dst).astype(np.float64)
+        return Tensor((1.0 / np.sqrt(d[dst] * d[src]))[:, None])
     h_dst, h_src = T.gather_rows(f, dst), T.gather_rows(f, src)
 
     def gat(a, b):
@@ -330,7 +423,7 @@ def _ref_head_coeff(kind, f, g, w):
         raw = gat(h_dst, h_src) + gat(h_src, h_dst)
     elif kind == "linear":
         scores = T.gather_rows(T.matmul(f, w["Wa"]), src)
-        raw = T.gather_rows(T.tanh(T.segment_sum(scores, dst, n)), dst)
+        raw = T.gather_rows(T.tanh(_segment_sum(scores, dst, n)), dst)
     else:
         left = T.matmul(h_dst, T.transpose(w["Wa1"]))
         right = T.matmul(h_src, T.transpose(w["Wa2"]))
@@ -343,7 +436,7 @@ def _ref_head_coeff(kind, f, g, w):
 
 def _ref_segment_mean(values, segments, num_segments):
     """The engine's former segment_mean tape op: per-segment mean, zero when empty."""
-    segments = T._check_segments("segment_mean", values, segments, num_segments)
+    segments = _check_segments("segment_mean", values, segments, num_segments)
     safe = np.maximum(np.bincount(segments, minlength=num_segments), 1.0)
     y = T._scatter_add(values.data, segments, num_segments) / safe[:, None]
     out = Tensor(y, _parents=(values,))
@@ -354,8 +447,8 @@ def _ref_segment_mean(values, segments, num_segments):
 def _ref_segment_max(values, segments, num_segments):
     """The engine's former segment_max tape op: per-segment max over rows, zero when
     empty; backward routes each column's gradient to the first row reaching the max."""
-    segments = T._check_segments("segment_max", values, segments, num_segments)
-    ids, starts = T._segment_starts("segment_max", segments)
+    segments = _check_segments("segment_max", values, segments, num_segments)
+    ids, starts = _segment_starts("segment_max", segments)
     v = values.data
     y = np.zeros((num_segments, v.shape[1]))
     y[ids] = np.maximum.reduceat(v, starts, axis=0)
@@ -374,7 +467,7 @@ def _ref_segment_max(values, segments, num_segments):
     return out
 
 
-_REF_AGG = {"sum": T.segment_sum, "mean": _ref_segment_mean, "max": _ref_segment_max}
+_REF_AGG = {"sum": _segment_sum, "mean": _ref_segment_mean, "max": _ref_segment_max}
 
 
 def _ref_block(g, x, choice, view, scales):
@@ -392,8 +485,8 @@ def _ref_block(g, x, choice, view, scales):
     for h in range(H):
         f = _cols(t_all, h * hd, (h + 1) * hd)
         coeff = sc("attention", _ref_head_coeff(choice.attention, f, g, heads[h]))
-        msgs = T.mul(T.gather_rows(f, g.edge_src), coeff)
-        agg = sc("aggregate", _REF_AGG[choice.aggregate](msgs, g.edge_dst, g.num_nodes))
+        msgs = T.mul(T.gather_rows(f, g.arcs.src), coeff)
+        agg = sc("aggregate", _REF_AGG[choice.aggregate](msgs, g.arcs.dst, g.num_nodes))
         place = np.zeros((hd, out_dim))
         place[np.arange(hd), np.arange(h * hd, (h + 1) * hd)] = 1.0
         placed = T.matmul(agg, Tensor(place))
@@ -512,7 +605,7 @@ def _tape_arrays(root):
 @pytest.mark.parametrize("kind, agg", [("gcn", "sum"), ("gat", "max")])
 def test_block_tape_holds_no_edge_by_width_array(kind, agg):
     g, _ = generate_sbm(2, 10, 0.6, 0.2, 4, 0.5, seed=24)
-    arcs, width = len(g.edge_dst), 16
+    arcs, width = len(g.arcs.dst), 16
     assert arcs > g.num_nodes
     space = BlockSpace(layer=0, in_dim=4, out_dim=width, expansions=(1,),
                        attentions=(kind,), head_counts=(4,),

@@ -1,9 +1,11 @@
 
+import json
+
 import numpy as np
 import pytest
 
 from gnasforge.graphs import (
-    GraphFormatError, load_graph_json, save_graph_json, graph_from_dict,
+    GraphFormatError, load_graph_json, save_graph_json, graph_from_dict, graph_to_dict,
     random_split, generate_sbm, generate_chain_task,
 )
 
@@ -24,28 +26,29 @@ def doc(num_nodes, edges, **over):
 
 def test_triangle_degrees():
     g = graph_from_dict(doc(3, [[0, 1], [1, 2], [0, 2]]))
-    np.testing.assert_array_equal(g.degrees, [3, 3, 3])
+    np.testing.assert_array_equal(g.arcs.counts[:, 0], [3, 3, 3])
 
 
 def test_isolated_nodes_have_self_loop_degree():
     g = graph_from_dict(doc(2, []))
-    np.testing.assert_array_equal(g.degrees, [1, 1])
+    np.testing.assert_array_equal(g.arcs.counts[:, 0], [1, 1])
+    np.testing.assert_array_equal(g.arcs.src, [0, 1])
 
 
 def test_edge_dst_is_computed_once_in_arc_order():
     g = graph_from_dict(doc(3, [[0, 1], [1, 2]]))
-    np.testing.assert_array_equal(g.edge_dst, [0, 0, 1, 1, 1, 2, 2])
-    assert g.edge_dst is g.edge_dst
-    np.testing.assert_array_equal(random_split(graph_from_dict(doc(5, [[0, 4]]))).edge_dst,
+    np.testing.assert_array_equal(g.arcs.dst, [0, 0, 1, 1, 1, 2, 2])
+    np.testing.assert_array_equal(g.arcs.src, [0, 1, 0, 1, 2, 1, 2])
+    np.testing.assert_array_equal(random_split(graph_from_dict(doc(5, [[0, 4]]))).arcs.dst,
                                   [0, 0, 1, 2, 3, 4, 4])
 
 
 def test_arcs_are_checked_once_and_shared_by_splits():
     g = graph_from_dict(doc(5, [[0, 4], [1, 2]]))
-    np.testing.assert_array_equal(g.arcs.dst, g.edge_dst)
-    np.testing.assert_array_equal(g.arcs.src, g.edge_src)
-    assert g.arcs.num_nodes == g.arcs.num_rows == 5
-    assert random_split(g).arcs is g.arcs
+    assert g.num_nodes == g.arcs.num_nodes == g.arcs.num_rows == 5
+    split = random_split(g)
+    assert split.arcs is g.arcs and split.features is g.features and split.labels is g.labels
+    assert split.spec == g.spec and not g.masks and set(split.masks) == {"train", "val", "test"}
 
 
 def test_edge_out_of_range_rejected():
@@ -81,6 +84,29 @@ def test_overlapping_masks_rejected():
         graph_from_dict(doc(5, [], masks={"train": [0, 1], "val": [1]}))
 
 
+def _neighbors(g, i):
+    """The sources of the arcs into node i, self-loop included."""
+    return g.arcs.src[g.arcs.dst == i]
+
+
+def _loop_doc(graph):
+    """The former per-node serialisation: each node's in-arcs but its self-loop, as
+    (source, node) pairs, all sorted; the rest of the document as graph_to_dict writes it."""
+    edges = sorted((int(s), int(d)) for d in range(graph.num_nodes)
+                   for s in _neighbors(graph, d) if s != d)
+    return dict(graph_to_dict(graph), edges=[list(e) for e in edges])
+
+
+@pytest.mark.parametrize("make, isolated", [
+    (lambda: random_split(generate_sbm(4, 10, 0.15, 0.0, 4, 0.3, seed=1)[0], seed=2), True),
+    (lambda: generate_chain_task(60, 3, seed=2)[0], False),
+], ids=["sbm-isolated", "chain"])
+def test_graph_to_dict_matches_the_per_node_loop(make, isolated):
+    g = make()
+    assert (g.arcs.counts[:, 0] == 1).any() == isolated     # nodes with only a self-loop
+    assert json.dumps(graph_to_dict(g), sort_keys=True) == json.dumps(_loop_doc(g), sort_keys=True)
+
+
 def test_roundtrip_identical(tmp_path):
     g1, _ = generate_sbm(2, 5, 0.8, 0.1, 4, 0.3, seed=4)
     g1 = random_split(g1, seed=4)
@@ -89,8 +115,8 @@ def test_roundtrip_identical(tmp_path):
     g2 = load_graph_json(p1)
     save_graph_json(g2, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    np.testing.assert_array_equal(g1.csr_offsets, g2.csr_offsets)
-    np.testing.assert_array_equal(g1.csr_targets, g2.csr_targets)
+    np.testing.assert_array_equal(g1.arcs.dst, g2.arcs.dst)
+    np.testing.assert_array_equal(g1.arcs.src, g2.arcs.src)
     np.testing.assert_array_equal(g1.features, g2.features)
     np.testing.assert_array_equal(g1.labels, g2.labels)
     for k in g1.masks:
@@ -133,7 +159,7 @@ def test_split_rejects_bad_ratios():
 def test_sbm_degenerate_probabilities_give_cliques():
     g, _ = generate_sbm(2, 3, 1.0, 0.0, 2, 0.0, seed=0)
     for i in range(6):
-        nbrs = set(g.neighbors(i)) - {i}
+        nbrs = set(_neighbors(g, i)) - {i}
         block = set(range(3)) if i < 3 else set(range(3, 6))
         assert nbrs == block - {i}
 
@@ -151,7 +177,7 @@ def test_sbm_noiseless_features_are_centroids():
 def test_sbm_within_block_edge_count_binomial():
     g, _ = generate_sbm(4, 50, 0.5, 0.0, 8, 0.0, seed=7)
     # arcs = 2 * undirected edges; exclude self-loops
-    within = sum(len(set(g.neighbors(i)) - {i}) for i in range(g.num_nodes)) / 2
+    within = (g.arcs.src != g.arcs.dst).sum() / 2
     trials = 4 * 50 * 49 // 2
     mean, var = 0.5 * trials, trials * 0.25
     assert abs(within - mean) < 5 * np.sqrt(var)
@@ -170,7 +196,7 @@ def test_sbm_zero_crossing_components_stay_in_class():
                 continue
             seen[u] = comp
             assert g.labels[u] == g.labels[start]
-            stack.extend(g.neighbors(u))
+            stack.extend(_neighbors(g, u))
 
 
 def _scalar_loop_sbm(num_classes, nodes_per_class, p_in, p_out, feature_dim,
@@ -208,8 +234,8 @@ def test_sbm_matches_pair_by_pair_reference(args):
     g, spec = generate_sbm(*args)
     ref = _scalar_loop_sbm(*args)
     assert spec == ref.spec
-    np.testing.assert_array_equal(g.csr_offsets, ref.csr_offsets)
-    np.testing.assert_array_equal(g.csr_targets, ref.csr_targets)
+    np.testing.assert_array_equal(g.arcs.dst, ref.arcs.dst)
+    np.testing.assert_array_equal(g.arcs.src, ref.arcs.src)
     np.testing.assert_array_equal(g.labels, ref.labels)
     # features come after the edges in the stream: equal features, equal draw count
     np.testing.assert_array_equal(g.features, ref.features)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from gnasforge import tensor as T
 from gnasforge.tensor import ParameterStore, Tensor
 from gnasforge.router import (
-    Router, TempSchedule, gumbel_sigmoid, sample_gumbel, temp_anneal, TAU_MIN,
+    Router, TempSchedule, gumbel_sigmoid, sample_gumbel, temp_anneal, GATE_EPS, TAU_MIN,
 )
 
 
@@ -86,6 +87,27 @@ def test_gumbel_sigmoid_stays_open_interval():
     for _ in range(200):
         v = gumbel_sigmoid(Tensor(rng.standard_normal()), 0.05, sample_gumbel(rng)).item()
         assert 0.0 < v < 1.0
+
+
+def test_saturated_gates_clip_and_keep_the_unclipped_gradient(monkeypatch):
+    theta = Tensor([[40.0, -40.0], [1e-3, -2e-3]], requires_grad=True)
+    built, init = [], Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self, self.data.copy()))
+
+    monkeypatch.setattr(Tensor, "__init__", recording)
+    gate = gumbel_sigmoid(theta, TAU_MIN, 0.0)
+    monkeypatch.undo()
+    for t, data in built:                  # no node's value changed after it was built
+        np.testing.assert_array_equal(t.data, data)
+    np.testing.assert_array_equal(gate.data[0], [1.0 - GATE_EPS, GATE_EPS])
+    T.tsum(gate).backward()
+    # y (1 - y) / tau of the unclipped y: exactly 0 where sigmoid(+-40000) rounds to 1 or 0
+    y = np.array([1.0 / (1.0 + np.exp(-1.0)), np.exp(-2.0) / (1.0 + np.exp(-2.0))])
+    np.testing.assert_array_equal(theta.grad[0], [0.0, 0.0])
+    np.testing.assert_allclose(theta.grad[1], y * (1.0 - y) / TAU_MIN, rtol=1e-14)
 
 
 def test_gumbel_sigmoid_clamps_tiny_tau(caplog):

@@ -14,11 +14,6 @@ def test_matmul_identity():
     np.testing.assert_array_equal(out.data, x)
 
 
-def test_segment_sum_direct():
-    out = T.segment_sum(Tensor([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 0]), 1)
-    np.testing.assert_array_equal(out.data, [[4.0, 6.0]])
-
-
 def _over_rows(agg):
     """T.propagate with ``src = arange(E)`` and no coefficient: row e is arc e's message."""
     def op(values, segments, num_segments):
@@ -27,7 +22,12 @@ def _over_rows(agg):
     return op
 
 
-_MEAN, _MAX = _over_rows("mean"), _over_rows("max")
+_SUM, _MEAN, _MAX = _over_rows("sum"), _over_rows("mean"), _over_rows("max")
+
+
+def test_segment_sum_direct():
+    out = _SUM(Tensor([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 0]), 1)
+    np.testing.assert_array_equal(out.data, [[4.0, 6.0]])
 
 
 def test_segment_max_forward_and_backward_routing():
@@ -95,7 +95,7 @@ def test_segment_mean_matches_sum_over_counts():
     vals = rng.standard_normal((6, 3))
     seg = np.array([0, 0, 1, 1, 1, 3])   # segment 2 is empty
     mean = _MEAN(Tensor(vals), seg, 4).data
-    sums = T.segment_sum(Tensor(vals), seg, 4).data
+    sums = _SUM(Tensor(vals), seg, 4).data
     counts = np.bincount(seg, minlength=4)
     for s in range(4):
         if counts[s]:
@@ -127,7 +127,7 @@ def test_segment_max_rejects_unsorted_ids():
 
 
 @pytest.mark.parametrize("op, name", [
-    pytest.param(T.segment_sum, "segment_sum", id="segment_sum"),
+    pytest.param(_SUM, "Arcs", id="segment_sum"),
     pytest.param(_MEAN, "Arcs", id="segment_mean"),
     pytest.param(_MAX, "Arcs", id="segment_max"),
 ])
@@ -220,7 +220,7 @@ def test_results_without_gradient_keep_no_tape(monkeypatch):
     results = [T.matmul(x, T.transpose(Tensor(np.ones((2, 2))))), T.add(x, x), T.sub(x, x),
                T.mul(x, x), T.div(x, Tensor(np.ones((3, 2)))), T.scale(x, 2.0), T.tsum(x),
                T.pick(x, 1), T.softmax_rows(x), T.gather_rows(x, [2, 0]),
-               T.segment_sum(x, [0, 0, 1], 2), T.block_diag(Tensor(np.ones((2, 1, 1)))),
+               T.edge_softmax(x, arcs), T.block_diag(Tensor(np.ones((2, 1, 1)))),
                T.softmax_cross_entropy(x, [0, 1, 0], [True, True, False]),
                T.sigmoid_bce(x, np.ones((3, 2)), [True, False, True]),
                T.propagate(x, Tensor(np.ones((3, 1))), arcs, "max")]
@@ -432,7 +432,7 @@ def _segment_case(draw):
 @given(_segment_case())
 def test_segment_sum_and_mean_match_add_at(case):
     values, segments, n, g = case
-    y, grad = _grad(lambda x: T.segment_sum(x, segments, n), values, g)
+    y, grad = _grad(lambda x: _SUM(x, segments, n), values, g)
     np.testing.assert_array_equal(y, _ref_scatter_add(values, segments, n))
     np.testing.assert_array_equal(grad, g[segments])
 
