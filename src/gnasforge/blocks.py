@@ -144,9 +144,9 @@ def attention_coefficients(kind, feats, graph, params):
     in-neighborhood; const and gcn are used raw and return one E x 1 column
     that every head shares.
     """
-    dst, src = graph.arcs.dst, graph.arcs.src
+    arcs = graph.arcs
     if kind == "const":
-        return Tensor(np.ones((len(dst), 1)))
+        return Tensor(np.ones((len(arcs.dst), 1)))
     if kind == "gcn":
         return Tensor(graph.gcn_coefficients)
     if kind not in _ATTN_WEIGHTS:
@@ -156,26 +156,27 @@ def attention_coefficients(kind, feats, graph, params):
         # a^T [Wh_i || Wh_j] = a_dst^T Wh_i + a_src^T Wh_j: score nodes, then gather
         s_dst = T.matmul(feats, T.block_diag(params["Wa_dst"]))     # n x H
         s_src = T.matmul(feats, T.block_diag(params["Wa_src"]))
-        raw = T.leaky_relu(T.gather_rows(s_dst, dst) + T.gather_rows(s_src, src),
+        raw = T.leaky_relu(T.gather_rows(s_dst, arcs, "dst") + T.gather_rows(s_src, arcs, "src"),
                            ATTN_LEAKY_SLOPE)
         if kind == "sym_gat":
-            raw = raw + T.leaky_relu(T.gather_rows(s_dst, src) + T.gather_rows(s_src, dst),
-                                     ATTN_LEAKY_SLOPE)
+            raw = raw + T.leaky_relu(T.gather_rows(s_dst, arcs, "src")
+                                     + T.gather_rows(s_src, arcs, "dst"), ATTN_LEAKY_SLOPE)
     elif kind == "linear":
         per_src = T.matmul(feats, T.block_diag(params["Wa"]))       # n x H scores
-        summed = T.propagate(per_src, None, graph.arcs, "sum")
-        raw = T.gather_rows(T.tanh(summed), dst)                    # same value for all j in N(i)
+        summed = T.propagate(per_src, None, arcs, "sum")
+        raw = T.gather_rows(T.tanh(summed), arcs, "dst")            # same value for all j in N(i)
     else:
         # cos and gene_linear map the n node rows per head, then gather to edges
-        left = T.gather_rows(T.matmul(feats, T.transpose(T.block_diag(params["Wa1"]))), dst)
-        right = T.gather_rows(T.matmul(feats, T.transpose(T.block_diag(params["Wa2"]))), src)
+        left = T.matmul(feats, T.transpose(T.block_diag(params["Wa1"])))
+        right = T.matmul(feats, T.transpose(T.block_diag(params["Wa2"])))
+        left, right = T.gather_rows(left, arcs, "dst"), T.gather_rows(right, arcs, "src")
         if kind == "cos":
             # per-head row sums of the products: E x D times the D x H 0/1 map
             head_sum = _head_map(params["Wa1"].data.shape[0], feats.data.shape[1]).T
             raw = T.matmul(T.mul(left, right), Tensor(head_sum))
         else:
             raw = T.matmul(T.tanh(left + right), T.block_diag(params["Wg"]))
-    return T.edge_softmax(raw, graph.arcs)
+    return T.edge_softmax(raw, arcs)
 
 
 # aggregator candidate -> the ``agg`` argument of T.propagate; perfbench/tracer.py

@@ -17,10 +17,10 @@ from dataclasses import fields, asdict
 from .graphs import load_graph_json, save_graph_json, random_split, \
     generate_sbm, generate_chain_task, GraphFormatError
 from .search import (
-    SearchConfig, SearchError, SearchResult, Genotype, GenotypeNet,
+    SearchConfig, SearchError, Genotype, GenotypeNet,
     grid_search_hidden, retrain_genotype, evaluate,
 )
-from .tensor import ParameterStore, CheckpointError
+from .tensor import CheckpointError
 from . import verify
 
 EXIT_OK, EXIT_ERROR, EXIT_CONFIG = 0, 1, 2
@@ -79,22 +79,18 @@ def cmd_search(args):
     os.makedirs(out_dir, exist_ok=True)
 
     threads = int(os.environ.get("GNASFORGE_THREADS", "1"))
-    result = grid_search_hidden(config, graph, max_workers=threads)
+    result = grid_search_hidden(config, graph, max_workers=threads)[0]
 
-    result["genotype"].save(os.path.join(out_dir, "genotype.json"))
-    best_log = result["per_size"][result["hidden"]]["log"]
-    SearchResult(result["genotype"], best_log, supernet=None).write_log(
-        os.path.join(out_dir, "metrics.jsonl"))
+    result.genotype.save(os.path.join(out_dir, "genotype.json"))
+    result.write_log(os.path.join(out_dir, "metrics.jsonl"))
     resolved = dict(asdict(config), **extras)
     with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as f:
         json.dump(resolved, f, indent=2, sort_keys=True, default=list)
 
-    store = ParameterStore()
-    for name, (group, data) in sorted(result["store_state"].items()):
-        store.add(name, data, group=group)
-    store.save(os.path.join(out_dir, "checkpoint"),
-               extra_meta={"counters": result["counters"], "hidden": result["hidden"]})
-    print(f"best hidden size {result['hidden']}, val metric {result['val_metric']:.4f}")
+    hidden = result.supernet.hidden
+    result.supernet.store.save(os.path.join(out_dir, "checkpoint"),
+                               extra_meta={"counters": result.counters, "hidden": hidden})
+    print(f"best hidden size {hidden}, val metric {result.final_val_metric:.4f}")
     return EXIT_OK
 
 

@@ -54,7 +54,7 @@ class Graph:
         return (1.0 / np.sqrt(d[self.arcs.dst] * d[self.arcs.src])).reshape(-1, 1)
 
 
-def _build_csr(num_nodes, dst, src):
+def _build_arcs(num_nodes, dst, src):
     """The ``Arcs`` of (dst, src) pairs, sorted by (dst, src); dedupes, adds self-loops."""
     loops = np.arange(num_nodes, dtype=np.int64)
     # one key per arc, sorted and deduplicated, orders the arcs by (dst, src); a plain
@@ -67,8 +67,8 @@ def _build_csr(num_nodes, dst, src):
 def _make_graph(num_nodes, features, edges, labels, spec, masks=None):
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     # each undirected edge (s, d) gives the arcs d <- s and s <- d
-    arcs = _build_csr(num_nodes, np.concatenate([e[:, 1], e[:, 0]]),
-                      np.concatenate([e[:, 0], e[:, 1]]))
+    arcs = _build_arcs(num_nodes, np.concatenate([e[:, 1], e[:, 0]]),
+                       np.concatenate([e[:, 0], e[:, 1]]))
     return Graph(
         features=np.asarray(features, dtype=np.float64),
         arcs=arcs,

@@ -448,34 +448,20 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
 
 # -- grid search -----------------------------------------------------------------------
 
-def _grid_worker(args):
-    config, graph, hidden, seed = args
-    result = dual_search(config, graph, hidden=hidden, seed=seed)
-    store = result.supernet.store
-    state = {n: (store.group_of(n), t.data) for n, t in store.items()}
-    return (hidden, result.genotype.to_dict(), result.log,
-            result.final_val_metric, state, result.counters)
-
-
 def grid_search_hidden(config, graph, max_workers=1):
-    """Run dual_search per hidden size; best (max val metric, ties -> smaller size)."""
+    """Run dual_search per hidden size; their SearchResults, best first.
+
+    The best has the largest final validation metric, ties going to the
+    smaller hidden size. The k-th size searches with seed ``config.seed + k``.
+    """
     if not config.hidden_grid:
         raise ValueError("empty hidden-size grid")
-    jobs = [(config, graph, h, config.seed + k)
-            for k, h in enumerate(config.hidden_grid)]
+    sizes = config.hidden_grid
+    args = ([config] * len(sizes), [graph] * len(sizes), sizes,
+            [config.seed + k for k in range(len(sizes))])
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(_grid_worker, jobs))
+            results = list(pool.map(dual_search, *args))
     else:
-        rows = [_grid_worker(j) for j in jobs]
-    rows.sort(key=lambda r: (-r[3], r[0]))
-    best_hidden, best_geno, _, best_metric, best_state, best_counters = rows[0]
-    return {
-        "hidden": best_hidden,
-        "genotype": Genotype.from_dict(best_geno),
-        "val_metric": best_metric,
-        "store_state": best_state,
-        "counters": best_counters,
-        "per_size": {h: {"genotype": g, "log": lg, "val_metric": m}
-                     for h, g, lg, m, _, _ in rows},
-    }
+        results = list(map(dual_search, *args))
+    return sorted(results, key=lambda r: (-r.final_val_metric, r.supernet.hidden))

@@ -64,9 +64,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     # -- backward ----------------------------------------------------------
 
     def backward(self):
@@ -164,17 +161,6 @@ def add(a, b):
     return Tensor(a.data + b.data, _parents=(a, b), _backward=bw)
 
 
-def sub(a, b):
-    _check_ew("sub", a, b)
-
-    def bw(g):
-        _accum_shared(a, g)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
-
-    return Tensor(a.data - b.data, _parents=(a, b), _backward=bw)
-
-
 def mul(a, b):
     _check_ew("mul", a, b)
 
@@ -251,17 +237,10 @@ def block_diag(a):
 def _unary(a, value, derivative):
     """``value`` as a tape node over ``a``, whose gradient is g times ``derivative()``.
 
-    The derivative is computed in the forward, and only when ``a`` needs a gradient.
+    The derivative is computed in the backward: no node's value changes after
+    it is built, so it reads the values the forward saw.
     """
-    if not a.requires_grad:
-        return Tensor(value)
-    dvalue = derivative()
-    return Tensor(value, _parents=(a,), _backward=lambda g: _accum(a, g * dvalue, owned=True))
-
-
-def exp(a):
-    y = np.exp(a.data)
-    return _unary(a, y, lambda: y)
+    return Tensor(value, _parents=(a,), _backward=lambda g: _accum(a, g * derivative(), owned=True))
 
 
 def tanh(a):
@@ -329,40 +308,13 @@ def softmax_rows(a):
     return Tensor(y, _parents=(a,), _backward=bw)
 
 
-# -- gather / scatter ops ----------------------------------------------------
+# -- array helpers -------------------------------------------------------------
 
 def _bincount(keys, weights, shape):
     """``weights`` summed into a zero array of ``shape`` at flat ``keys``, in input order."""
     sums = np.bincount(keys, weights=weights, minlength=shape[0] * shape[1])
     # an empty input makes bincount return integers
     return sums.astype(np.float64, copy=False).reshape(shape)
-
-
-def _scatter_add(values, idx, num_rows):
-    """Sum rows of ``values`` into ``num_rows`` rows keyed by ``idx``, in any index order.
-
-    ``bincount`` adds each weight into its bin in input order, exactly as
-    ``np.add.at`` does, so the sums are bit-identical to an ordered loop.
-    """
-    d = values.shape[1]
-    return _bincount((idx[:, None] * d + np.arange(d)).ravel(), values.ravel(), (num_rows, d))
-
-
-def gather_rows(a, idx):
-    """Select rows of ``a`` by an integer index vector.
-
-    The index may be unsorted and repeat rows; backward sums the gradients of
-    repeated rows in index order.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("gather_rows: index must be a vector")
-    if a.data.ndim != 2:
-        raise _shape_err("gather_rows", a.data.shape)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise IndexError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
-    return Tensor(a.data[idx], _parents=(a,),
-                  _backward=lambda g: _accum(a, _scatter_add(g, idx, a.data.shape[0]), owned=True))
 
 
 def _transposed(a):
@@ -420,8 +372,9 @@ class Arcs:
     ``num_nodes``) to node ``dst[e]``. ``dst`` must be sorted, so that each
     node's in-arcs are one run: unsorted ids raise ValueError, and ids out of
     range raise IndexError. The jagged-diagonal layouts are built on first use:
-    ``incoming`` groups the arcs by ``dst`` for the forward, ``outgoing`` by
-    ``src`` for the input gradient.
+    ``incoming`` groups the arcs by ``dst``, ``outgoing`` by ``src``. Every
+    per-node reduction over arcs runs on them: ``propagate``'s forward and
+    input gradient, ``edge_softmax`` and ``gather_rows``' gradient.
     """
 
     def __init__(self, src, dst, num_nodes, num_rows=None):
@@ -434,15 +387,10 @@ class Arcs:
             raise IndexError(f"Arcs: source id out of range for {num_rows} rows")
         if dst.size and (dst.min() < 0 or dst.max() >= num_nodes):
             raise IndexError(f"Arcs: destination id out of range for {num_nodes} nodes")
-        step = np.diff(dst, prepend=-1)
-        if (step < 0).any():
+        if (np.diff(dst) < 0).any():
             raise ValueError("Arcs: destination ids must be sorted")
         self.src, self.dst = src, dst
         self.num_nodes, self.num_rows = num_nodes, num_rows
-        # the arc where each node with in-arcs starts them, and that node's id:
-        # the per-node max shift of edge_softmax reduces over these runs
-        self.starts = np.flatnonzero(step)
-        self.ids = dst[self.starts]
 
     @functools.cached_property
     def counts(self):
@@ -466,13 +414,15 @@ _BLOCK_ENTRIES = 1 << 15
 def _diagonal_reduce(v, coef, layout, agg, winners=False):
     """Per key, the max (agg "max") or else the sum of ``v[row(a)] * coef[a]`` over its arcs a.
 
-    ``coef`` is None or holds one row per arc in the layout's ``arcs`` order,
-    whose H columns scale H equal column blocks of ``v``. Keys are taken in
-    blocks, and a block reduces one diagonal at a time. A sum starts at +0.0,
-    so each entry is the sequence of additions that ``np.bincount`` makes over
-    the arcs in arc order, signed zeros included. A max starts from diagonal
-    0 and takes ``np.maximum`` with each later one, which returns the later
-    operand on ties, as ``np.maximum.at`` does. A key with no arcs gets zeros.
+    With ``_by_arc(layout)``, row(a) is a itself: the reduction of an E-row
+    array of per-arc values. ``coef`` is None or holds one row per arc in
+    the layout's ``arcs`` order, whose H columns scale H equal column blocks
+    of ``v``. Keys are taken in blocks, and a block reduces one diagonal at
+    a time. A sum starts at +0.0, so each entry is the sequence of additions
+    that ``np.bincount`` makes over the arcs in arc order, signed zeros
+    included. A max starts from diagonal 0 and takes ``np.maximum`` with each
+    later one, which returns the later operand on ties, as ``np.maximum.at``
+    does. A key with no arcs gets zeros.
 
     Returns the reduced rows and, for a max with ``winners``, per (key,
     column) the first arc reaching the max: the arc its gradient goes to, or
@@ -510,6 +460,32 @@ def _diagonal_reduce(v, coef, layout, agg, winners=False):
         win = win[np.argsort(keys)]                 # by key, as ``out`` is
         win[np.isnan(out)] = -1
     return out, win
+
+
+def _by_arc(layout):
+    """``layout`` with each arc reading its own row: for reducing per-arc values per key."""
+    return layout._replace(rows=layout.arcs)
+
+
+def gather_rows(a, arcs, end):
+    """Row ``src[e]`` or ``dst[e]`` of ``a`` for every arc e, by ``end`` ("src" or "dst").
+
+    ``a`` has ``arcs.num_rows`` rows to gather by source and ``arcs.num_nodes``
+    by destination; ``Arcs`` checked the ids. The gradient of each row sums
+    its arcs' gradients in arc order from +0.0, as ``np.add.at`` does, along
+    ``arcs.outgoing`` or ``arcs.incoming``.
+    """
+    if end not in ("src", "dst"):
+        raise ValueError(f"gather_rows: unknown arc end {end!r}")
+    rows = arcs.num_rows if end == "src" else arcs.num_nodes
+    if a.data.ndim != 2 or a.data.shape[0] != rows:
+        raise _shape_err("gather_rows", a.data.shape, (rows, len(arcs.src)))
+
+    def bw(g):
+        layout = arcs.outgoing if end == "src" else arcs.incoming
+        _accum(a, _diagonal_reduce(g, None, _by_arc(layout), "sum")[0], owned=True)
+
+    return Tensor(a.data[getattr(arcs, end)], _parents=(a,), _backward=bw)
 
 
 def propagate(x, coeff, arcs, agg):
@@ -594,22 +570,23 @@ def propagate(x, coeff, arcs, agg):
 def edge_softmax(scores, arcs):
     """Softmax of E x H per-arc ``scores`` over each node's in-arcs, per column, as one tape node.
 
-    Each node's scores are shifted by their max (a constant, as softmax is
-    shift-invariant; a non-finite max shifts by 0), and the sums of their
-    exponentials add in arc order, as ``np.bincount`` does. The gradient is
-    y * (g - s[dst]), where s sums g * y over each node's in-arcs.
+    Every per-node reduction runs on the jagged diagonals of
+    ``arcs.incoming``. Each node's scores are shifted by their max (a
+    constant, as softmax is shift-invariant; a non-finite max shifts by 0),
+    and the sums of their exponentials add in arc order from +0.0. The
+    gradient is y * (g - s[dst]), where s sums g * y over each node's in-arcs.
     """
-    s, dst, n = scores.data, arcs.dst, arcs.num_nodes
+    s, dst = scores.data, arcs.dst
     if s.ndim != 2 or s.shape[0] != len(dst):
         raise _shape_err("edge_softmax", s.shape, dst.shape)
-    m = np.zeros((n, s.shape[1]))
-    m[arcs.ids] = np.maximum.reduceat(s, arcs.starts, axis=0)
+    inc = _by_arc(arcs.incoming)
+    m = _diagonal_reduce(s, None, inc, "max")[0]
     m[~np.isfinite(m)] = 0.0
     e = np.exp(s - m[dst])
-    y = e / _scatter_add(e, dst, n)[dst]
+    y = e / _diagonal_reduce(e, None, inc, "sum")[0][dst]
 
     def bw(g):
-        _accum(scores, y * (g - _scatter_add(g * y, dst, n)[dst]), owned=True)
+        _accum(scores, y * (g - _diagonal_reduce(g * y, None, inc, "sum")[0][dst]), owned=True)
 
     return Tensor(y, _parents=(scores,), _backward=bw)
 

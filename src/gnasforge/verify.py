@@ -43,14 +43,12 @@ def primitive_checks(seed=0):
     chk("matmul", lambda t: T.tsum(T.matmul(t, w)), x34)
     c = Tensor(rng.standard_normal((3, 4)))
     chk("add", lambda t: T.tsum(T.mul(t + c, c)), x34)
-    chk("sub", lambda t: T.tsum(T.mul(t - c, c)), x34)
     chk("mul", lambda t: T.tsum(T.mul(t, c)), x34)
     chk("div", lambda t: T.tsum(T.div(c, t)), pos)
     chk("scale", lambda t: T.tsum(T.scale(t, 2.5)), x34)
     for shape in ((3, 8), (5, 4), (1, 4)):   # draws of removed checks: later inputs stay put
         rng.standard_normal(shape)
     chk("softmax_rows", lambda t: T.tsum(T.mul(T.softmax_rows(t), c)), x34)
-    chk("exp", lambda t: T.tsum(T.exp(t)), x34)
     chk("tanh", lambda t: T.tsum(T.tanh(t)), x34)
     chk("sigmoid", lambda t: T.tsum(T.sigmoid(t)), x34)
     chk("relu", lambda t: T.tsum(T.relu(t)), x34)
@@ -58,7 +56,8 @@ def primitive_checks(seed=0):
     chk("relu6", lambda t: T.tsum(T.relu6(t)), x34)
     chk("elu", lambda t: T.tsum(T.elu(t)), x34)
     chk("softplus", lambda t: T.tsum(T.softplus(t)), x34)
-    chk("gather_rows", lambda t: T.tsum(T.mul(T.gather_rows(t, np.array([2, 0, 0])), c)), x34)
+    picks = T.Arcs([2, 0, 0], [0, 1, 1], 2, 3)    # rows 2, 0 and 0 of a 3-row input
+    chk("gather_rows", lambda t: T.tsum(T.mul(T.gather_rows(t, picks, "src"), c)), x34)
     rng.standard_normal((2, 4))              # a removed check's draw: later inputs stay put
     # two heads over in-degrees 3, 1, 0 and 2: node 2 has no in-arcs
     soft = T.Arcs([0, 1, 2, 1, 0, 3], [0, 0, 0, 1, 3, 3], 4)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gnasforge import tensor as T
 from gnasforge.tensor import Tensor, ParameterStore, glorot
@@ -308,6 +310,19 @@ def _check_segments(op, values, segments, num_segments):
     return segments
 
 
+def _scatter_add(values, idx, num_rows):
+    """Rows of ``values`` summed into ``num_rows`` rows keyed by ``idx``, in index order."""
+    acc = np.zeros((num_rows, values.shape[1]))
+    np.add.at(acc, idx, values)
+    return acc
+
+
+def _exp(t):
+    """The engine's former exp tape op."""
+    y = np.exp(t.data)
+    return Tensor(y, _parents=(t,), _backward=lambda g: T._accum(t, g * y, owned=True))
+
+
 def _segment_starts(op, segments):
     """Ids of the non-empty segments of sorted ``segments`` and the row each one starts at."""
     step = np.diff(segments, prepend=-1)
@@ -320,18 +335,21 @@ def _segment_starts(op, segments):
 def _segment_sum(values, segments, num_segments):
     """The engine's former segment_sum tape op: rows summed per segment id, in input order."""
     segments = _check_segments("segment_sum", values, segments, num_segments)
-    return Tensor(T._scatter_add(values.data, segments, num_segments), _parents=(values,),
+    return Tensor(_scatter_add(values.data, segments, num_segments), _parents=(values,),
                   _backward=lambda g: T._accum(values, g[segments], owned=True))
 
 
 def _chain_softmax(logits, arcs):
-    """The former five-node softmax chain: shift, exp, segment sum, gather, divide."""
-    m = np.zeros((arcs.num_nodes, logits.data.shape[1]))
-    m[arcs.ids] = np.maximum.reduceat(logits.data, arcs.starts, axis=0)
+    """The former five-node softmax chain: shift, exp, segment sum, gather, divide.
+
+    A node's shift is its max score, or 0 when that is not finite or it has
+    no arcs; adding the negated shift rounds as subtracting it does."""
+    m = np.full((arcs.num_nodes, logits.data.shape[1]), -np.inf)
+    np.maximum.at(m, arcs.dst, logits.data)
     m[~np.isfinite(m)] = 0.0
-    e = T.exp(logits - Tensor(m[arcs.dst]))
+    e = _exp(logits + Tensor(-m[arcs.dst]))
     denom = _segment_sum(e, arcs.dst, arcs.num_nodes)
-    return T.div(e, T.gather_rows(denom, arcs.dst))
+    return T.div(e, T.gather_rows(denom, arcs, "dst"))
 
 
 # in-degrees 3, 2, 0, 1 and 2: node 2 has no in-arcs
@@ -369,6 +387,30 @@ def test_edge_softmax_matches_the_former_chain(case, heads):
         np.testing.assert_allclose(sums, [1, 1, 0, 1, 1])
 
 
+@st.composite
+def _softmax_case(draw):
+    """Scores over sorted dst with nodes of no in-arcs at the start, middle and end.
+
+    Repeated values make ties in a node's max, and signed zeros and -inf entries
+    make +-0 and non-finite maxima."""
+    head = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    tail = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    counts = [0] + head + [0] + tail + [0]
+    dst = np.repeat(np.arange(len(counts)), counts)
+    values = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 2.0, -np.inf]), st.floats(-50, 50))
+    scores = draw(arrays(np.float64, (len(dst), draw(st.integers(1, 3))), elements=values))
+    return T.Arcs(np.zeros(len(dst), dtype=np.int64), dst, len(counts)), scores
+
+
+@given(_softmax_case())
+def test_edge_softmax_forward_matches_the_chain_bit_for_bit(case):
+    arcs, scores = case
+    with np.errstate(all="ignore"):
+        y = T.edge_softmax(Tensor(scores), arcs).data
+        ref = _chain_softmax(Tensor(scores), arcs).data
+    np.testing.assert_array_equal(y.view(np.uint64), ref.view(np.uint64))
+
+
 def test_edge_softmax_rejects_bad_shapes():
     for shape in ((7, 2), (8,), (8, 2, 1)):
         with pytest.raises(T.ShapeError, match="edge_softmax"):
@@ -397,11 +439,11 @@ def _cols(t, lo, hi):
     return T.matmul(t, Tensor(sel))
 
 
-def _ref_softmax(raw, dst, n):
-    m = np.full(n, -np.inf)
-    np.maximum.at(m, dst, raw.data[:, 0])
-    e = T.exp(raw - Tensor(m[dst][:, None]))
-    return T.div(e, T.gather_rows(_segment_sum(e, dst, n), dst))
+def _ref_softmax(raw, arcs):
+    m = np.full(arcs.num_nodes, -np.inf)
+    np.maximum.at(m, arcs.dst, raw.data[:, 0])
+    e = _exp(raw + Tensor(-m[arcs.dst][:, None]))
+    return T.div(e, T.gather_rows(_segment_sum(e, arcs.dst, arcs.num_nodes), arcs, "dst"))
 
 
 def _ref_head_coeff(kind, f, g, w):
@@ -412,7 +454,7 @@ def _ref_head_coeff(kind, f, g, w):
     if kind == "gcn":
         d = np.bincount(dst).astype(np.float64)
         return Tensor((1.0 / np.sqrt(d[dst] * d[src]))[:, None])
-    h_dst, h_src = T.gather_rows(f, dst), T.gather_rows(f, src)
+    h_dst, h_src = T.gather_rows(f, g.arcs, "dst"), T.gather_rows(f, g.arcs, "src")
 
     def gat(a, b):
         return T.leaky_relu(T.matmul(a, w["Wa_dst"]) + T.matmul(b, w["Wa_src"]), 0.2)
@@ -422,8 +464,8 @@ def _ref_head_coeff(kind, f, g, w):
     elif kind == "sym_gat":
         raw = gat(h_dst, h_src) + gat(h_src, h_dst)
     elif kind == "linear":
-        scores = T.gather_rows(T.matmul(f, w["Wa"]), src)
-        raw = T.gather_rows(T.tanh(_segment_sum(scores, dst, n)), dst)
+        scores = T.gather_rows(T.matmul(f, w["Wa"]), g.arcs, "src")
+        raw = T.gather_rows(T.tanh(_segment_sum(scores, dst, n)), g.arcs, "dst")
     else:
         left = T.matmul(h_dst, T.transpose(w["Wa1"]))
         right = T.matmul(h_src, T.transpose(w["Wa2"]))
@@ -431,14 +473,14 @@ def _ref_head_coeff(kind, f, g, w):
             raw = T.matmul(T.mul(left, right), Tensor(np.ones((f.shape[1], 1))))
         else:
             raw = T.matmul(T.tanh(left + right), w["Wg"])
-    return _ref_softmax(raw, dst, n)
+    return _ref_softmax(raw, g.arcs)
 
 
 def _ref_segment_mean(values, segments, num_segments):
     """The engine's former segment_mean tape op: per-segment mean, zero when empty."""
     segments = _check_segments("segment_mean", values, segments, num_segments)
     safe = np.maximum(np.bincount(segments, minlength=num_segments), 1.0)
-    y = T._scatter_add(values.data, segments, num_segments) / safe[:, None]
+    y = _scatter_add(values.data, segments, num_segments) / safe[:, None]
     out = Tensor(y, _parents=(values,))
     out._backward = lambda g: T._accum(values, (g / safe[:, None])[segments])
     return out
@@ -485,7 +527,7 @@ def _ref_block(g, x, choice, view, scales):
     for h in range(H):
         f = _cols(t_all, h * hd, (h + 1) * hd)
         coeff = sc("attention", _ref_head_coeff(choice.attention, f, g, heads[h]))
-        msgs = T.mul(T.gather_rows(f, g.arcs.src), coeff)
+        msgs = T.mul(T.gather_rows(f, g.arcs, "src"), coeff)
         agg = sc("aggregate", _REF_AGG[choice.aggregate](msgs, g.arcs.dst, g.num_nodes))
         place = np.zeros((hd, out_dim))
         place[np.arange(hd), np.arange(h * hd, (h + 1) * hd)] = 1.0

@@ -545,16 +545,18 @@ def test_retrain_rejects_fewer_than_one_epoch(graph, epochs):
 def test_grid_search_picks_best_val(graph):
     cfg = tiny_config(hidden_grid=(16, 32), max_iter=2)
     out = grid_search_hidden(cfg, graph)
-    assert out["hidden"] in (16, 32)
-    assert set(out["per_size"]) == {16, 32}
-    best = max(out["per_size"].values(), key=lambda r: r["val_metric"])
-    assert out["val_metric"] == best["val_metric"]
-    assert out["genotype"].hidden_sizes == [out["hidden"]] * 2
+    assert sorted(r.supernet.hidden for r in out) == [16, 32]
+    best = out[0]
+    assert best.final_val_metric == max(r.final_val_metric for r in out)
+    assert best.genotype.hidden_sizes == [best.supernet.hidden] * 2
 
 
 def test_grid_search_parallel_matches_serial(graph):
     cfg = tiny_config(hidden_grid=(16, 32), max_iter=2)
     serial = grid_search_hidden(cfg, graph, max_workers=1)
     parallel = grid_search_hidden(cfg, graph, max_workers=2)
-    assert serial["genotype"].to_dict() == parallel["genotype"].to_dict()
-    assert serial["val_metric"] == parallel["val_metric"]
+    for a, b in zip(serial, parallel):
+        assert a.genotype.to_dict() == b.genotype.to_dict()
+        assert a.log == b.log and a.counters == b.counters
+        for name, t in a.supernet.store.items():
+            np.testing.assert_array_equal(t.data, b.supernet.store[name].data)

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -144,9 +147,13 @@ def test_shape_mismatch_names_primitive_and_shapes():
         T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
-def test_gather_out_of_range():
-    with pytest.raises(IndexError):
-        T.gather_rows(Tensor(np.zeros((2, 2))), np.array([2]))
+def test_gather_rows_rejects_a_row_count_mismatch():
+    arcs = T.Arcs([0, 2], [0, 1], 2, 3)          # 3 source rows, 2 nodes
+    for x, end in [(np.zeros((2, 2)), "src"), (np.zeros((3, 2)), "dst"), (np.zeros(3), "src")]:
+        with pytest.raises(ShapeError, match="gather_rows"):
+            T.gather_rows(Tensor(x), arcs, end)
+    with pytest.raises(ValueError, match="arc end"):
+        T.gather_rows(Tensor(np.zeros((3, 2))), arcs, "both")
 
 
 def test_backward_requires_scalar():
@@ -171,10 +178,9 @@ def test_first_gradients_are_distinct_arrays():
     assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
-    # x receives the upstream array itself (sub's first operand, either add
-    # operand whose _unbroadcast is a no-op) or a view of it (transpose)
-    for op in (lambda x, row: x - row, lambda x, row: x + row, lambda x, row: row + x,
-               lambda x, row: T.transpose(x)):
+    # x receives the upstream array itself (either add operand whose
+    # _unbroadcast is a no-op) or a view of it (transpose)
+    for op in (lambda x, row: x + row, lambda x, row: row + x, lambda x, row: T.transpose(x)):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         row = Tensor(np.ones((1, 3)), requires_grad=True)
         out = op(x, row)
@@ -192,8 +198,7 @@ def test_negative_zero_first_gradient_lands_as_positive_zero():
     # backwards that allocate the first gradient keep it and fix it up in place
     arcs = T.Arcs([0, 1, 2], [0, 0, 1], 3)
     coeff = Tensor([[-0.0], [1.0], [-2.0]])
-    for op in (lambda x: T.sub(Tensor(np.ones((3, 2))), x),     # -g, where g holds +0.0
-               lambda x: T.scale(x, -2.0),
+    for op in (lambda x: T.scale(x, -2.0),
                lambda x: T.matmul(x, Tensor([[0.0, -1.0], [-2.0, 0.0]])),
                lambda x: T.propagate(x, coeff, arcs, "sum"),
                lambda x: T.propagate(x, coeff, arcs, "max")):
@@ -217,9 +222,9 @@ def test_results_without_gradient_keep_no_tape(monkeypatch):
         return out
 
     monkeypatch.setattr(T, "_diagonal_reduce", spy)
-    results = [T.matmul(x, T.transpose(Tensor(np.ones((2, 2))))), T.add(x, x), T.sub(x, x),
+    results = [T.matmul(x, T.transpose(Tensor(np.ones((2, 2))))), T.add(x, x),
                T.mul(x, x), T.div(x, Tensor(np.ones((3, 2)))), T.scale(x, 2.0), T.tsum(x),
-               T.pick(x, 1), T.softmax_rows(x), T.gather_rows(x, [2, 0]),
+               T.pick(x, 1), T.softmax_rows(x), T.gather_rows(x, arcs, "src"),
                T.edge_softmax(x, arcs), T.block_diag(Tensor(np.ones((2, 1, 1)))),
                T.softmax_cross_entropy(x, [0, 1, 0], [True, True, False]),
                T.sigmoid_bce(x, np.ones((3, 2)), [True, False, True]),
@@ -227,11 +232,13 @@ def test_results_without_gradient_keep_no_tape(monkeypatch):
     results += [T.activation_apply(kind, x) for kind in T.ACTIVATIONS]
     for out in results:
         assert not out.requires_grad and out._parents == () and out._backward is None
-    assert reduced == [None]                    # max recorded no winners
+    # edge_softmax's max and sum, then propagate's max: no winners recorded
+    assert reduced == [None, None, None]
 
 
 def test_unary_ops_skip_the_derivative_without_gradient(monkeypatch):
-    x = Tensor(np.array([[0.5, -1.0, 7.0]]))
+    # a forward computes no derivative, with or without a gradient; each
+    # op's backward computes one
     calls = []
     real_unary = T._unary
 
@@ -242,14 +249,14 @@ def test_unary_ops_skip_the_derivative_without_gradient(monkeypatch):
         return real_unary(a, value, counted)
 
     monkeypatch.setattr(T, "_unary", spy)
-    ops = [fn for kind, fn in T.ACTIVATIONS.items() if kind != "none"] + [T.exp]
-    for op in ops:
-        op(x)
-    assert calls == []
+    ops = [fn for kind, fn in T.ACTIVATIONS.items() if kind != "none"]
+    x = Tensor(np.array([[0.5, -1.0, 7.0]]))
     w = Tensor(x.data, requires_grad=True)
-    for op in ops:
-        op(w)
-    assert len(calls) == len(ops)
+    outs = [op(t) for t in (x, w) for op in ops]
+    assert calls == []
+    for out in outs[len(ops):]:
+        T.tsum(out).backward()
+    assert calls == [w] * len(ops)
 
 
 def test_frozen_leaves_keep_no_tape_and_get_no_gradient():
@@ -411,6 +418,11 @@ def _grad(op, values, g):
     return out.data, x.grad
 
 
+def _assert_same_bits(a, b):
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
 # small repeated values make max ties; mixed magnitudes make sums depend on order
 _VALUES = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 2.0, 0.1, 1e16, -1e16]),
                     st.floats(-1e3, 1e3))
@@ -451,18 +463,28 @@ def test_segment_max_matches_maximum_at_and_first_winner(case):
     np.testing.assert_array_equal(grad, ref_grad)
 
 
-@given(st.integers(1, 6).flatmap(lambda rows: st.tuples(
-    st.just(rows),
-    st.lists(st.integers(0, rows - 1), min_size=0, max_size=12),
-    st.integers(1, 3))), st.data())
-def test_gather_rows_backward_matches_add_at(shape, data):
-    rows, idx, d = shape
-    idx = np.array(idx, dtype=np.int64)
-    values = data.draw(arrays(np.float64, (rows, d), elements=_VALUES))
-    g = data.draw(arrays(np.float64, (len(idx), d), elements=_VALUES))
-    y, grad = _grad(lambda x: T.gather_rows(x, idx), values, g)
-    np.testing.assert_array_equal(y, values[idx])
-    np.testing.assert_array_equal(grad, _ref_scatter_add(g, idx, rows))
+@st.composite
+def _arcs(draw):
+    """Sorted dst with zero-in-degree nodes at the start, middle and end, from unsorted
+    src over a number of source rows that differs from the number of nodes."""
+    head = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    tail = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    counts = [0] + head + [0] + tail + [0]
+    dst = np.repeat(np.arange(len(counts)), counts)
+    rows = draw(st.integers(1, 12).filter(lambda r: r != len(counts)))
+    src = draw(st.lists(st.integers(0, rows - 1), min_size=len(dst), max_size=len(dst)))
+    return T.Arcs(src, dst, len(counts), rows)
+
+
+@given(_arcs(), st.integers(1, 3), st.data())
+def test_gather_rows_backward_matches_add_at(arcs, d, data):
+    for end, rows in [("src", arcs.num_rows), ("dst", arcs.num_nodes)]:
+        ids = getattr(arcs, end)
+        values = data.draw(arrays(np.float64, (rows, d), elements=_VALUES))
+        g = data.draw(arrays(np.float64, (len(ids), d), elements=_VALUES))
+        y, grad = _grad(lambda x: T.gather_rows(x, arcs, end), values, g)
+        np.testing.assert_array_equal(y, values[ids])
+        _assert_same_bits(grad, _ref_scatter_add(g, ids, rows))
 
 
 # -- fused message passing vs a gather_rows -> mul -> ufunc.at reference --------------
@@ -504,11 +526,6 @@ def _propagate_case(draw):
     c = draw(arrays(np.float64, (len(dst), heads), elements=_VALUES))
     g = draw(arrays(np.float64, (len(counts), d), elements=_VALUES))
     return x, c, src, dst, len(counts), g
-
-
-def _assert_same_bits(a, b):
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
 
 def _check_propagate(agg, width, case):
@@ -655,3 +672,78 @@ def test_constant_operand_product_is_skipped(op, const_first):
     assert c.grad is None
     expect = 1e20 * c.data if op is T.mul else 1e20 / c.data
     np.testing.assert_array_equal(x.grad, expect)
+
+
+# -- the engine holds only what the model uses -----------------------------------------
+
+_MODEL_MODULES = ("blocks", "controller", "router", "search", "graphs", "cli", "optim")
+_OPERATORS = {"__add__": ast.Add, "__radd__": ast.Add, "__sub__": ast.Sub, "__rsub__": ast.Sub,
+              "__mul__": ast.Mult, "__rmul__": ast.Mult, "__truediv__": ast.Div,
+              "__matmul__": ast.MatMult}
+
+
+def _parse(module):
+    return ast.parse(pathlib.Path(T.__file__).with_name(f"{module}.py").read_text("utf-8"))
+
+
+def _names_in(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _engine_uses(tree):
+    """The engine names a model module uses, and the operators it applies to Tensors.
+
+    A use is ``T.name`` or a name imported from ``.tensor``. An operand is a
+    Tensor when it is an engine call's result, an expression over one, or a
+    name the module binds to one."""
+    imported = {a.asname or a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "tensor" for a in n.names}
+    uses = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "T"}
+    uses |= _names_in(tree) & imported
+
+    def engine_call(e):
+        f = e.func if isinstance(e, ast.Call) else None
+        return (isinstance(f, ast.Name) and f.id in imported) or (
+            isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "T")
+
+    def tensor(e):
+        if isinstance(e, ast.BinOp):
+            return tensor(e.left) or tensor(e.right)
+        return engine_call(e) or (isinstance(e, ast.Name) and e.id in bound)
+
+    bound = set()
+    for _ in range(3):                  # names bound to names bound to a Tensor
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Assign) and tensor(n.value):
+                bound |= {t.id for t in n.targets if isinstance(t, ast.Name)}
+    ops = {type(n.op) for n in ast.walk(tree)
+           if isinstance(n, ast.BinOp) and (tensor(n.left) or tensor(n.right))}
+    return uses, ops
+
+
+def test_every_engine_callable_has_a_model_caller():
+    engine = _parse("tensor")
+    public = {n.name for n in engine.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+              and not n.name.startswith("_")}
+    tensor_cls = next(n for n in engine.body if isinstance(n, ast.ClassDef) and n.name == "Tensor")
+    # what each Tensor operator calls, e.g. + -> add
+    operator_calls = {}
+    for m in tensor_cls.body:
+        if isinstance(m, ast.FunctionDef) and m.name in _OPERATORS:
+            operator_calls.setdefault(_OPERATORS[m.name], set()).update(_names_in(m))
+    # what each module-level function and table names, e.g. ACTIVATIONS -> relu
+    inner = {n.name: _names_in(n) for n in engine.body if isinstance(n, ast.FunctionDef)}
+    inner.update({t.id: _names_in(n.value) for n in engine.body if isinstance(n, ast.Assign)
+                  for t in n.targets if isinstance(t, ast.Name)})
+    called = set()
+    for module in _MODEL_MODULES:
+        uses, ops = _engine_uses(_parse(module))
+        called |= uses
+        for op in ops:
+            called |= operator_calls.get(op, set())
+    frontier = set(called)
+    while frontier:
+        frontier = set().union(*(inner.get(name, set()) for name in frontier)) - called
+        called |= frontier
+    assert sorted(public - called) == []
