@@ -129,11 +129,6 @@ def transform_forward(x, w1, w2):
     return T.matmul(h, T.transpose(w2)), h
 
 
-def _head_map(heads, width):
-    """Constant heads x width 0/1 matrix: row h is 1 on head h's column block."""
-    return np.repeat(np.eye(heads), width // heads, axis=1)
-
-
 def attention_coefficients(kind, feats, graph, params):
     """Per-edge attention coefficients of every head at once (shape E x H).
 
@@ -166,16 +161,14 @@ def attention_coefficients(kind, feats, graph, params):
         summed = T.propagate(per_src, None, arcs, "sum")
         raw = T.gather_rows(T.tanh(summed), arcs, "dst")            # same value for all j in N(i)
     else:
-        # cos and gene_linear map the n node rows per head, then gather to edges
+        # cos and gene_linear map the n node rows per head
         left = T.matmul(feats, T.transpose(T.block_diag(params["Wa1"])))
         right = T.matmul(feats, T.transpose(T.block_diag(params["Wa2"])))
-        left, right = T.gather_rows(left, arcs, "dst"), T.gather_rows(right, arcs, "src")
         if kind == "cos":
-            # per-head row sums of the products: E x D times the D x H 0/1 map
-            head_sum = _head_map(params["Wa1"].data.shape[0], feats.data.shape[1]).T
-            raw = T.matmul(T.mul(left, right), Tensor(head_sum))
+            raw = T.edge_dot(left, right, arcs, params["Wa1"].data.shape[0])
         else:
-            raw = T.matmul(T.tanh(left + right), T.block_diag(params["Wg"]))
+            pair = T.gather_rows(left, arcs, "dst") + T.gather_rows(right, arcs, "src")
+            raw = T.matmul(T.tanh(pair), T.block_diag(params["Wg"]))
     return T.edge_softmax(raw, arcs)
 
 

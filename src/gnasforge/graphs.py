@@ -128,6 +128,8 @@ def graph_from_dict(doc):
         for b in masks:
             if a < b and (masks[a] & masks[b]).any():
                 raise GraphFormatError(f"masks {a!r} and {b!r} overlap")
+    if 0 < len(masks) < 3:
+        raise GraphFormatError(f"masks name {sorted(masks)}: give train, val and test, or none")
 
     return _make_graph(n, features, edges, labels, spec, masks)
 

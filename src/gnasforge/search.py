@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -131,9 +131,15 @@ class Genotype:
 
     @classmethod
     def from_dict(cls, doc):
+        keys = {f.name for f in fields(BlockChoice)}
+        for l, rec in enumerate(doc["layers"]):
+            if set(rec) != keys:
+                raise ValueError(f"genotype layer {l} has keys {sorted(rec)}, not {sorted(keys)}")
         layers = [BlockChoice(**rec) for rec in doc["layers"]]
         routing = [tuple(p) for p in doc["routing"]]
         L = len(layers)
+        if len(doc["hidden_sizes"]) != L:
+            raise ValueError(f"genotype has {len(doc['hidden_sizes'])} hidden sizes for {L} layers")
         for (i, j) in routing:
             if not 0 <= i <= j < L:
                 raise ValueError(f"invalid routing pair ({i}, {j}) for {L} layers")

@@ -199,7 +199,7 @@ def matmul(a, b):
         raise _shape_err("matmul", a.data.shape, b.data.shape)
 
     def bw(g):
-        # skip the product for a constant operand (features, 0/1 head maps)
+        # skip the product for a constant operand (input features, frozen weights)
         if a.requires_grad:
             _accum(a, g @ b.data.T, owned=True)
         if b.requires_grad:
@@ -317,19 +317,6 @@ def _bincount(keys, weights, shape):
     return sums.astype(np.float64, copy=False).reshape(shape)
 
 
-def _transposed(a):
-    """C-contiguous copy of the transpose of a 2-D array.
-
-    It copies blocks of 512 rows. numpy's own strided copy of a tall array's
-    transpose is several times slower: 14 ms against 4 ms for a 20,000 x 64
-    array on a 2-vCPU Xeon VM.
-    """
-    out = np.empty(a.shape[::-1], dtype=a.dtype)
-    for i in range(0, a.shape[0], 512):
-        out[:, i:i + 512] = a[i:i + 512].T
-    return out
-
-
 # -- message passing ---------------------------------------------------------
 
 class _Diagonals(NamedTuple):
@@ -374,7 +361,7 @@ class Arcs:
     range raise IndexError. The jagged-diagonal layouts are built on first use:
     ``incoming`` groups the arcs by ``dst``, ``outgoing`` by ``src``. Every
     per-node reduction over arcs runs on them: ``propagate``'s forward and
-    input gradient, ``edge_softmax`` and ``gather_rows``' gradient.
+    gradients, ``edge_dot``, ``edge_softmax`` and ``gather_rows``' gradient.
     """
 
     def __init__(self, src, dst, num_nodes, num_rows=None):
@@ -462,6 +449,27 @@ def _diagonal_reduce(v, coef, layout, agg, winners=False):
     return out, win
 
 
+def _diagonal_dot(a, b, layout, heads):
+    """Per arc, in arc order, the per-head sums of ``a[key] * b[row]``: E x H (the SDDMM).
+
+    Keys run in ``_diagonal_reduce``'s blocks. A block gathers its keys' rows
+    of ``a`` once, each diagonal its rows of ``b``, and a D x H 0/1 matmul
+    sums each head's columns.
+    """
+    d, keys, offsets = a.shape[1], layout.keys, layout.offsets
+    head_sum = np.repeat(np.eye(heads), d // heads, axis=0)
+    out = np.empty((len(layout.arcs), heads))
+    blk = max(1, _BLOCK_ENTRIES // d)
+    for k0 in range(0, len(keys), blk):
+        width = min(blk, len(keys) - k0)
+        ak = a[keys[k0:k0 + width]]
+        for r in range(layout.degrees[k0]):
+            lo = offsets[r] + k0
+            c = min(offsets[r + 1] - lo, width)
+            out[layout.arcs[lo:lo + c]] = (b[layout.rows[lo:lo + c]] * ak[:c]) @ head_sum
+    return out
+
+
 def _by_arc(layout):
     """``layout`` with each arc reading its own row: for reducing per-arc values per key."""
     return layout._replace(rows=layout.arcs)
@@ -502,8 +510,8 @@ def propagate(x, coeff, arcs, agg):
     +0.0, as ``np.bincount`` does, and the gradient of ``x`` gathers rows of
     the upstream gradient along ``arcs.outgoing``. Max takes the last tied
     arc's value, so ties and signed zeros follow ``np.maximum.at``; its
-    gradient goes to the first arc reaching the max, by one ``bincount`` per
-    operand. A NaN max routes no gradient.
+    gradient goes to the first arc reaching the max, by one row-major
+    ``bincount`` per operand. A NaN max routes no gradient.
 
     No E x D array is built or kept. Backward skips the products for an
     operand that needs no gradient, and a result that needs none records no
@@ -512,7 +520,7 @@ def propagate(x, coeff, arcs, agg):
     if agg not in ("sum", "mean", "max"):
         raise ValueError(f"propagate: unknown aggregation {agg!r}")
     xd = x.data
-    src, dst = arcs.src, arcs.dst
+    src = arcs.src
     if xd.ndim != 2 or xd.shape[0] != arcs.num_rows:
         raise _shape_err("propagate", xd.shape, (arcs.num_rows, len(src)))
     n_x, d = xd.shape
@@ -529,26 +537,21 @@ def propagate(x, coeff, arcs, agg):
 
     def bw(g):
         if agg == "max":
-            # Arc -1, where no arc wins, reads a padding entry: source row n_x
-            # and coefficient 0, whose bins are dropped, so no mask is built.
-            # Each bin adds its terms in arc order, as a scatter-add of the
-            # per-arc gradients does.
+            # Arc -1, where no arc wins, reads a padding entry (source row n_x,
+            # coefficient 0, x read clipped into range) whose bins are dropped, so
+            # no mask is built. An x bin adds its terms in arc order, as a scatter-add
+            # does; a coefficient's bin holds one node's terms, in column order.
             cols, hd = np.arange(d), d // heads
-            rows = np.append(src, n_x)[win]
+            at = np.append(src, n_x)[win] * d + cols        # each winner's entry of x
             if x.requires_grad:
                 w = g
                 if coeff is not None:
                     w = g * np.append(coeff.data, np.zeros((1, heads)), axis=0)[win, cols // hd]
-                _accum(x, _bincount((rows * d + cols).ravel(), w.ravel(), (n_x + 1, d))[:n_x],
-                       owned=True)
+                _accum(x, _bincount(at.ravel(), w.ravel(), (n_x + 1, d))[:n_x], owned=True)
             if learned:
-                # column by column, so that each gather reads one column of x in
-                # cache; a padding entry's read is clipped into range and dropped
-                wt, cols = _transposed(win), cols[:, None]
-                xw = np.take(_transposed(xd), _transposed(rows) + cols * n_x, mode="clip")
-                _accum(coeff, _bincount(((wt + 1) * heads + cols // hd).ravel(),
-                                        (_transposed(g) * xw).ravel(), (len(src) + 1, heads))[1:],
-                       owned=True)
+                xw = g * np.take(xd, at, mode="clip")
+                _accum(coeff, _bincount(((win + 1) * heads + cols // hd).ravel(), xw.ravel(),
+                                        (len(src) + 1, heads))[1:], owned=True)
             return
         if agg == "mean":
             g = g / arcs.counts
@@ -557,14 +560,30 @@ def propagate(x, coeff, arcs, agg):
             _accum(x, _diagonal_reduce(g, None if coeff is None else coeff.data[outg.arcs],
                                        outg, "sum")[0], owned=True)
         if learned:
-            # the one column loop left, until an edge-wise row product replaces it
-            gt, xt = _transposed(g), _transposed(xd)
-            gc = np.zeros((heads, len(src)))
-            for k in range(d):
-                gc[k // (d // heads)] += gt[k].take(dst) * xt[k].take(src)
-            _accum(coeff, gc.T, owned=True)
+            _accum(coeff, _diagonal_dot(g, xd, inc, heads), owned=True)
 
     return Tensor(y, _parents=(x,) if coeff is None else (x, coeff), _backward=bw)
+
+
+def edge_dot(a, b, arcs, heads):
+    """Per arc e and head h, ``sum_{k in h} a[dst[e], k] * b[src[e], k]``, as one E x H tape node.
+
+    ``a`` has ``arcs.num_nodes`` rows, ``b`` ``arcs.num_rows``, and ``heads``
+    equal column blocks split their D columns. Each operand's gradient sums its
+    arcs' terms in arc order from +0.0, as ``np.add.at`` does.
+    """
+    ad, bd = a.data, b.data
+    if (ad.ndim != 2 or ad.shape[0] != arcs.num_nodes or bd.shape != (arcs.num_rows, ad.shape[1])
+            or not 0 < heads <= ad.shape[1] or ad.shape[1] % heads):
+        raise _shape_err("edge_dot", ad.shape, bd.shape, (len(arcs.src), heads))
+
+    def bw(g):
+        for t, other, end in ((a, bd, "incoming"), (b, ad, "outgoing")):
+            if t.requires_grad:
+                layout = getattr(arcs, end)
+                _accum(t, _diagonal_reduce(other, g[layout.arcs], layout, "sum")[0], owned=True)
+
+    return Tensor(_diagonal_dot(ad, bd, arcs.incoming, heads), _parents=(a, b), _backward=bw)
 
 
 def edge_softmax(scores, arcs):

@@ -94,6 +94,10 @@ def primitive_checks(seed=0):
     for agg in ("sum", "mean"):
         chk(f"propagate_{agg}_skew",
             lambda t, agg=agg: T.tsum(T.mul(T.propagate(t, c82, skew, agg), c44)), x34)
+    a44, c52 = Tensor(rng.standard_normal((4, 4))), Tensor(rng.standard_normal((5, 2)))
+    b34 = Tensor(x34)
+    chk("edge_dot_a", lambda t: T.tsum(T.mul(T.edge_dot(t, b34, arcs, 2), c52)), a44.data)
+    chk("edge_dot_b", lambda t: T.tsum(T.mul(T.edge_dot(a44, t, arcs, 2), c52)), x34)
     return out
 
 

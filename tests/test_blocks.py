@@ -644,7 +644,13 @@ def _tape_arrays(root):
         stack.extend(node._parents)
 
 
-@pytest.mark.parametrize("kind, agg", [("gcn", "sum"), ("gat", "max")])
+_GATHERS_ROWS = pytest.mark.xfail(strict=True, reason="gene_linear gathers E x D rows before "
+                                                      "its tanh (ROADMAP item 2)")
+
+
+@pytest.mark.parametrize("kind, agg", [
+    pytest.param(kind, agg, marks=_GATHERS_ROWS if kind == "gene_linear" else ())
+    for kind in ATTENTIONS for agg in AGGREGATORS])
 def test_block_tape_holds_no_edge_by_width_array(kind, agg):
     g, _ = generate_sbm(2, 10, 0.6, 0.2, 4, 0.5, seed=24)
     arcs, width = len(g.arcs.dst), 16

@@ -186,6 +186,47 @@ def test_retrain_zero_epochs_is_an_error(tmp_path, dataset, capsys):
     assert not (tmp_path / "rt").exists()
 
 
+def _two_layer_genotype(path):
+    Genotype(layers=[BlockChoice(1, "gcn", 1, "sum", "relu")] * 2, routing=[],
+             hidden_sizes=[16, 16], seed=0).save(path)
+    return path
+
+
+@pytest.mark.parametrize("command, drop", [("retrain", "test"), ("search", "val")])
+def test_dataset_with_two_masks_exits_2(tmp_path, dataset, capsys, command, drop):
+    doc = json.loads(dataset.read_text())
+    del doc["masks"][drop]
+    data = tmp_path / "two_masks.json"
+    data.write_text(json.dumps(doc))
+    if command == "search":
+        argv = ["search", "--config", str(write_config(tmp_path / "c.json", data))]
+    else:
+        argv = ["retrain", "--genotype", str(_two_layer_genotype(tmp_path / "g.json")),
+                "--data", str(data), "--epochs", "2"]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "config error: masks name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["hidden_sizes"].pop(), "genotype has 1 hidden sizes for 2 layers"),
+    (lambda d: d["layers"][1].update(dropout=0.5), "genotype layer 1 has keys"),
+    (lambda d: d["layers"][0].pop("heads"), "genotype layer 0 has keys"),
+], ids=["hidden_sizes", "unknown_key", "missing_key"])
+def test_retrain_rejects_malformed_genotype(tmp_path, dataset, capsys, edit, message):
+    geno = _two_layer_genotype(tmp_path / "genotype.json")
+    doc = json.loads(geno.read_text())
+    edit(doc)
+    geno.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["retrain", "--genotype", str(geno), "--data", str(dataset),
+                 "--out", str(tmp_path / "rt"), "--epochs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "rt").exists()
+
+
 def test_eval_rejects_per_head_checkpoint(tmp_path, dataset, capsys):
     """A checkpoint in the old one-tensor-per-head layout exits with a config error."""
     geno = {"layers": [{"expansion": 1, "attention": "gat", "heads": 2,

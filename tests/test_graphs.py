@@ -84,6 +84,16 @@ def test_overlapping_masks_rejected():
         graph_from_dict(doc(5, [], masks={"train": [0, 1], "val": [1]}))
 
 
+@pytest.mark.parametrize("masks", [{"train": [0, 1], "val": [2]}, {"train": [0, 1], "test": [2]},
+                                   {"test": [4]}])
+def test_masks_name_all_three_splits_or_none(masks):
+    with pytest.raises(GraphFormatError, match="give train, val and test, or none"):
+        graph_from_dict(doc(5, [], masks=masks))
+    assert not graph_from_dict(doc(5, [], masks={})).masks
+    full = graph_from_dict(doc(5, [], masks=dict({"train": [], "val": [], "test": []}, **masks)))
+    assert set(full.masks) == {"train", "val", "test"}
+
+
 def _neighbors(g, i):
     """The sources of the arcs into node i, self-loop included."""
     return g.arcs.src[g.arcs.dst == i]

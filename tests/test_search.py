@@ -119,6 +119,18 @@ def test_genotype_rejects_out_of_range_routing():
         Genotype.from_dict(doc)
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d["hidden_sizes"].append(16), "3 hidden sizes for 2 layers"),
+    (lambda d: d["layers"][1].update(dropout=0.5), r"layer 1 has keys \[.*'dropout'.*\], not"),
+    (lambda d: d["layers"][0].pop("heads"), r"layer 0 has keys \[[^]]*'expansion'\], not"),
+], ids=["hidden_sizes", "unknown_key", "missing_key"])
+def test_genotype_rejects_malformed_layers(edit, match):
+    doc = geno().to_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=match):
+        Genotype.from_dict(doc)
+
+
 # -- supernet / genotype-net equivalence -----------------------------------------
 
 def test_single_path_matches_standalone_network(graph):

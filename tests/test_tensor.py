@@ -610,6 +610,74 @@ def test_propagate_nan_max_stays_nan_and_routes_no_gradient():
     np.testing.assert_array_equal(c.grad, [[0.0], [3.0], [0.0], [3.0]])
 
 
+# -- the edge-wise row dot vs a gather -> multiply -> head-sum reference ----------------
+
+def _ref_edge_dot(a, b, src, dst, heads, g):
+    """Forward of gather -> multiply -> head-sum with the sum of the absolute values of
+    its terms, which bounds the effect of summation order; and the add.at gradients of
+    sum(out * g)."""
+    d = a.shape[1]
+    terms = (a[dst] * b[src]).reshape(len(src), heads, d // heads)
+    wide = np.repeat(g, d // heads, axis=1)
+    return (terms.sum(axis=2), np.abs(terms).sum(axis=2),
+            _ref_scatter_add(wide * b[src], dst, len(a)), _ref_scatter_add(wide * a[dst], src, len(b)))
+
+
+@st.composite
+def _edge_dot_case(draw):
+    arcs = draw(_arcs())
+    heads = draw(st.integers(1, 3))
+    d = heads * draw(st.integers(1, 2))
+    a = draw(arrays(np.float64, (arcs.num_nodes, d), elements=_VALUES))
+    b = draw(arrays(np.float64, (arcs.num_rows, d), elements=_VALUES))
+    g = draw(arrays(np.float64, (len(arcs.src), heads), elements=_VALUES))
+    return a, b, arcs.src, arcs.dst, heads, g
+
+
+def _check_edge_dot(case):
+    """T.edge_dot against the reference: the value within 1e-12 of the terms' absolute
+    sum, and exact bits for each gradient, with one or both operands needing it."""
+    a, b, src, dst, heads, g = case
+    y, bound, ga, gb = _ref_edge_dot(*case)
+    for need_a, need_b in [(True, True), (True, False), (False, True)]:
+        at, bt = Tensor(a, requires_grad=need_a), Tensor(b, requires_grad=need_b)
+        out = T.edge_dot(at, bt, T.Arcs(src, dst, len(a), len(b)), heads)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        assert out.shape == y.shape and (np.abs(out.data - y) <= 1e-12 * bound).all()
+        for t, need, ref in [(at, need_a, ga), (bt, need_b, gb)]:
+            if need:
+                _assert_same_bits(t.grad, ref)
+            else:
+                assert t.grad is None
+
+
+@given(case=_edge_dot_case())
+def test_edge_dot_matches_gather_mul_head_sum_reference(case):
+    for entries in _BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_BLOCK_ENTRIES", entries)
+            _check_edge_dot(case)
+
+
+@pytest.mark.parametrize("entries", _BLOCKS)
+def test_edge_dot_matches_reference_on_degree_skewed_arcs(monkeypatch, entries):
+    monkeypatch.setattr(T, "_BLOCK_ENTRIES", entries)
+    for seed in range(8):
+        # 11 nodes, 5 source rows: per-node rows of a, per-row b, per-arc g
+        b, g, src, dst, n, a = _skewed_case(seed)
+        _check_edge_dot((a, b, src, dst, g.shape[1], g))
+
+
+def test_edge_dot_rejects_bad_shapes():
+    arcs = T.Arcs([0, 2, 1], [0, 0, 1], 2, 3)        # 2 nodes read 3 source rows
+    assert T.edge_dot(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), arcs, 2).shape == (3, 2)
+    for a, b, heads in [((3, 4), (3, 4), 2), ((2, 4), (2, 4), 2), ((2, 4), (3, 2), 2),
+                        ((4,), (3, 4), 1), ((2, 4), (3, 4), 3), ((2, 4), (3, 4), 0),
+                        ((2, 4), (3, 4), 8)]:
+        with pytest.raises(ShapeError, match="edge_dot"):
+            T.edge_dot(Tensor(np.ones(a)), Tensor(np.ones(b)), arcs, heads)
+
+
 def test_arc_layouts_list_each_keys_arcs_in_arc_order():
     rng = np.random.default_rng(3)
     dst = np.sort(rng.integers(0, 30, 400))
