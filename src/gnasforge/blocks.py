@@ -90,19 +90,18 @@ def _draw_head(kind, hd, rng):
     if kind in ("gat", "sym_gat"):
         wa = glorot(rng, 2 * hd, 1)      # a in a^T [Wh_i || Wh_j], split at the ||
         return {"Wa_dst": wa[:hd], "Wa_src": wa[hd:]}
-    if kind == "cos":
-        return {"Wa1": glorot(rng, hd, hd), "Wa2": glorot(rng, hd, hd)}
+    if kind in ("cos", "gene_linear"):
+        maps = {"Wa1": glorot(rng, hd, hd).T, "Wa2": glorot(rng, hd, hd).T}
+        return maps if kind == "cos" else dict(maps, Wg=glorot(rng, hd, 1))
     if kind == "linear":
         return {"Wa": glorot(rng, hd, 1)}
-    if kind == "gene_linear":
-        return {"Wa1": glorot(rng, hd, hd), "Wa2": glorot(rng, hd, hd), "Wg": glorot(rng, hd, 1)}
     return {}
 
 
 def init_block_params(space, store, rng):
     """Register every candidate operator's weights for one layer.
 
-    Transform candidates: W1 (e*D_I x D_I) and W2 (D_O x e*D_I) per expansion e.
+    Transform candidates: W1 (D_I x e*D_I) and W2 (e*D_I x D_O) per expansion e.
     Attention candidates: one stack per (kind, head count) whose block h holds
     head h's weights; heads are drawn one after another, then stacked. No
     biases anywhere.
@@ -110,8 +109,8 @@ def init_block_params(space, store, rng):
     L = space.layer
     for e in space.expansions:
         de = e * space.in_dim
-        store.add(f"layer{L}/transform/x{e}/W1", glorot(rng, de, space.in_dim))
-        store.add(f"layer{L}/transform/x{e}/W2", glorot(rng, space.out_dim, de))
+        store.add(f"layer{L}/transform/x{e}/W1", glorot(rng, de, space.in_dim).T)
+        store.add(f"layer{L}/transform/x{e}/W2", glorot(rng, space.out_dim, de).T)
     for kind in space.attentions:
         for H in space.head_counts:
             heads = [_draw_head(kind, space.out_dim // H, rng) for _ in range(H)]
@@ -120,13 +119,13 @@ def init_block_params(space, store, rng):
 
 
 def transform_forward(x, w1, w2):
-    """F(x) = W2 relu(W1 x), applied row-wise (weights stored transposed-free).
+    """F(x) = relu(x W1) W2 on the rows of x, with W1 and W2 stored (in, out).
 
-    Returns (F(x), h) with h = relu(W1 x), the e*D_I-wide hidden rows that
+    Returns (F(x), h) with h = relu(x W1), the e*D_I-wide hidden rows that
     block_forward aggregates instead of F(x) when they are the narrower side.
     """
-    h = T.relu(T.matmul(x, T.transpose(w1)))
-    return T.matmul(h, T.transpose(w2)), h
+    h = T.relu(T.matmul(x, w1))
+    return T.matmul(h, w2), h
 
 
 def attention_coefficients(kind, feats, graph, params):
@@ -162,8 +161,8 @@ def attention_coefficients(kind, feats, graph, params):
         raw = T.gather_rows(T.tanh(summed), arcs, "dst")            # same value for all j in N(i)
     else:
         # cos and gene_linear map the n node rows per head
-        left = T.matmul(feats, T.transpose(T.block_diag(params["Wa1"])))
-        right = T.matmul(feats, T.transpose(T.block_diag(params["Wa2"])))
+        left = T.matmul(feats, T.block_diag(params["Wa1"]))
+        right = T.matmul(feats, T.block_diag(params["Wa2"]))
         if kind == "cos":
             raw = T.edge_dot(left, right, arcs, params["Wa1"].data.shape[0])
         else:
@@ -203,8 +202,8 @@ def block_forward(graph, x, choice, params, scales=None):
     transform; the selected activation finishes the layer.
 
     When every column shares one coefficient (none, or E x 1) and the
-    aggregator is linear (sum, mean), aggregating F(x) = h W2^T equals
-    aggregating h and then mapping by W2^T. The block then aggregates
+    aggregator is linear (sum, mean), aggregating F(x) = h W2 equals
+    aggregating h and then mapping by W2. The block then aggregates
     whichever side is narrower, as DGL's GraphConv does.
 
     ``scales`` maps sub-block kind -> scalar Tensor (the controller's
@@ -232,8 +231,8 @@ def block_forward(graph, x, choice, params, scales=None):
     shared = coeff is None or coeff.shape[1] == 1
     narrow = shared and choice.aggregate != "max" and h.shape[1] < space.out_dim
     agg = T.propagate(h if narrow else t_all, coeff, graph.arcs, _AGG[choice.aggregate])
-    if narrow:                                                  # A(h) W2^T = A(h W2^T)
-        agg = scaled("expansion", T.matmul(agg, T.transpose(w2)))
+    if narrow:                                                  # (A h) W2 = A (h W2)
+        agg = scaled("expansion", T.matmul(agg, w2))
     e = scaled("heads", scaled("aggregate", agg))
     out = T.activation_apply(choice.activation, e + t_all)
     return scaled("activation", out)

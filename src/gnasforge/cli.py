@@ -126,8 +126,7 @@ def cmd_gen_data(args):
                                 args.feature_dim, args.noise,
                                 args.seed if args.seed is not None else 0)
     elif args.kind == "chain":
-        graph, _ = generate_chain_task(args.length, args.blocks,
-                                       args.seed if args.seed is not None else 0)
+        graph, _ = generate_chain_task(args.length, args.seed if args.seed is not None else 0)
     else:
         raise ConfigError(f"unknown dataset kind {args.kind!r}")
     if args.split:
@@ -186,7 +185,6 @@ def build_parser():
     g.add_argument("--feature-dim", dest="feature_dim", type=int, default=16)
     g.add_argument("--noise", type=float, default=0.5)
     g.add_argument("--length", type=int, default=200)
-    g.add_argument("--blocks", type=int, default=3)
     g.set_defaults(fn=cmd_gen_data)
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient verification")

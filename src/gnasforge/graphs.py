@@ -248,7 +248,7 @@ def generate_sbm(num_classes, nodes_per_class, p_in, p_out, feature_dim,
     return _make_graph(n, features, edges, labels, spec), spec
 
 
-def generate_chain_task(length, num_blocks_needed, seed, feature_dim=8,
+def generate_chain_task(length, seed, feature_dim=8,
                         distractor_degree=8, noise=0.3):
     """Binary task whose labels are a linear function of the raw input features.
 

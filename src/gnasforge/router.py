@@ -102,7 +102,7 @@ class Router:
             shortcuts = [(i, j) for i in range(n) for j in range(i, n)]
         self._shortcuts = [tuple(p) for p in shortcuts]
         for (i, j) in self._shortcuts:
-            store.add(f"router/shortcut/{i}_{j}/W", glorot(rng, output_dims[j], input_dims[i]))
+            store.add(f"router/shortcut/{i}_{j}/W", glorot(rng, output_dims[j], input_dims[i]).T)
 
     def shortcut(self, i, j):
         return self.store[f"router/shortcut/{i}_{j}/W"]
@@ -141,11 +141,11 @@ class Router:
         acc = output
         for i in [i for (i, k) in self._shortcuts if k == j]:
             w = self.shortcut(i, j)
-            if output.data.shape[1] != w.data.shape[0]:
+            if output.data.shape[1] != w.data.shape[1]:
                 raise T.ShapeError(
-                    f"route: shortcut ({i},{j}) maps to width {w.data.shape[0]}, "
+                    f"route: shortcut ({i},{j}) maps to width {w.data.shape[1]}, "
                     f"output has width {output.data.shape[1]}")
-            contrib = T.matmul(inputs[i], T.transpose(w))
+            contrib = T.matmul(inputs[i], w)
             if gates is not None:
                 contrib = T.mul(contrib, T.pick(gates, i * self.num_blocks + j))
             acc = acc + contrib

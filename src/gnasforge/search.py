@@ -131,6 +131,9 @@ class Genotype:
 
     @classmethod
     def from_dict(cls, doc):
+        missing = [f.name for f in fields(cls) if f.name not in doc]
+        if missing:
+            raise ValueError(f"genotype lacks the key(s) {missing}")
         keys = {f.name for f in fields(BlockChoice)}
         for l, rec in enumerate(doc["layers"]):
             if set(rec) != keys:
@@ -167,7 +170,7 @@ class Supernet:
         self.hidden = hidden
         self.num_classes = num_classes
         self._add_blocks(config.spaces(feat_dim, hidden), rng)
-        self.classifier = self.store.add("classifier/W", glorot(rng, num_classes, hidden))
+        self.classifier = self.store.add("classifier/W", glorot(rng, num_classes, hidden).T)
         head_sizes = {(s.layer, kind): len(s.candidates(kind))
                       for s in self.spaces for kind in SUB_BLOCKS}
         self.controller = Controller(self.store, head_sizes, rng)
@@ -215,7 +218,7 @@ class Supernet:
             if self.router is not None:
                 out = self.router.route_step(j, inputs, out, gates)
             x = out
-        return T.matmul(x, T.transpose(self.classifier))
+        return T.matmul(x, self.classifier)
 
     def w_param_names(self, freeze_layers=()):
         frozen_prefixes = tuple(f"layer{l}/" for l in freeze_layers)
@@ -260,7 +263,7 @@ class GenotypeNet(Supernet):
                              [s.out_dim for s in self.spaces], rng,
                              shortcuts=genotype.routing)
         self.classifier = self.store.add("classifier/W",
-                                         glorot(rng, num_classes, hidden[-1]))
+                                         glorot(rng, num_classes, hidden[-1]).T)
 
 
 # -- dual search -------------------------------------------------------------------

@@ -103,8 +103,8 @@ def _accum(t, g, owned=False):
     for this call alone: when it is an array with ``t.data``'s strides, ``t``
     keeps it and the + 0.0 runs in place. Anything else is copied into a
     fresh array laid out as ``t.data``: add's backward hands one upstream
-    array to both parents, transpose's is a view of it, and numpy returns a
-    0-d operation's result as a scalar.
+    array to both parents, and numpy returns a 0-d operation's result as a
+    scalar.
     """
     if not t.requires_grad:
         return
@@ -206,13 +206,6 @@ def matmul(a, b):
             _accum(b, a.data.T @ g, owned=True)
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
-
-
-def transpose(a):
-    """Matrix transpose; weights are stored (out, in) and rows of x multiply W^T."""
-    if a.data.ndim != 2:
-        raise _shape_err("transpose", a.data.shape)
-    return Tensor(a.data.T, _parents=(a,), _backward=lambda g: _accum(a, g.T))
 
 
 def block_diag(a):
@@ -709,7 +702,8 @@ class ParameterStore:
     def add(self, name, value, group="w"):
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(np.array(value, dtype=np.float64), requires_grad=True, name=name)
+        # C order, as matmul's products are: _accum keeps a first gradient of equal strides
+        t = Tensor(np.array(value, dtype=np.float64, order="C"), requires_grad=True, name=name)
         self._params[name] = t
         self._groups[name] = group
         return t
@@ -765,7 +759,7 @@ class ParameterStore:
     # checkpoint container: meta.json + one raw little-endian f64 file per param
     def save(self, directory, extra_meta=None):
         os.makedirs(directory, exist_ok=True)
-        meta = {"params": [], "extra": extra_meta or {}}
+        meta = {"layout": "in_out", "params": [], "extra": extra_meta or {}}   # maps are (in, out)
         for name, t in sorted(self._params.items()):
             fname = name.replace("/", "__") + ".bin"
             t.data.astype("<f8").tofile(os.path.join(directory, fname))
@@ -778,12 +772,15 @@ class ParameterStore:
     def load(self, directory):
         """Overwrite every registered parameter from a checkpoint written by ``save``.
 
-        The checkpoint must hold exactly the registered names, each with its
-        registered shape and a file of that many values; anything else raises
-        CheckpointError and leaves the store unchanged.
+        The checkpoint must name the in_out layout and hold exactly the registered names,
+        each with its registered shape and a file of that many values; anything else
+        raises CheckpointError and leaves the store unchanged.
         """
         with open(os.path.join(directory, "meta.json"), encoding="utf-8") as f:
             meta = json.load(f)
+        if meta.get("layout") != "in_out":   # a square map's shape cannot tell the layouts apart
+            raise CheckpointError(f"checkpoint {directory}: weight layout {meta.get('layout')!r}, "
+                                  "expected 'in_out'; one that names none stores maps (out, in)")
         recs = {rec["name"]: rec for rec in meta["params"]}
         missing = sorted(set(self._params) - set(recs))
         unknown = sorted(set(recs) - set(self._params))
@@ -806,7 +803,7 @@ class ParameterStore:
         return meta.get("extra", {})
 
 
-def glorot(rng, fan_out, fan_in):
-    """Uniform Glorot init for an (fan_out, fan_in) weight matrix."""
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
+def glorot(rng, rows, cols):
+    """Uniform Glorot draw of a (rows, cols) matrix; a map drawn (out, in) stores its transpose."""
+    bound = np.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-bound, bound, size=(rows, cols))

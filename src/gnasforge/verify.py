@@ -72,7 +72,6 @@ def primitive_checks(seed=0):
         lambda t: T.sigmoid_bce(t, bce_targets, np.array([True, False, True])), x34)
     w35 = Tensor(rng.standard_normal((3, 5)))
     chk("matmul_weight", lambda t: T.tsum(T.matmul(T.matmul(Tensor(x34[:, :3]), t), w35)), x33)
-    chk("transpose", lambda t: T.tsum(T.mul(T.transpose(t), w)), x34)
     c68 = Tensor(rng.standard_normal((6, 8)))
     chk("block_diag", lambda t: T.tsum(T.mul(T.block_diag(t), c68)),
         rng.standard_normal((2, 3, 4)))

@@ -237,7 +237,7 @@ def test_synthetic_end_to_end():
 
 def test_macro_routing_probe():
     t0 = time.monotonic()
-    g, _ = generate_chain_task(200, 3, seed=41)
+    g, _ = generate_chain_task(200, seed=41)
     g = random_split(g, seed=41)
 
     def run(seed, router_enabled):

@@ -28,7 +28,7 @@ def identity_block(space, store):
     """Overwrite transform weights so F(x) = x (expansion 1, square dims)."""
     L = space.layer
     store[f"layer{L}/transform/x1/W1"].data = np.eye(space.in_dim)
-    store[f"layer{L}/transform/x1/W2"].data = np.eye(space.out_dim, space.in_dim)
+    store[f"layer{L}/transform/x1/W2"].data = np.eye(space.in_dim, space.out_dim)
 
 
 # -- transform ----------------------------------------------------------------
@@ -43,8 +43,8 @@ def test_transform_identity_weights_pass_nonnegative_input():
 
 
 def test_transform_zero_input_gives_zero():
-    w1 = Tensor(np.random.default_rng(1).standard_normal((6, 3)))
-    w2 = Tensor(np.random.default_rng(2).standard_normal((4, 6)))
+    w1 = Tensor(np.random.default_rng(1).standard_normal((3, 6)))
+    w2 = Tensor(np.random.default_rng(2).standard_normal((6, 4)))
     out, h = transform_forward(Tensor(np.zeros((5, 3))), w1, w2)
     np.testing.assert_array_equal(out.data, 0.0)
     assert h.shape == (5, 6)
@@ -54,10 +54,10 @@ def test_transform_matches_hand_arithmetic():
     w1 = np.array([[1.0, -2.0], [0.5, 3.0]])
     w2 = np.array([[2.0, 1.0], [-1.0, 0.0]])
     x = np.array([[1.0, 1.0], [2.0, -1.0]])
-    hidden = np.maximum(x @ w1.T, 0.0)
+    hidden = np.maximum(x @ w1, 0.0)
     out, h = transform_forward(Tensor(x), Tensor(w1), Tensor(w2))
     np.testing.assert_allclose(h.data, hidden)
-    np.testing.assert_allclose(out.data, hidden @ w2.T)
+    np.testing.assert_allclose(out.data, hidden @ w2)
 
 
 # -- attention ----------------------------------------------------------------
@@ -467,8 +467,8 @@ def _ref_head_coeff(kind, f, g, w):
         scores = T.gather_rows(T.matmul(f, w["Wa"]), g.arcs, "src")
         raw = T.gather_rows(T.tanh(_segment_sum(scores, dst, n)), g.arcs, "dst")
     else:
-        left = T.matmul(h_dst, T.transpose(w["Wa1"]))
-        right = T.matmul(h_src, T.transpose(w["Wa2"]))
+        left = T.matmul(h_dst, w["Wa1"])
+        right = T.matmul(h_src, w["Wa2"])
         if kind == "cos":
             raw = T.matmul(T.mul(left, right), Tensor(np.ones((f.shape[1], 1))))
         else:
@@ -546,7 +546,7 @@ def test_attention_stacks_hold_per_head_draws_in_order():
     rng = np.random.default_rng(30)
     glorot(rng, 3, 3), glorot(rng, 4, 3)                      # transform W1, W2
     gat = [glorot(rng, 4, 1) for _ in range(2)]
-    gene = [[glorot(rng, 2, 2), glorot(rng, 2, 2), glorot(rng, 2, 1)] for _ in range(2)]
+    gene = [[glorot(rng, 2, 2).T, glorot(rng, 2, 2).T, glorot(rng, 2, 1)] for _ in range(2)]
     view = BlockParamsView(space, store)
     np.testing.assert_array_equal(view.attention("gat", 2)["Wa_dst"].data, [w[:2] for w in gat])
     np.testing.assert_array_equal(view.attention("gat", 2)["Wa_src"].data, [w[2:] for w in gat])

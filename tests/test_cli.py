@@ -106,7 +106,7 @@ def test_malformed_dataset_exits_2(tmp_path, capsys):
 def test_gen_data_chain(tmp_path):
     p = tmp_path / "chain.json"
     assert main(["gen-data", "--kind", "chain", "--out", str(p), "--seed", "1",
-                 "--length", "40", "--blocks", "3", "--split"]) == 0
+                 "--length", "40", "--split"]) == 0
     g = load_graph_json(p)
     assert g.num_nodes == 40
     assert set(g.masks) == {"train", "val", "test"}
@@ -213,7 +213,9 @@ def test_dataset_with_two_masks_exits_2(tmp_path, dataset, capsys, command, drop
     (lambda d: d["hidden_sizes"].pop(), "genotype has 1 hidden sizes for 2 layers"),
     (lambda d: d["layers"][1].update(dropout=0.5), "genotype layer 1 has keys"),
     (lambda d: d["layers"][0].pop("heads"), "genotype layer 0 has keys"),
-], ids=["hidden_sizes", "unknown_key", "missing_key"])
+    (lambda d: d.pop("layers"), "genotype lacks the key(s) ['layers']"),
+    (lambda d: d.pop("seed"), "genotype lacks the key(s) ['seed']"),
+], ids=["hidden_sizes", "unknown_key", "missing_key", "no_layers", "no_seed"])
 def test_retrain_rejects_malformed_genotype(tmp_path, dataset, capsys, edit, message):
     geno = _two_layer_genotype(tmp_path / "genotype.json")
     doc = json.loads(geno.read_text())

@@ -109,7 +109,7 @@ def _loop_doc(graph):
 
 @pytest.mark.parametrize("make, isolated", [
     (lambda: random_split(generate_sbm(4, 10, 0.15, 0.0, 4, 0.3, seed=1)[0], seed=2), True),
-    (lambda: generate_chain_task(60, 3, seed=2)[0], False),
+    (lambda: generate_chain_task(60, seed=2)[0], False),
 ], ids=["sbm-isolated", "chain"])
 def test_graph_to_dict_matches_the_per_node_loop(make, isolated):
     g = make()
@@ -259,7 +259,7 @@ def test_sbm_validates_probabilities_and_dims():
 
 
 def test_chain_task_linearly_separable():
-    g, spec = generate_chain_task(60, 3, seed=2)
+    g, spec = generate_chain_task(60, seed=2)
     X, y = g.features, g.labels
     # least-squares linear probe on raw features
     w, *_ = np.linalg.lstsq(np.c_[X, np.ones(len(y))], 2.0 * y - 1.0, rcond=None)
@@ -268,7 +268,7 @@ def test_chain_task_linearly_separable():
 
 
 def test_chain_task_shuffled_labels_at_chance():
-    g, _ = generate_chain_task(200, 3, seed=2)
+    g, _ = generate_chain_task(200, seed=2)
     rng = np.random.default_rng(0)
     y = rng.permutation(g.labels)
     X = np.c_[g.features, np.ones(len(y))]
@@ -278,8 +278,8 @@ def test_chain_task_shuffled_labels_at_chance():
 
 
 def test_chain_task_deterministic(tmp_path):
-    a, _ = generate_chain_task(40, 3, seed=5)
-    b, _ = generate_chain_task(40, 3, seed=5)
+    a, _ = generate_chain_task(40, seed=5)
+    b, _ = generate_chain_task(40, seed=5)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     save_graph_json(a, pa)
     save_graph_json(b, pb)
@@ -288,4 +288,4 @@ def test_chain_task_deterministic(tmp_path):
 
 def test_chain_task_minimum_length():
     with pytest.raises(ValueError, match="length"):
-        generate_chain_task(10, 3, seed=0)
+        generate_chain_task(10, seed=0)

@@ -170,7 +170,7 @@ def test_fixed_shortcuts_route_in_binary_mode_only():
     routed = route_all(router, inputs, outputs)
     np.testing.assert_array_equal(routed[0].data, outputs[0].data)
     w11, w01 = router.shortcut(1, 1).data, router.shortcut(0, 1).data
-    want = outputs[1].data + inputs[1].data @ w11.T + inputs[0].data @ w01.T
+    want = outputs[1].data + inputs[1].data @ w11 + inputs[0].data @ w01
     np.testing.assert_array_equal(routed[1].data, want)   # added in shortcut order
     for noise in (router.sample_noise(rng), None):
         with pytest.raises(ValueError, match="without theta"):
@@ -194,7 +194,7 @@ def test_binary_route_matches_hand_sum():
     routed = route_all(router, inputs, outputs, binary_gates(router))
     np.testing.assert_array_equal(routed[0].data, outputs[0].data)
     w = store["router/shortcut/0_1/W"].data
-    np.testing.assert_allclose(routed[1].data, outputs[1].data + inputs[0].data @ w.T)
+    np.testing.assert_allclose(routed[1].data, outputs[1].data + inputs[0].data @ w)
 
 
 def test_sampled_route_with_frozen_noise_matches_manual_gates():
@@ -209,7 +209,7 @@ def test_sampled_route_with_frozen_noise_matches_manual_gates():
     expect = outputs[1].data.copy()
     for i in (0, 1):
         gate = 1.0 / (1.0 + np.exp(-(router.theta.data[i, 1] + noise[i, 1]) / tau))
-        expect += gate * (inputs[i].data @ store[f"router/shortcut/{i}_1/W"].data.T)
+        expect += gate * (inputs[i].data @ store[f"router/shortcut/{i}_1/W"].data)
     np.testing.assert_allclose(routed[1].data, expect, atol=1e-12)
 
 

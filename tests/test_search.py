@@ -7,7 +7,7 @@ import pytest
 
 from gnasforge import search as search_mod
 from gnasforge import tensor as T
-from gnasforge.blocks import BlockChoice
+from gnasforge.blocks import BlockChoice, _attention_param_names
 from gnasforge.controller import add_noise
 from gnasforge.graphs import generate_sbm, random_split
 from gnasforge.optim import Adam
@@ -123,7 +123,10 @@ def test_genotype_rejects_out_of_range_routing():
     (lambda d: d["hidden_sizes"].append(16), "3 hidden sizes for 2 layers"),
     (lambda d: d["layers"][1].update(dropout=0.5), r"layer 1 has keys \[.*'dropout'.*\], not"),
     (lambda d: d["layers"][0].pop("heads"), r"layer 0 has keys \[[^]]*'expansion'\], not"),
-], ids=["hidden_sizes", "unknown_key", "missing_key"])
+    *[(lambda d, key=key: d.pop(key), rf"genotype lacks the key\(s\) \['{key}'\]")
+      for key in ("layers", "routing", "hidden_sizes", "seed")],
+], ids=["hidden_sizes", "unknown_key", "missing_key",
+        "no_layers", "no_routing", "no_hidden_sizes", "no_seed"])
 def test_genotype_rejects_malformed_layers(edit, match):
     doc = geno().to_dict()
     edit(doc)
@@ -165,9 +168,9 @@ def test_supernet_draws_blocks_classifier_controller_router():
     rng = np.random.default_rng(5)
     ref = {}
     for layer, d_in in enumerate((8, 16)):
-        ref[f"layer{layer}/transform/x1/W1"] = glorot(rng, d_in, d_in)
-        ref[f"layer{layer}/transform/x1/W2"] = glorot(rng, 16, d_in)
-    ref["classifier/W"] = glorot(rng, 2, 16)
+        ref[f"layer{layer}/transform/x1/W1"] = glorot(rng, d_in, d_in).T
+        ref[f"layer{layer}/transform/x1/W2"] = glorot(rng, 16, d_in).T
+    ref["classifier/W"] = glorot(rng, 2, 16).T
     ref["controller/z"] = 0.01 * rng.standard_normal((1, 256))
     ref["controller/mlp/W1"] = glorot(rng, 256, 256)
     ref["controller/mlp/W2"] = glorot(rng, 256, 256)
@@ -177,7 +180,7 @@ def test_supernet_draws_blocks_classifier_controller_router():
             ref[f"controller/proj/layer{layer}/{kind}"] = glorot(rng, 256, size)
     ref["router/theta"] = np.zeros((2, 2))
     for i, j in ((0, 0), (0, 1), (1, 1)):
-        ref[f"router/shortcut/{i}_{j}/W"] = glorot(rng, 16, (8, 16)[i])
+        ref[f"router/shortcut/{i}_{j}/W"] = glorot(rng, 16, (8, 16)[i]).T
     _assert_store_holds(net.store, ref)
 
 
@@ -188,16 +191,59 @@ def test_genotype_net_draws_blocks_then_shortcuts_in_routing_order_then_classifi
     net = GenotypeNet(genotype, 8, 2, seed=4)
     rng = np.random.default_rng(4)
     ref = {
-        "layer0/transform/x1/W1": glorot(rng, 8, 8),
-        "layer0/transform/x1/W2": glorot(rng, 16, 8),
-        "layer1/transform/x2/W1": glorot(rng, 32, 16),
-        "layer1/transform/x2/W2": glorot(rng, 32, 32),
-        "router/shortcut/1_1/W": glorot(rng, 32, 16),
-        "router/shortcut/0_1/W": glorot(rng, 32, 8),
-        "classifier/W": glorot(rng, 2, 32),
+        "layer0/transform/x1/W1": glorot(rng, 8, 8).T,
+        "layer0/transform/x1/W2": glorot(rng, 16, 8).T,
+        "layer1/transform/x2/W1": glorot(rng, 32, 16).T,
+        "layer1/transform/x2/W2": glorot(rng, 32, 32).T,
+        "router/shortcut/1_1/W": glorot(rng, 32, 16).T,
+        "router/shortcut/0_1/W": glorot(rng, 32, 8).T,
+        "classifier/W": glorot(rng, 2, 32).T,
     }
     _assert_store_holds(net.store, ref)
     assert net.router.theta is None
+
+
+def _in_out_shapes(net, num_classes):
+    """Every map's (in, out) shape, or (H, in, out) for an attention stack, by name."""
+    want = {"classifier/W": (net.spaces[-1].out_dim, num_classes)}
+    for s in net.spaces:
+        for e in s.expansions:
+            want[f"layer{s.layer}/transform/x{e}/W1"] = (s.in_dim, e * s.in_dim)
+            want[f"layer{s.layer}/transform/x{e}/W2"] = (e * s.in_dim, s.out_dim)
+        for kind in s.attentions:
+            for H in s.head_counts:
+                hd = s.out_dim // H
+                for key, name in _attention_param_names(kind, s.layer, H).items():
+                    want[name] = (H, hd, hd if key in ("Wa1", "Wa2") else 1)
+    for (i, j) in net.router.pairs():
+        want[f"router/shortcut/{i}_{j}/W"] = (net.spaces[i].in_dim, net.spaces[j].out_dim)
+    controller = getattr(net, "controller", None)
+    if controller is not None:
+        want["controller/mlp/W1"] = want["controller/mlp/W2"] = (controller.hidden,) * 2
+        for (layer, kind), size in controller.head_sizes.items():
+            want[f"controller/proj/layer{layer}/{kind}"] = (controller.hidden, size)
+    return want
+
+
+def test_every_map_is_stored_in_out_and_c_ordered():
+    config = tiny_config(expansions=(1, 2), attentions=("gat", "cos", "linear", "gene_linear"),
+                         head_counts=(1, 2))
+    supernet = Supernet(config, 8, 3, 16, seed=0)
+    genotype = Genotype(layers=[BlockChoice(2, "cos", 2, "sum", "relu"),
+                                BlockChoice(1, "gene_linear", 4, "max", "tanh")],
+                        routing=[(0, 0), (0, 1), (1, 1)], hidden_sizes=[16, 32], seed=0)
+    for net in (supernet, GenotypeNet(genotype, 8, 3)):
+        want = _in_out_shapes(net, 3)
+        assert {n: net.store[n].shape for n in want} == want
+        # the rest are the controller's z and the router's theta, which map nothing
+        assert set(net.store.names()) - set(want) <= {"controller/z", "router/theta"}
+        for name, leaf in net.store.items():
+            assert leaf.data.flags.c_contiguous, name
+    # a transposed draw is F-ordered; the store keeps a C-ordered copy of it
+    draw = glorot(np.random.default_rng(0), 3, 5).T
+    leaf = ParameterStore().add("w", draw)
+    assert leaf.data.flags.c_contiguous and not np.shares_memory(leaf.data, draw)
+    np.testing.assert_array_equal(leaf.data, draw)
 
 
 def test_dual_search_draws_one_uniform_per_candidate(graph, monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import json
 import pathlib
 
 import numpy as np
@@ -178,16 +179,16 @@ def test_first_gradients_are_distinct_arrays():
     assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
-    # x receives the upstream array itself (either add operand whose
-    # _unbroadcast is a no-op) or a view of it (transpose)
-    for op in (lambda x, row: x + row, lambda x, row: row + x, lambda x, row: T.transpose(x)):
+    # x receives the upstream array itself: either add operand whose
+    # _unbroadcast is a no-op
+    for op in (lambda x, row: x + row, lambda x, row: row + x):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         row = Tensor(np.ones((1, 3)), requires_grad=True)
         out = op(x, row)
         weights = np.arange(6.0).reshape(out.shape)
         T.tsum(T.mul(out, Tensor(weights))).backward()
         assert not np.shares_memory(x.grad, out.grad)
-        np.testing.assert_array_equal(x.grad, weights if out.shape == x.shape else weights.T)
+        np.testing.assert_array_equal(x.grad, weights)
 
 
 def test_negative_zero_first_gradient_lands_as_positive_zero():
@@ -222,7 +223,7 @@ def test_results_without_gradient_keep_no_tape(monkeypatch):
         return out
 
     monkeypatch.setattr(T, "_diagonal_reduce", spy)
-    results = [T.matmul(x, T.transpose(Tensor(np.ones((2, 2))))), T.add(x, x),
+    results = [T.matmul(x, Tensor(np.ones((2, 2)))), T.add(x, x),
                T.mul(x, x), T.div(x, Tensor(np.ones((3, 2)))), T.scale(x, 2.0), T.tsum(x),
                T.pick(x, 1), T.softmax_rows(x), T.gather_rows(x, arcs, "src"),
                T.edge_softmax(x, arcs), T.block_diag(Tensor(np.ones((2, 1, 1)))),
@@ -366,6 +367,19 @@ def test_checkpoint_load_rejects_short_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(T.CheckpointError, match="b.bin holds 3 values, expected 4"):
         _ckpt_store({"a": (2, 3), "b": (4,)}).load(tmp_path / "ckpt")
+
+
+def test_checkpoint_load_rejects_a_checkpoint_that_names_no_layout(tmp_path):
+    """A square map has one shape in both layouts: only the marker tells them apart."""
+    _ckpt_store({"a": (2, 2)}).save(tmp_path / "ckpt")
+    meta_path = tmp_path / "ckpt" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta.pop("layout") == "in_out"
+    meta_path.write_text(json.dumps(meta))
+    target = _ckpt_store({"a": (2, 2)}, start=100.0)
+    with pytest.raises(T.CheckpointError, match="weight layout None, expected 'in_out'"):
+        target.load(tmp_path / "ckpt")
+    np.testing.assert_array_equal(target["a"].data, [[100.0, 101.0], [102.0, 103.0]])
 
 
 @given(st.lists(st.lists(st.floats(-50, 50), min_size=3, max_size=3), min_size=1, max_size=6))
