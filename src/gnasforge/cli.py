@@ -30,7 +30,7 @@ class ConfigError(ValueError):
     pass
 
 
-_CONFIG_ONLY_KEYS = {"dataset", "out_dir", "split_seed", "split"}
+_CONFIG_ONLY_KEYS = {"dataset", "out_dir", "split_seed"}
 
 
 def load_run_config(path):

@@ -26,7 +26,15 @@ class Adam:
         }
 
     def step(self, grads):
-        """Apply one Adam update from ``grads`` (name -> ndarray)."""
+        """Apply one Adam update from ``grads`` (name -> ndarray).
+
+        Every gradient the step would apply is checked first: a non-finite one
+        raises ValueError naming its parameter, and no parameter or moment
+        changes.
+        """
+        for name in self.names:
+            if name in grads and not np.isfinite(grads[name]).all():
+                raise ValueError(f"Adam: non-finite gradient for parameter {name!r}")
         for name in self.names:
             if name not in grads:
                 continue

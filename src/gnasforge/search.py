@@ -355,7 +355,7 @@ def dual_search(config, graph, hidden=None, seed=None):
             opt_w.step(store.grads("w"))
             counters["w_updates"] += 1
             train_loss = loss.item()
-            del logits, loss   # free the tape and its grads before the next forward
+            del logits, loss   # the backward released the rest of the tape
 
         # architecture update on the epoch's controller tape: weight steps change only w
         store.zero_grad()
@@ -371,7 +371,7 @@ def dual_search(config, graph, hidden=None, seed=None):
             opt_macro.step(store.grads("a_macro"))
             counters["a_macro_updates"] += 1
         val_loss_value = val_loss.item()
-        del logits, val_loss   # free the tape and its grads before the eval forward
+        del logits, val_loss   # the backward released the rest of the tape
 
         with stepping():
             eval_gates = None if router is None else router.gates(tau)
@@ -430,7 +430,7 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
             _finite_or_raise(loss, epoch, "retraining loss")
             loss.backward()
             opt.step(net.store.grads("w"))
-            del logits, loss   # free the tape and its grads before the next forward
+            del logits, loss   # the backward released the rest of the tape
 
             logits = net.forward(graph, genotype.layers)
             val = evaluate(logits, graph.labels, graph.masks["val"], task)

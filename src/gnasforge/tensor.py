@@ -3,9 +3,11 @@
 The engine is deliberately small: exactly the primitives the graph blocks,
 controller and router need. Tensors are immutable values; a computation
 builds an implicit tape (parent links + closures) and ``backward`` walks it
-once in reverse topological order. A result that no gradient-requiring leaf
-reaches keeps no tape, and its op computes nothing that only a backward
-reads; ``ParameterStore.frozen`` turns leaves off for a block of code.
+once in reverse topological order, releasing each node as it goes: a tape
+serves one backward, and a second walk through it raises. A result that no
+gradient-requiring leaf reaches keeps no tape, and its op computes nothing
+that only a backward reads; ``ParameterStore.frozen`` turns leaves off for a
+block of code.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _shape_err(op, *shapes):
 class Tensor:
     """A float64 ndarray plus the bookkeeping needed for reverse-mode AD."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None, name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -70,7 +72,12 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into ``.grad`` of every grad-requiring leaf.
 
         ``self`` must be a scalar (size 1). Each tape node is visited exactly
-        once, in reverse topological order.
+        once, in reverse topological order. Once its closure has run, an inner
+        node drops its gradient, closure and parent links, so the values the
+        closure saved and the gradient it consumed are freed as soon as
+        nothing else holds them; leaves keep ``.grad``. The node's closure is
+        then one that raises RuntimeError: a second backward through it, of
+        the same loss or of another that shares the subgraph, fails.
         """
         if self.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
@@ -90,21 +97,32 @@ class Tensor:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            closure, g = node._backward, node.grad
+            if closure is None:
+                continue
+            node._backward, node._parents, node.grad = _spent, (), None
+            if g is not None:
+                closure(g)
+
+
+def _spent(g):
+    raise RuntimeError("backward: this tape node was released by an earlier backward; "
+                       "rebuild the forward to take another gradient")
 
 
 def _accum(t, g, owned=False):
     """Add the gradient ``g`` into ``t.grad``.
 
     A first gradient gets + 0.0, which maps -0.0 to +0.0 as zeros + g does.
-    ``owned`` says that the caller allocated ``g`` (or the array it views)
-    for this call alone: when it is an array with ``t.data``'s strides, ``t``
-    keeps it and the + 0.0 runs in place. Anything else is copied into a
-    fresh array laid out as ``t.data``: add's backward hands one upstream
-    array to both parents, and numpy returns a 0-d operation's result as a
-    scalar.
+    ``owned`` says that no one else holds ``g`` (or the array it views): the
+    caller allocated it for this call, or it is the closure's upstream
+    gradient, which ``backward`` releases when the closure returns. When it
+    is an array with ``t.data``'s strides, ``t`` keeps it and the + 0.0 runs
+    in place. Anything else is copied into a fresh array laid out as
+    ``t.data``: an upstream array already handed to one operand, and numpy's
+    0-d operation results, which are scalars.
     """
     if not t.requires_grad:
         return
@@ -144,19 +162,18 @@ def _check_ew(op, a, b):
 
 # -- elementwise arithmetic --------------------------------------------------
 
-def _accum_shared(t, g):
-    """``_accum`` of an upstream gradient ``g`` that other operands may receive too."""
-    if t.requires_grad:
-        gt = _unbroadcast(g, t.data.shape)
-        _accum(t, gt, owned=gt is not g)         # a reduction is a fresh array
-
-
 def add(a, b):
     _check_ew("add", a, b)
 
     def bw(g):
-        _accum_shared(a, g)
-        _accum_shared(b, g)
+        # one operand keeps the upstream array; the other gets a copy, or adds
+        # into it when both are one tensor (x + x gives 2g)
+        kept = False
+        for t in (a, b):
+            if t.requires_grad:
+                gt = _unbroadcast(g, t.data.shape)          # a reduction is a fresh array
+                _accum(t, gt, owned=gt is not g or not kept)
+                kept = kept or t.grad is g
 
     return Tensor(a.data + b.data, _parents=(a, b), _backward=bw)
 

@@ -79,9 +79,12 @@ def test_search_missing_dataset_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["retrain_epochs", "patience"])
+@pytest.mark.parametrize("key", ["retrain_epochs", "patience", "split"])
 def test_search_config_with_retrain_settings_exits_2(tmp_path, dataset, capsys, key):
-    """Search configs hold no retrain settings, so naming one is an error, not a no-op."""
+    """Search configs hold no retrain settings, so naming one is an error, not a no-op.
+
+    Nor do they hold a split: the dataset's masks, or else ``split_seed``, set it.
+    """
     cfg = write_config(tmp_path / "c.json", dataset, **{key: 10})
     assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
@@ -190,6 +193,22 @@ def _two_layer_genotype(path):
     Genotype(layers=[BlockChoice(1, "gcn", 1, "sum", "relu")] * 2, routing=[],
              hidden_sizes=[16, 16], seed=0).save(path)
     return path
+
+
+def test_non_finite_gradient_exits_1(tmp_path, dataset, capsys, monkeypatch):
+    real_grads = ParameterStore.grads
+
+    def poisoned(self, group=None):
+        grads = real_grads(self, group)
+        next(iter(grads.values())).flat[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(ParameterStore, "grads", poisoned)
+    geno = _two_layer_genotype(tmp_path / "genotype.json")
+    capsys.readouterr()
+    assert main(["retrain", "--genotype", str(geno), "--data", str(dataset),
+                 "--out", str(tmp_path / "rt"), "--epochs", "2"]) == 1
+    assert "error: Adam: non-finite gradient for parameter" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, drop", [("retrain", "test"), ("search", "val")])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gnasforge.tensor import ParameterStore
 from gnasforge.optim import Adam
@@ -66,6 +67,32 @@ def test_missing_gradient_freezes_parameter_and_state():
     np.testing.assert_array_equal(store["b"].data, [2.0])
     assert opt.state["b"]["t"] == 0
     assert opt.state["a"]["t"] == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gradient_raises_before_any_write(bad):
+    store = ParameterStore()
+    store.add("a", np.array([1.0, 2.0]))
+    store.add("b", np.array([3.0, 4.0]))
+    opt = Adam(store, ["a", "b"], lr=0.1, weight_decay=0.01)
+    opt.step({"a": np.array([0.5, -0.5]), "b": np.array([1.0, 1.0])})
+    before = {n: (store[n].data.copy(), opt.state[n]["m"].copy(), opt.state[n]["v"].copy(),
+                  opt.state[n]["t"]) for n in ("a", "b")}
+    # "a" comes first and is finite: it must not be updated before "b" is checked
+    with pytest.raises(ValueError, match="non-finite gradient for parameter 'b'"):
+        opt.step({"a": np.array([0.5, -0.5]), "b": np.array([1.0, bad])})
+    for n, (p, m, v, t) in before.items():
+        np.testing.assert_array_equal(store[n].data, p)
+        np.testing.assert_array_equal(opt.state[n]["m"], m)
+        np.testing.assert_array_equal(opt.state[n]["v"], v)
+        assert opt.state[n]["t"] == t
+
+
+def test_non_finite_gradient_of_an_unstepped_name_is_ignored():
+    store = make_store(1.0)
+    opt = Adam(store, ["p"], lr=0.1)
+    opt.step({"p": np.array([1.0]), "other": np.array([np.nan])})
+    assert opt.state["p"]["t"] == 1
 
 
 def test_step_is_deterministic():

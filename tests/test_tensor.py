@@ -1,6 +1,9 @@
 import ast
+import itertools
 import json
 import pathlib
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -179,16 +182,25 @@ def test_first_gradients_are_distinct_arrays():
     assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
-    # x receives the upstream array itself: either add operand whose
-    # _unbroadcast is a no-op
-    for op in (lambda x, row: x + row, lambda x, row: row + x):
+    # an add hands its upstream array to one operand: along a chain of adds,
+    # with broadcast and repeated operands, no two operands share an array
+    weights = np.arange(6.0).reshape(2, 3)
+    for op, x_uses in ((lambda x, row, y: (x + row) + y, 1),
+                       (lambda x, row, y: y + (row + x), 1),
+                       (lambda x, row, y: (x + y) + (x + row), 2)):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         row = Tensor(np.ones((1, 3)), requires_grad=True)
-        out = op(x, row)
-        weights = np.arange(6.0).reshape(out.shape)
-        T.tsum(T.mul(out, Tensor(weights))).backward()
-        assert not np.shares_memory(x.grad, out.grad)
-        np.testing.assert_array_equal(x.grad, weights)
+        y = Tensor(np.ones((2, 3)), requires_grad=True)
+        T.tsum(T.mul(op(x, row, y), Tensor(weights))).backward()
+        for g, h in itertools.combinations([x.grad, row.grad, y.grad], 2):
+            assert not np.shares_memory(g, h)
+        np.testing.assert_array_equal(row.grad, weights.sum(axis=0, keepdims=True))
+        np.testing.assert_array_equal(y.grad, weights)
+        np.testing.assert_array_equal(x.grad, x_uses * weights)
+    # x + x keeps the upstream array once and adds it to itself: 2g
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    T.tsum(T.mul(x + x, Tensor(weights))).backward()
+    np.testing.assert_array_equal(x.grad, 2 * weights)
 
 
 def test_negative_zero_first_gradient_lands_as_positive_zero():
@@ -209,6 +221,61 @@ def test_negative_zero_first_gradient_lands_as_positive_zero():
         T.tsum(T.mul(out, Tensor(alternate.astype(np.float64)))).backward()
         zeros = x.grad == 0.0
         assert zeros.any() and not np.signbit(x.grad[zeros]).any()
+
+
+def test_backward_releases_the_tape():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+
+    def build():
+        inner = T.tanh(T.matmul(x, w))
+        return T.tsum(T.mul(inner, inner)), weakref.ref(inner)
+
+    loss, inner = build()
+    assert inner() is not None
+    loss.backward()
+    assert inner() is None
+    assert loss.grad is None and loss._parents == ()
+    assert x.grad.shape == (2, 3) and w.grad.shape == (3, 2)
+
+
+def test_a_released_tape_cannot_be_walked_again():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    shared = T.tanh(T.scale(x, 3.0))
+    loss = T.tsum(shared)
+    loss.backward()
+    grad = x.grad.copy()
+    with pytest.raises(RuntimeError, match="released by an earlier backward"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="released by an earlier backward"):
+        T.tsum(T.mul(shared, shared)).backward()
+    np.testing.assert_array_equal(x.grad, grad)
+
+
+def _backward_peak_above_forward(k, n):
+    """Bytes the backward of a k-long chain of n-entry tanh nodes allocates above the forward's end."""
+    x = Tensor(np.full(n, 0.5), requires_grad=True)
+    tracemalloc.start()
+    try:
+        def chain():
+            h = x
+            for _ in range(k):
+                h = T.tanh(h)
+            return T.tsum(h)
+
+        loss = chain()
+        forward_end = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1] - forward_end
+    finally:
+        tracemalloc.stop()
+
+
+def test_backward_peak_does_not_grow_with_the_tape():
+    n = 20_000
+    short, long = (_backward_peak_above_forward(k, n) for k in (8, 32))
+    assert long - short <= 2 * 8 * n
 
 
 def test_results_without_gradient_keep_no_tape(monkeypatch):
