@@ -114,7 +114,8 @@ def cmd_eval(args):
     graph = _load_dataset(args.data)
     net = GenotypeNet(genotype, graph.spec.feature_dim, graph.spec.num_classes)
     net.store.load(args.checkpoint)
-    logits = net.forward(graph, genotype.layers)
+    with net.store.frozen(net.store.names()):        # no gradient is taken: build no tape
+        logits = net.forward(graph, genotype.layers)
     metric = evaluate(logits, graph.labels, graph.masks["test"], graph.spec.task)
     print(f"test metric: {metric:.6f}")
     return EXIT_OK

@@ -80,9 +80,11 @@ def gumbel_sigmoid(theta, tau, g):
     s = T.sigmoid(T.scale(theta + Tensor(g), 1.0 / tau))
     # clipped into a fresh node, whose gradient passes straight through: theta's
     # gradient keeps the unclipped y (1 - y) / tau, and no node's value changes;
-    # the upstream array is released with the node, so s keeps it
+    # the upstream array is released with the node, so s keeps it, and the
+    # closure saves no value
+    ns = s._node
     return Tensor(np.clip(s.data, GATE_EPS, 1.0 - GATE_EPS), _parents=(s,),
-                  _backward=lambda grad: T._accum(s, grad, owned=True))
+                  _backward=lambda grad: T._accum(ns, grad, owned=True))
 
 
 class Router:

@@ -52,9 +52,13 @@ class SearchConfig:
             raise ValueError("max_iter and train_step must be >= 1")
         if not 2 <= self.num_layers <= 7:
             raise ValueError("num_layers must be in [2, 7]")
+        if not self.hidden_grid:
+            raise ValueError("empty hidden-size grid")
         for h in self.hidden_grid:
             if h % 16:
                 raise ValueError(f"hidden size {h} is not a multiple of 16")
+            self.spaces(1, h)           # each layer's candidates, checked before any data loads
+        self.schedule()
 
     def schedule(self):
         return TempSchedule(kind=self.schedule_kind, alpha=self.alpha,
@@ -463,8 +467,6 @@ def grid_search_hidden(config, graph, max_workers=1):
     The best has the largest final validation metric, ties going to the
     smaller hidden size. The k-th size searches with seed ``config.seed + k``.
     """
-    if not config.hidden_grid:
-        raise ValueError("empty hidden-size grid")
     sizes = config.hidden_grid
     args = ([config] * len(sizes), [graph] * len(sizes), sizes,
             [config.seed + k for k in range(len(sizes))])

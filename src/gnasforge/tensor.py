@@ -2,12 +2,15 @@
 
 The engine is deliberately small: exactly the primitives the graph blocks,
 controller and router need. Tensors are immutable values; a computation
-builds an implicit tape (parent links + closures) and ``backward`` walks it
-once in reverse topological order, releasing each node as it goes: a tape
-serves one backward, and a second walk through it raises. A result that no
-gradient-requiring leaf reaches keeps no tape, and its op computes nothing
-that only a backward reads; ``ParameterStore.frozen`` turns leaves off for a
-block of code.
+builds an implicit tape of nodes, one per result a gradient goes through.
+A node holds the gradient, the parent nodes and a closure, but not the
+value: each closure keeps only the arrays its backward reads, so a value
+that no backward reads is freed as soon as the forward drops its Tensor.
+``backward`` walks the tape once in reverse topological order, releasing
+each node as it goes: a tape serves one backward, and a second walk through
+it raises. A result that no gradient-requiring leaf reaches has no node, and
+its op computes nothing that only a backward reads; ``ParameterStore.frozen``
+turns leaves off for a block of code.
 """
 
 from __future__ import annotations
@@ -33,19 +36,59 @@ def _shape_err(op, *shapes):
     return ShapeError(f"{op}: incompatible shapes {' vs '.join(str(tuple(s)) for s in shapes)}")
 
 
-class Tensor:
-    """A float64 ndarray plus the bookkeeping needed for reverse-mode AD."""
+class _Node:
+    """The tape entry of one value: its gradient, flag, parent nodes and closure, not the value.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name", "__weakref__")
+    A closure keeps its parent nodes and the arrays its backward reads, so a
+    forward value that no closure saved is freed when the forward drops its
+    Tensor. ``shape`` and ``strides`` describe the value for ``_accum``.
+    """
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "shape", "strides",
+                 "__weakref__")
+
+    def __init__(self, data, parents=(), backward=None):
+        self.grad, self.requires_grad = None, True
+        self._parents, self._backward = parents, backward
+        self.shape, self.strides = data.shape, data.strides
+
+
+def _node_field(name, default):
+    """A Tensor property for its node's field ``name``, which reads ``default`` without a node."""
+    def set_field(t, value):
+        if t._node is None:
+            raise RuntimeError(f"cannot set {name}: no gradient passes through this tensor")
+        setattr(t._node, name, value)
+
+    return property(lambda t: default if t._node is None else getattr(t._node, name), set_field)
+
+
+class Tensor:
+    """A float64 ndarray and, when a gradient goes through it, its tape node."""
+
+    __slots__ = ("data", "_node", "name", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None, name=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        parents = tuple(p._node for p in _parents if p.requires_grad)
         # a result no gradient goes through keeps no tape
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        self._node = _Node(self.data, parents, _backward) if parents or requires_grad else None
         self.name = name
+
+    # a leaf's gradient, and an op result's parents and closure, live on its node
+    grad = _node_field("grad", None)
+    _parents = _node_field("_parents", ())
+    _backward = _node_field("_backward", None)
+
+    @property
+    def requires_grad(self):
+        return self._node is not None and self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        if self._node is None:
+            self._node = _Node(self.data)
+        self._node.requires_grad = bool(flag)
 
     @property
     def shape(self):
@@ -71,19 +114,24 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into ``.grad`` of every grad-requiring leaf.
 
-        ``self`` must be a scalar (size 1). Each tape node is visited exactly
-        once, in reverse topological order. Once its closure has run, an inner
-        node drops its gradient, closure and parent links, so the values the
-        closure saved and the gradient it consumed are freed as soon as
-        nothing else holds them; leaves keep ``.grad``. The node's closure is
-        then one that raises RuntimeError: a second backward through it, of
-        the same loss or of another that shares the subgraph, fails.
+        ``self`` must be a scalar (size 1) that a grad-requiring leaf reaches;
+        a loss that needs no gradient raises ValueError. Each tape node is
+        visited exactly once, in reverse topological order. Once its closure
+        has run, an inner node drops its gradient, closure and parent links,
+        so the values the closure saved and the gradient it consumed are
+        freed as soon as nothing else holds them; leaves keep ``.grad``. The
+        node's closure is then one that raises RuntimeError: a second backward
+        through it, of the same loss or of another that shares the subgraph,
+        fails.
         """
         if self.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ValueError("backward: no leaf that requires a gradient reaches this loss")
+        root = self._node
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if id(node) in seen:
@@ -96,7 +144,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             closure, g = node._backward, node.grad
@@ -112,26 +160,32 @@ def _spent(g):
                        "rebuild the forward to take another gradient")
 
 
-def _accum(t, g, owned=False):
-    """Add the gradient ``g`` into ``t.grad``.
+def _node_of(t):
+    """The tape node of ``t`` when a gradient goes to it, else None."""
+    return t._node if t.requires_grad else None
+
+
+def _accum(node, g, owned=False):
+    """Add the gradient ``g`` into ``node.grad``, unless the node needs none.
 
     A first gradient gets + 0.0, which maps -0.0 to +0.0 as zeros + g does.
     ``owned`` says that no one else holds ``g`` (or the array it views): the
     caller allocated it for this call, or it is the closure's upstream
     gradient, which ``backward`` releases when the closure returns. When it
-    is an array with ``t.data``'s strides, ``t`` keeps it and the + 0.0 runs
-    in place. Anything else is copied into a fresh array laid out as
-    ``t.data``: an upstream array already handed to one operand, and numpy's
+    is an array with the value's strides, the node keeps it and the + 0.0
+    runs in place. Anything else is copied into a fresh C-ordered array, the
+    layout ``ParameterStore`` gives every parameter and the ops give their
+    results: an upstream array already handed to one operand, and numpy's
     0-d operation results, which are scalars.
     """
-    if not t.requires_grad:
+    if not node.requires_grad:
         return
-    if t.grad is not None:
-        t.grad += g
-    elif owned and isinstance(g, np.ndarray) and g.strides == t.data.strides:
-        t.grad = np.add(g, 0.0, out=g)
+    if node.grad is not None:
+        node.grad += g
+    elif owned and isinstance(g, np.ndarray) and g.strides == node.strides:
+        node.grad = np.add(g, 0.0, out=g)
     else:
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        node.grad = np.add(g, 0.0, out=np.empty(node.shape))
 
 
 def _unbroadcast(g, shape):
@@ -164,14 +218,15 @@ def _check_ew(op, a, b):
 
 def add(a, b):
     _check_ew("add", a, b)
+    nodes = (_node_of(a), _node_of(b))
 
     def bw(g):
         # one operand keeps the upstream array; the other gets a copy, or adds
         # into it when both are one tensor (x + x gives 2g)
         kept = False
-        for t in (a, b):
-            if t.requires_grad:
-                gt = _unbroadcast(g, t.data.shape)          # a reduction is a fresh array
+        for t in nodes:
+            if t:
+                gt = _unbroadcast(g, t.shape)               # a reduction is a fresh array
                 _accum(t, gt, owned=gt is not g or not kept)
                 kept = kept or t.grad is g
 
@@ -180,33 +235,36 @@ def add(a, b):
 
 def mul(a, b):
     _check_ew("mul", a, b)
+    na, nb = _node_of(a), _node_of(b)
+    ad, bd = a.data if nb else None, b.data if na else None    # each gradient reads the other
 
     def bw(g):
         # skip the product for a constant operand, as matmul does
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+        if na:
+            _accum(na, _unbroadcast(g * bd, na.shape), owned=True)
+        if nb:
+            _accum(nb, _unbroadcast(g * ad, nb.shape), owned=True)
 
     return Tensor(a.data * b.data, _parents=(a, b), _backward=bw)
 
 
 def div(a, b):
     _check_ew("div", a, b)
+    na, nb, ad, bd = _node_of(a), _node_of(b), a.data, b.data
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), owned=True)
+        if na:
+            _accum(na, _unbroadcast(g / bd, na.shape), owned=True)
+        if nb:
+            _accum(nb, _unbroadcast(-g * ad / (bd * bd), nb.shape), owned=True)
 
     return Tensor(a.data / b.data, _parents=(a, b), _backward=bw)
 
 
 def scale(a, c):
     """Multiply by a python scalar constant."""
-    c = float(c)
-    return Tensor(a.data * c, _parents=(a,), _backward=lambda g: _accum(a, g * c, owned=True))
+    c, na = float(c), a._node
+    return Tensor(a.data * c, _parents=(a,), _backward=lambda g: _accum(na, g * c, owned=True))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -215,12 +273,15 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise _shape_err("matmul", a.data.shape, b.data.shape)
 
+    na, nb = _node_of(a), _node_of(b)
+    ad, bd = a.data if nb else None, b.data if na else None    # each gradient reads the other
+
     def bw(g):
         # skip the product for a constant operand (input features, frozen weights)
-        if a.requires_grad:
-            _accum(a, g @ b.data.T, owned=True)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g, owned=True)
+        if na:
+            _accum(na, g @ bd.T, owned=True)
+        if nb:
+            _accum(nb, ad.T @ g, owned=True)
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
 
@@ -234,11 +295,11 @@ def block_diag(a):
     if a.data.ndim != 3:
         raise _shape_err("block_diag", a.data.shape)
     h, p, q = a.data.shape
-    heads = np.arange(h)
+    heads, na = np.arange(h), a._node
     y = np.zeros((h, p, h, q))
     y[heads, :, heads, :] = a.data
     return Tensor(y.reshape(h * p, h * q), _parents=(a,),
-                  _backward=lambda g: _accum(a, g.reshape(h, p, h, q)[heads, :, heads, :],
+                  _backward=lambda g: _accum(na, g.reshape(h, p, h, q)[heads, :, heads, :],
                                              owned=True))
 
 
@@ -248,9 +309,11 @@ def _unary(a, value, derivative):
     """``value`` as a tape node over ``a``, whose gradient is g times ``derivative()``.
 
     The derivative is computed in the backward: no node's value changes after
-    it is built, so it reads the values the forward saw.
+    it is built, so it reads the values the forward saw. It reads ``value``
+    where it can, so that ``a``'s value is not kept for it.
     """
-    return Tensor(value, _parents=(a,), _backward=lambda g: _accum(a, g * derivative(), owned=True))
+    na = a._node
+    return Tensor(value, _parents=(a,), _backward=lambda g: _accum(na, g * derivative(), owned=True))
 
 
 def tanh(a):
@@ -273,18 +336,24 @@ def sigmoid(a):
     return _unary(a, y, lambda: y * (1.0 - y))
 
 
+# relu, leaky_relu and relu6 read their masks off the output: y > 0 exactly when
+# x > 0 (NaN included), and y < 6 exactly when x < 6
+
 def relu(a):
-    return _unary(a, np.maximum(a.data, 0.0), lambda: (a.data > 0).astype(np.float64))
+    y = np.maximum(a.data, 0.0)
+    return _unary(a, y, lambda: (y > 0).astype(np.float64))
 
 
 def leaky_relu(a, slope=0.2):
+    if slope < 0:
+        raise ValueError(f"leaky_relu: slope must be >= 0, got {slope}")
     y = np.where(a.data > 0, a.data, slope * a.data)
-    return _unary(a, y, lambda: np.where(a.data > 0, 1.0, slope))
+    return _unary(a, y, lambda: np.where(y > 0, 1.0, slope))
 
 
 def relu6(a):
     y = np.clip(a.data, 0.0, 6.0)
-    return _unary(a, y, lambda: ((a.data > 0) & (a.data < 6)).astype(np.float64))
+    return _unary(a, y, lambda: ((y > 0) & (y < 6)).astype(np.float64))
 
 
 def elu(a):
@@ -301,8 +370,8 @@ def elu(a):
 
 
 def softplus(a):
-    y = np.logaddexp(0.0, a.data)
-    return _unary(a, y, lambda: _sigmoid_np(a.data))
+    x = a.data
+    return _unary(a, np.logaddexp(0.0, x), lambda: _sigmoid_np(x))
 
 
 def softmax_rows(a):
@@ -310,10 +379,11 @@ def softmax_rows(a):
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
+    na = a._node
 
     def bw(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, y * (g - dot), owned=True)
+        _accum(na, y * (g - dot), owned=True)
 
     return Tensor(y, _parents=(a,), _backward=bw)
 
@@ -438,7 +508,8 @@ def _diagonal_reduce(v, coef, layout, agg, winners=False):
         for r in range(layout.degrees[k0]):
             lo = offsets[r] + k0
             c = min(offsets[r + 1] - lo, width)             # this block's keys on diagonal r
-            m = np.take(v, layout.rows[lo:lo + c], axis=0, out=buf[:c])
+            # Arcs checked the ids, and "clip" lets take write into buf unbuffered
+            m = np.take(v, layout.rows[lo:lo + c], axis=0, out=buf[:c], mode="clip")
             if coef is not None:
                 mh = m.reshape(c, coef.shape[1], -1)
                 mh *= coef[lo:lo + c, :, None]
@@ -498,10 +569,11 @@ def gather_rows(a, arcs, end):
     rows = arcs.num_rows if end == "src" else arcs.num_nodes
     if a.data.ndim != 2 or a.data.shape[0] != rows:
         raise _shape_err("gather_rows", a.data.shape, (rows, len(arcs.src)))
+    na = a._node
 
     def bw(g):
         layout = arcs.outgoing if end == "src" else arcs.incoming
-        _accum(a, _diagonal_reduce(g, None, _by_arc(layout), "sum")[0], owned=True)
+        _accum(na, _diagonal_reduce(g, None, _by_arc(layout), "sum")[0], owned=True)
 
     return Tensor(a.data[getattr(arcs, end)], _parents=(a,), _backward=bw)
 
@@ -525,7 +597,8 @@ def propagate(x, coeff, arcs, agg):
 
     No E x D array is built or kept. Backward skips the products for an
     operand that needs no gradient, and a result that needs none records no
-    max winners.
+    max winners. The node keeps ``x``'s value only for a learned
+    coefficient's gradient, and the coefficients only for ``x``'s.
     """
     if agg not in ("sum", "mean", "max"):
         raise ValueError(f"propagate: unknown aggregation {agg!r}")
@@ -537,13 +610,15 @@ def propagate(x, coeff, arcs, agg):
     if coeff is not None and (coeff.data.ndim != 2 or coeff.data.shape[0] != len(src)
                               or d % coeff.data.shape[1]):
         raise _shape_err("propagate", xd.shape, coeff.data.shape)
-    learned = coeff is not None and coeff.requires_grad
+    nx, nc = _node_of(x), coeff and _node_of(coeff)
     heads = 1 if coeff is None else coeff.data.shape[1]
     inc = arcs.incoming
     y, win = _diagonal_reduce(xd, None if coeff is None else coeff.data[inc.arcs], inc, agg,
-                              winners=x.requires_grad or learned)
+                              winners=bool(nx or nc))
     if agg == "mean":
         y /= arcs.counts
+    xs = xd if nc else None
+    cd = coeff.data if coeff is not None and nx else None
 
     def bw(g):
         if agg == "max":
@@ -553,24 +628,24 @@ def propagate(x, coeff, arcs, agg):
             # does; a coefficient's bin holds one node's terms, in column order.
             cols, hd = np.arange(d), d // heads
             at = np.append(src, n_x)[win] * d + cols        # each winner's entry of x
-            if x.requires_grad:
+            if nx:
                 w = g
-                if coeff is not None:
-                    w = g * np.append(coeff.data, np.zeros((1, heads)), axis=0)[win, cols // hd]
-                _accum(x, _bincount(at.ravel(), w.ravel(), (n_x + 1, d))[:n_x], owned=True)
-            if learned:
-                xw = g * np.take(xd, at, mode="clip")
-                _accum(coeff, _bincount(((win + 1) * heads + cols // hd).ravel(), xw.ravel(),
+                if cd is not None:
+                    w = g * np.append(cd, np.zeros((1, heads)), axis=0)[win, cols // hd]
+                _accum(nx, _bincount(at.ravel(), w.ravel(), (n_x + 1, d))[:n_x], owned=True)
+            if nc:
+                xw = g * np.take(xs, at, mode="clip")
+                _accum(nc, _bincount(((win + 1) * heads + cols // hd).ravel(), xw.ravel(),
                                         (len(src) + 1, heads))[1:], owned=True)
             return
         if agg == "mean":
             g = g / arcs.counts
-        if x.requires_grad:
+        if nx:
             outg = arcs.outgoing
-            _accum(x, _diagonal_reduce(g, None if coeff is None else coeff.data[outg.arcs],
-                                       outg, "sum")[0], owned=True)
-        if learned:
-            _accum(coeff, _diagonal_dot(g, xd, inc, heads), owned=True)
+            _accum(nx, _diagonal_reduce(g, None if cd is None else cd[outg.arcs],
+                                        outg, "sum")[0], owned=True)
+        if nc:
+            _accum(nc, _diagonal_dot(g, xs, inc, heads), owned=True)
 
     return Tensor(y, _parents=(x,) if coeff is None else (x, coeff), _backward=bw)
 
@@ -586,10 +661,11 @@ def edge_dot(a, b, arcs, heads):
     if (ad.ndim != 2 or ad.shape[0] != arcs.num_nodes or bd.shape != (arcs.num_rows, ad.shape[1])
             or not 0 < heads <= ad.shape[1] or ad.shape[1] % heads):
         raise _shape_err("edge_dot", ad.shape, bd.shape, (len(arcs.src), heads))
+    nodes = ((_node_of(a), bd, "incoming"), (_node_of(b), ad, "outgoing"))
 
     def bw(g):
-        for t, other, end in ((a, bd, "incoming"), (b, ad, "outgoing")):
-            if t.requires_grad:
+        for t, other, end in nodes:
+            if t:
                 layout = getattr(arcs, end)
                 _accum(t, _diagonal_reduce(other, g[layout.arcs], layout, "sum")[0], owned=True)
 
@@ -613,9 +689,10 @@ def edge_softmax(scores, arcs):
     m[~np.isfinite(m)] = 0.0
     e = np.exp(s - m[dst])
     y = e / _diagonal_reduce(e, None, inc, "sum")[0][dst]
+    ns = scores._node
 
     def bw(g):
-        _accum(scores, y * (g - _diagonal_reduce(g * y, None, inc, "sum")[0][dst]), owned=True)
+        _accum(ns, y * (g - _diagonal_reduce(g * y, None, inc, "sum")[0][dst]), owned=True)
 
     return Tensor(y, _parents=(scores,), _backward=bw)
 
@@ -623,8 +700,9 @@ def edge_softmax(scores, arcs):
 # -- reductions and selection -------------------------------------------------
 
 def tsum(a):
+    na = a._node
     return Tensor(a.data.sum(), _parents=(a,),
-                  _backward=lambda g: _accum(a, np.full_like(a.data, float(g)), owned=True))
+                  _backward=lambda g: _accum(na, np.full(na.shape, float(g)), owned=True))
 
 
 def pick(a, index):
@@ -632,11 +710,12 @@ def pick(a, index):
     flat = a.data.reshape(-1)
     if not 0 <= index < flat.size:
         raise IndexError(f"pick: index {index} out of range for size {flat.size}")
+    na = a._node
 
     def bw(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros(na.shape)
         acc.reshape(-1)[index] = float(g)
-        _accum(a, acc, owned=True)
+        _accum(na, acc, owned=True)
 
     return Tensor(flat[index], _parents=(a,), _backward=bw)
 
@@ -652,13 +731,14 @@ def softmax_cross_entropy(logits, labels, mask):
         raise ValueError("softmax_cross_entropy: empty mask")
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    nl = logits._node
 
     def bw(g):
-        acc = np.zeros_like(logits.data)
+        acc = np.zeros(nl.shape)
         acc[rows] = np.exp(logp[rows])
         acc[rows, labels[rows]] -= 1.0
         acc *= float(g) / rows.size
-        _accum(logits, acc, owned=True)
+        _accum(nl, acc, owned=True)
 
     return Tensor(-logp[rows, labels[rows]].mean(), _parents=(logits,), _backward=bw)
 
@@ -675,13 +755,13 @@ def sigmoid_bce(logits, targets, mask):
     x, t = logits.data[rows], targets[rows]
     # softplus(x) - t*x is the stable form of -t*log(s) - (1-t)*log(1-s)
     loss = (np.logaddexp(0.0, x) - t * x).mean()
-    n = x.size
+    n, nl = x.size, logits._node
 
     def bw(g):
-        acc = np.zeros_like(logits.data)
+        acc = np.zeros(nl.shape)
         acc[rows] = _sigmoid_np(x) - t
         acc *= float(g) / n
-        _accum(logits, acc, owned=True)
+        _accum(nl, acc, owned=True)
 
     return Tensor(loss, _parents=(logits,), _backward=bw)
 

@@ -320,7 +320,7 @@ def _scatter_add(values, idx, num_rows):
 def _exp(t):
     """The engine's former exp tape op."""
     y = np.exp(t.data)
-    return Tensor(y, _parents=(t,), _backward=lambda g: T._accum(t, g * y, owned=True))
+    return Tensor(y, _parents=(t,), _backward=lambda g: T._accum(t._node, g * y, owned=True))
 
 
 def _segment_starts(op, segments):
@@ -336,7 +336,7 @@ def _segment_sum(values, segments, num_segments):
     """The engine's former segment_sum tape op: rows summed per segment id, in input order."""
     segments = _check_segments("segment_sum", values, segments, num_segments)
     return Tensor(_scatter_add(values.data, segments, num_segments), _parents=(values,),
-                  _backward=lambda g: T._accum(values, g[segments], owned=True))
+                  _backward=lambda g: T._accum(values._node, g[segments], owned=True))
 
 
 def _chain_softmax(logits, arcs):
@@ -481,9 +481,8 @@ def _ref_segment_mean(values, segments, num_segments):
     segments = _check_segments("segment_mean", values, segments, num_segments)
     safe = np.maximum(np.bincount(segments, minlength=num_segments), 1.0)
     y = _scatter_add(values.data, segments, num_segments) / safe[:, None]
-    out = Tensor(y, _parents=(values,))
-    out._backward = lambda g: T._accum(values, (g / safe[:, None])[segments])
-    return out
+    return Tensor(y, _parents=(values,),
+                  _backward=lambda g: T._accum(values._node, (g / safe[:, None])[segments]))
 
 
 def _ref_segment_max(values, segments, num_segments):
@@ -498,15 +497,13 @@ def _ref_segment_max(values, segments, num_segments):
     first = np.minimum.reduceat(np.where(v == y[segments], row, len(v)), starts, axis=0)
     seg_rank, cols = np.nonzero(first < len(v))
     rows, seg_of = first[seg_rank, cols], ids[seg_rank]
-    out = Tensor(y, _parents=(values,))
 
     def bw(g):
         acc = np.zeros_like(v)
         acc[rows, cols] += g[seg_of, cols]
-        T._accum(values, acc)
+        T._accum(values._node, acc)
 
-    out._backward = bw
-    return out
+    return Tensor(y, _parents=(values,), _backward=bw)
 
 
 _REF_AGG = {"sum": _segment_sum, "mean": _ref_segment_mean, "max": _ref_segment_max}
@@ -618,30 +615,54 @@ def test_block_gradients_finite_difference_four_heads(kind, agg):
     assert check_params(build_loss, store, store.names()) < verify.TOLERANCE
 
 
-def _held_arrays(value):
+def _held_arrays(value, seen):
+    """The arrays ``value`` keeps alive, each once: itself, a Tensor's data, the items of a
+    list or tuple, and what a function's closure cells hold, nested closures included
+    (a unary op's output sits in its derivative's closure)."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
     if isinstance(value, np.ndarray):
         yield value
+    elif isinstance(value, Tensor):
+        yield value.data
     elif isinstance(value, (list, tuple)):
         for v in value:
-            yield from _held_arrays(v)
+            yield from _held_arrays(v, seen)
+    elif callable(value):
+        for cell in getattr(value, "__closure__", None) or ():
+            try:
+                contents = cell.cell_contents
+            except ValueError:          # a variable the op never bound
+                continue
+            yield from _held_arrays(contents, seen)
 
 
 def _tape_arrays(root):
-    """Every array the tape under ``root`` keeps: node values and backward closures' arrays."""
-    seen, stack = set(), [root]
+    """Every array the tape under ``root`` keeps: the arrays its backward closures saved.
+
+    A tape node holds no value, so the closures' cells are all it keeps."""
+    nodes, held, stack = set(), set(), [root]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if id(node) in nodes:
             continue
-        seen.add(id(node))
-        yield node.data
-        for cell in getattr(node._backward, "__closure__", None) or ():
-            try:
-                value = cell.cell_contents
-            except ValueError:          # a variable the op never bound
-                continue
-            yield from _held_arrays(value)
+        nodes.add(id(node))
+        yield from _held_arrays(node._backward, held)
         stack.extend(node._parents)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "sigmoid", "relu", "leaky_relu", "relu6", "elu",
+                                  "softplus"])
+def test_tape_arrays_find_a_unary_ops_saved_edge_by_width_array(kind):
+    """The walk sees an array a unary op saved inside its derivative's closure: here the
+    only E x D array on the tape, as gathering rows saves none."""
+    g, _ = generate_sbm(2, 10, 0.6, 0.2, 4, 0.5, seed=24)
+    x = Tensor(np.random.default_rng(26).standard_normal((g.num_nodes, 16)), requires_grad=True)
+    rows = T.gather_rows(x, g.arcs, "src")
+    assert rows.shape not in [a.shape for a in _tape_arrays(rows)]
+    out = T.activation_apply(kind, rows)
+    assert rows.shape in [a.shape for a in _tape_arrays(out)]
 
 
 _GATHERS_ROWS = pytest.mark.xfail(strict=True, reason="gene_linear gathers E x D rows before "

@@ -8,7 +8,7 @@ import pytest
 
 from gnasforge.blocks import BlockChoice
 from gnasforge.cli import main, load_run_config, ConfigError
-from gnasforge.search import Genotype, GenotypeNet
+from gnasforge.search import Genotype, GenotypeNet, evaluate
 from gnasforge.tensor import ParameterStore
 from gnasforge.graphs import load_graph_json
 
@@ -178,6 +178,36 @@ def test_eval_loads_retrained_checkpoint_with_routing(tmp_path, dataset, capsys)
     assert metric == pytest.approx(report["test_metric"], abs=1e-6)
 
 
+def test_eval_builds_no_tape_and_prints_the_same_metric(tmp_path, dataset, capsys, monkeypatch):
+    geno = _two_layer_genotype(tmp_path / "genotype.json")
+    rt = tmp_path / "rt"
+    assert main(["retrain", "--genotype", str(geno), "--data", str(dataset),
+                 "--out", str(rt), "--epochs", "3", "--seed", "1"]) == 0
+    forwards = []
+    real_forward = GenotypeNet.forward
+
+    def recording(self, *args, **kwargs):
+        forwards.append(real_forward(self, *args, **kwargs))
+        return forwards[-1]
+
+    monkeypatch.setattr(GenotypeNet, "forward", recording)
+    capsys.readouterr()
+    assert main(["eval", "--genotype", str(geno), "--data", str(dataset),
+                 "--checkpoint", str(rt / "checkpoint")]) == 0
+    printed = capsys.readouterr().out
+    (logits,) = forwards
+    assert not logits.requires_grad and logits._parents == () and logits._backward is None
+    # the same forward with every leaf taking a gradient gives the same logits and metric
+    graph = load_graph_json(dataset)
+    net = GenotypeNet(Genotype.load(geno), graph.spec.feature_dim, graph.spec.num_classes)
+    net.store.load(rt / "checkpoint")
+    taped = real_forward(net, graph, net.genotype.layers)
+    assert taped.requires_grad
+    np.testing.assert_array_equal(logits.data, taped.data)
+    metric = evaluate(taped, graph.labels, graph.masks["test"], graph.spec.task)
+    assert printed == f"test metric: {metric:.6f}\n"
+
+
 def test_retrain_zero_epochs_is_an_error(tmp_path, dataset, capsys):
     geno = tmp_path / "genotype.json"
     Genotype(layers=[BlockChoice(1, "gcn", 1, "sum", "relu")] * 2, routing=[],
@@ -228,13 +258,32 @@ def test_dataset_with_two_masks_exits_2(tmp_path, dataset, capsys, command, drop
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"aggregators": ["median"]}, "unknown aggregators ['median']"),
+    ({"expansions": [0]}, "expansions must be integers >= 1, got [0]"),
+    ({"attentions": ["gcn", "foo"]}, "unknown attentions ['foo']"),
+], ids=["aggregator", "expansion", "attention"])
+def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path, capsys,
+                                                                        over, message):
+    cfg = write_config(tmp_path / "c.json", tmp_path / "missing.json", **over)
+    capsys.readouterr()
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err      # not "dataset not found"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["hidden_sizes"].pop(), "genotype has 1 hidden sizes for 2 layers"),
     (lambda d: d["layers"][1].update(dropout=0.5), "genotype layer 1 has keys"),
     (lambda d: d["layers"][0].pop("heads"), "genotype layer 0 has keys"),
     (lambda d: d.pop("layers"), "genotype lacks the key(s) ['layers']"),
     (lambda d: d.pop("seed"), "genotype lacks the key(s) ['seed']"),
-], ids=["hidden_sizes", "unknown_key", "missing_key", "no_layers", "no_seed"])
+    (lambda d: d["layers"][1].update(aggregate="median"), "unknown aggregators ['median']"),
+    (lambda d: d["layers"][0].update(expansion=0), "expansions must be integers >= 1"),
+    (lambda d: d.update(hidden_sizes=[16, -16]), "dimensions must be >= 1"),
+], ids=["hidden_sizes", "unknown_key", "missing_key", "no_layers", "no_seed",
+        "unknown_aggregate", "zero_expansion", "negative_hidden_size"])
 def test_retrain_rejects_malformed_genotype(tmp_path, dataset, capsys, edit, message):
     geno = _two_layer_genotype(tmp_path / "genotype.json")
     doc = json.loads(geno.read_text())

@@ -134,6 +134,35 @@ def test_genotype_rejects_malformed_layers(edit, match):
         Genotype.from_dict(doc)
 
 
+@pytest.mark.parametrize("over, match", [
+    ({"aggregators": ("median",)}, r"unknown aggregators \['median'\]"),
+    ({"attentions": ("gcn", "foo")}, r"unknown attentions \['foo'\]"),
+    ({"activations": ("swish",)}, r"unknown activations \['swish'\]"),
+    ({"expansions": (0,)}, r"expansions must be integers >= 1, got \[0\]"),
+    ({"head_counts": (0,)}, r"head_counts must be integers >= 1, got \[0\]"),
+    ({"hidden_grid": ()}, "empty hidden-size grid"),
+    ({"hidden_grid": (16, -16)}, "dimensions must be >= 1"),
+    ({"schedule_kind": "linear"}, "unknown schedule kind 'linear'"),
+], ids=["aggregator", "attention", "activation", "expansion", "heads", "no_hidden",
+        "negative_hidden", "schedule"])
+def test_search_config_rejects_bad_candidates(over, match):
+    with pytest.raises(ValueError, match=match):
+        tiny_config(**over)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d["layers"][1].update(aggregate="median"), r"unknown aggregators \['median'\]"),
+    (lambda d: d["layers"][0].update(expansion=0), r"expansions must be integers >= 1"),
+    (lambda d: d["layers"][0].update(heads=0), r"head_counts must be integers >= 1"),
+    (lambda d: d.update(hidden_sizes=[16, -16]), "dimensions must be >= 1"),
+], ids=["aggregate", "expansion", "heads", "hidden_size"])
+def test_genotype_net_rejects_bad_candidates(edit, match):
+    doc = geno().to_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=match):
+        GenotypeNet(Genotype.from_dict(doc), 8, 2)
+
+
 # -- supernet / genotype-net equivalence -----------------------------------------
 
 def test_single_path_matches_standalone_network(graph):
@@ -291,7 +320,7 @@ def test_sampled_forward_builds_one_gate_sigmoid(graph, monkeypatch):
             stack.extend(node._parents)
     # the gates clip that one node's value into a node of their own
     assert len(gates._parents) == 1
-    assert [out for out in made if id(out) in tape] == list(gates._parents)
+    assert [out._node for out in made if id(out._node) in tape] == list(gates._parents)
     T.tsum(logits).backward()
     g = net.router.theta.grad
     assert np.all(g[np.triu_indices(7)] != 0.0) and np.all(g[np.tril_indices(7, -1)] == 0.0)

@@ -229,14 +229,98 @@ def test_backward_releases_the_tape():
 
     def build():
         inner = T.tanh(T.matmul(x, w))
-        return T.tsum(T.mul(inner, inner)), weakref.ref(inner)
+        return T.tsum(T.mul(inner, inner)), weakref.ref(inner._node), weakref.ref(inner.data)
 
-    loss, inner = build()
-    assert inner() is not None
+    loss, node, value = build()
+    # the mul's node links the inner node, and its closure saved the inner value
+    assert node() is not None and value() is not None
     loss.backward()
-    assert inner() is None
+    assert node() is None and value() is None
     assert loss.grad is None and loss._parents == ()
     assert x.grad.shape == (2, 3) and w.grad.shape == (3, 2)
+
+
+_X = np.array([[0.5, -1.0], [2.0, 0.0], [1.0, 3.0]])
+_ARCS = T.Arcs([0, 1, 2, 2], [0, 0, 1, 2], 3)
+
+
+@pytest.mark.parametrize("op", [
+    lambda h: T.tsum(h),
+    lambda h: T.scale(h, 2.0),
+    lambda h: h + Tensor(np.ones((3, 2))),
+    lambda h: T.mul(h, Tensor(np.ones((3, 2)))),
+    lambda h: T.matmul(h, Tensor(np.ones((2, 2)))),
+    lambda h: T.pick(h, 1),
+    lambda h: T.gather_rows(h, _ARCS, "src"),
+    lambda h: T.propagate(h, None, _ARCS, "sum"),
+    lambda h: T.propagate(h, Tensor(np.ones((4, 1))), _ARCS, "max"),
+    lambda h: T.softmax_rows(h),
+    lambda h: T.edge_softmax(T.gather_rows(h, _ARCS, "dst"), _ARCS),
+    lambda h: T.softmax_cross_entropy(h, [0, 1, 0], [True, True, False]),
+    lambda h: T.sigmoid_bce(h, np.ones((3, 2)), [True, False, True]),
+] + [lambda h, kind=kind: T.activation_apply(kind, h) for kind in T.ACTIVATIONS
+     if kind not in ("none", "softplus")],
+    ids=["tsum", "scale", "add", "mul_by_constant", "matmul_by_constant", "pick", "gather_rows",
+         "propagate_sum", "propagate_max_fixed_coefficient", "softmax_rows", "edge_softmax",
+         "softmax_cross_entropy", "sigmoid_bce"]
+        + [k for k in T.ACTIVATIONS if k not in ("none", "softplus")])
+def test_a_value_no_backward_reads_is_freed_by_the_forward(op):
+    x = Tensor(_X, requires_grad=True)
+
+    def build():
+        h = x + x                           # add saves no value
+        out = op(h)
+        return (T.tsum(out) if out.size > 1 else out), weakref.ref(h.data)
+
+    loss, value = build()
+    assert value() is None
+    loss.backward()
+    assert x.grad.shape == _X.shape and np.isfinite(x.grad).all()
+
+
+def _forward_memory(k, n):
+    """Bytes the tape of a k-long chain of n-entry adds holds at the end of its forward."""
+    x = Tensor(np.full(n, 0.5), requires_grad=True)
+    c = Tensor(np.ones(n))
+    tracemalloc.start()
+    try:
+        h = x
+        for _ in range(k):
+            h = h + c
+        loss = T.tsum(h)
+        del h
+        held = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        return held
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_memory_does_not_grow_with_a_chain_of_adds():
+    n = 20_000
+    short, long = (_forward_memory(k, n) for k in (8, 32))
+    assert long - short <= 2 * 8 * n
+
+
+def test_backward_of_a_loss_without_gradient_raises():
+    x = Tensor([1.0, 2.0])
+    with pytest.raises(ValueError, match="no leaf that requires a gradient"):
+        T.tsum(T.mul(x, x)).backward()
+    store = ParameterStore()
+    w = store.add("w", np.ones((2, 1)))
+    with store.frozen(["w"]):
+        loss = T.tsum(T.matmul(Tensor(np.ones((1, 2))), w))
+        with pytest.raises(ValueError, match="no leaf that requires a gradient"):
+            loss.backward()
+    assert w.grad is None
+
+
+def test_a_tensor_without_a_node_reads_no_tape_and_refuses_one():
+    out = T.tsum(T.mul(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])))
+    assert (out.grad, out._parents, out._backward) == (None, (), None)
+    for field, value in (("grad", np.ones(1)), ("_backward", lambda g: None), ("_parents", ())):
+        with pytest.raises(RuntimeError, match="no gradient passes through this tensor"):
+            setattr(out, field, value)
 
 
 def test_a_released_tape_cannot_be_walked_again():
