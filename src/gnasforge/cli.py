@@ -30,11 +30,8 @@ class ConfigError(ValueError):
     pass
 
 
-_CONFIG_ONLY_KEYS = {"dataset", "out_dir", "split_seed"}
-
-
 def load_run_config(path):
-    """Parse a run config JSON into (SearchConfig, extras); unknown keys rejected."""
+    """Parse a run config JSON into (SearchConfig, dataset path); unknown keys rejected."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -42,53 +39,46 @@ def load_run_config(path):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    known = {f.name for f in fields(SearchConfig)}
-    unknown = set(doc) - known - _CONFIG_ONLY_KEYS
+    unknown = set(doc) - {f.name for f in fields(SearchConfig)} - {"dataset"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    extras = {k: doc.pop(k) for k in list(doc) if k in _CONFIG_ONLY_KEYS}
-    for key in ("hidden_grid", "expansions", "attentions", "head_counts",
-                "aggregators", "activations", "freeze_layers"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
+    dataset = doc.pop("dataset", None)
     try:
-        return SearchConfig(**doc), extras
+        return SearchConfig(**doc), dataset
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e))
 
 
-def _load_dataset(path, split_seed=None):
+def _load_dataset(path):
+    """The graph at ``path``; one without masks gets the seed-0 random split."""
     if not os.path.exists(path):
         raise ConfigError(f"dataset file not found: {path}")
     graph = load_graph_json(path)
-    if not graph.masks:
-        graph = random_split(graph, seed=0 if split_seed is None else split_seed)
-    return graph
+    return graph if graph.masks else random_split(graph, seed=0)
 
 
 def cmd_search(args):
-    config, extras = load_run_config(args.config)
+    config, dataset = load_run_config(args.config)
     if args.seed is not None:
         config = SearchConfig(**{**asdict(config), "seed": args.seed})
-    if "dataset" not in extras:
+    if dataset is None:
         raise ConfigError("config must name a 'dataset' path")
-    graph = _load_dataset(extras["dataset"], extras.get("split_seed"))
-    out_dir = args.out or extras.get("out_dir")
-    if not out_dir:
-        raise ConfigError("no output directory (use --out or config 'out_dir')")
-    os.makedirs(out_dir, exist_ok=True)
+    graph = _load_dataset(dataset)
+    if not args.out:
+        raise ConfigError("no output directory (use --out)")
+    os.makedirs(args.out, exist_ok=True)
 
     threads = int(os.environ.get("GNASFORGE_THREADS", "1"))
     result = grid_search_hidden(config, graph, max_workers=threads)[0]
 
-    result.genotype.save(os.path.join(out_dir, "genotype.json"))
-    result.write_log(os.path.join(out_dir, "metrics.jsonl"))
-    resolved = dict(asdict(config), **extras)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as f:
+    result.genotype.save(os.path.join(args.out, "genotype.json"))
+    result.write_log(os.path.join(args.out, "metrics.jsonl"))
+    resolved = dict(asdict(config), dataset=dataset)
+    with open(os.path.join(args.out, "resolved_config.json"), "w", encoding="utf-8") as f:
         json.dump(resolved, f, indent=2, sort_keys=True, default=list)
 
     hidden = result.supernet.hidden
-    result.supernet.store.save(os.path.join(out_dir, "checkpoint"),
+    result.supernet.store.save(os.path.join(args.out, "checkpoint"),
                                extra_meta={"counters": result.counters, "hidden": hidden})
     print(f"best hidden size {hidden}, val metric {result.final_val_metric:.4f}")
     return EXIT_OK
@@ -97,8 +87,7 @@ def cmd_search(args):
 def cmd_retrain(args):
     genotype = Genotype.load(args.genotype)
     graph = _load_dataset(args.data)
-    net, report = retrain_genotype(genotype, graph, epochs=args.epochs,
-                                   seed=args.seed if args.seed is not None else 0)
+    net, report = retrain_genotype(genotype, graph, epochs=args.epochs, seed=args.seed)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "retrain_report.json"), "w", encoding="utf-8") as f:
@@ -124,14 +113,13 @@ def cmd_eval(args):
 def cmd_gen_data(args):
     if args.kind == "sbm":
         graph, _ = generate_sbm(args.classes, args.per_class, args.p_in, args.p_out,
-                                args.feature_dim, args.noise,
-                                args.seed if args.seed is not None else 0)
+                                args.feature_dim, args.noise, args.seed)
     elif args.kind == "chain":
-        graph, _ = generate_chain_task(args.length, args.seed if args.seed is not None else 0)
+        graph, _ = generate_chain_task(args.length, args.seed)
     else:
         raise ConfigError(f"unknown dataset kind {args.kind!r}")
     if args.split:
-        graph = random_split(graph, seed=args.seed if args.seed is not None else 0)
+        graph = random_split(graph, seed=args.seed)
     save_graph_json(graph, args.out)
     print(f"wrote {graph.num_nodes}-node graph to {args.out}")
     return EXIT_OK
@@ -164,7 +152,7 @@ def build_parser():
     r.add_argument("--genotype", required=True)
     r.add_argument("--data", required=True)
     r.add_argument("--out")
-    r.add_argument("--seed", type=int)
+    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--epochs", type=int, default=300)
     r.set_defaults(fn=cmd_retrain)
 
@@ -177,7 +165,7 @@ def build_parser():
     g = sub.add_parser("gen-data", help="generate a synthetic dataset")
     g.add_argument("--kind", required=True, choices=["sbm", "chain"])
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--split", action="store_true", help="add a 60/20/20 random split")
     g.add_argument("--classes", type=int, default=4)
     g.add_argument("--per-class", dest="per_class", type=int, default=50)

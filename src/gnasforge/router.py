@@ -77,7 +77,7 @@ def gumbel_sigmoid(theta, tau, g):
     if tau < TAU_MIN:
         log.warning("gumbel_sigmoid: tau=%g below floor %g, clamping", tau, TAU_MIN)
         tau = TAU_MIN
-    s = T.sigmoid(T.scale(theta + Tensor(g), 1.0 / tau))
+    s = T.sigmoid(T.mul(theta + Tensor(g), Tensor(1.0 / tau)))
     # clipped into a fresh node, whose gradient passes straight through: theta's
     # gradient keeps the unclipped y (1 - y) / tau, and no node's value changes;
     # the upstream array is released with the node, so s keeps it, and the

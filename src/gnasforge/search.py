@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -48,6 +48,9 @@ class SearchConfig:
     freeze_layers: tuple = ()
 
     def __post_init__(self):
+        for f in fields(self):              # a JSON config gives lists
+            if isinstance(f.default, tuple):
+                setattr(self, f.name, tuple(getattr(self, f.name)))
         if self.max_iter < 1 or self.train_step < 1:
             raise ValueError("max_iter and train_step must be >= 1")
         if not 2 <= self.num_layers <= 7:
@@ -55,8 +58,6 @@ class SearchConfig:
         if not self.hidden_grid:
             raise ValueError("empty hidden-size grid")
         for h in self.hidden_grid:
-            if h % 16:
-                raise ValueError(f"hidden size {h} is not a multiple of 16")
             self.spaces(1, h)           # each layer's candidates, checked before any data loads
         self.schedule()
 
@@ -70,11 +71,11 @@ class SearchConfig:
             BlockSpace(layer=l,
                        in_dim=feat_dim if l == 0 else hidden,
                        out_dim=hidden,
-                       expansions=tuple(self.expansions),
-                       attentions=tuple(self.attentions),
-                       head_counts=tuple(self.head_counts),
-                       aggregators=tuple(self.aggregators),
-                       activations=tuple(self.activations))
+                       expansions=self.expansions,
+                       attentions=self.attentions,
+                       head_counts=self.head_counts,
+                       aggregators=self.aggregators,
+                       activations=self.activations)
             for l in range(self.num_layers)
         ]
 
@@ -123,11 +124,7 @@ class Genotype:
 
     def to_dict(self):
         return {
-            "layers": [
-                {"expansion": c.expansion, "attention": c.attention, "heads": c.heads,
-                 "aggregate": c.aggregate, "activation": c.activation}
-                for c in self.layers
-            ],
+            "layers": [asdict(c) for c in self.layers],
             "routing": [list(p) for p in self.routing],
             "hidden_sizes": list(self.hidden_sizes),
             "seed": self.seed,

@@ -66,29 +66,19 @@ def _node_field(name, default):
 class Tensor:
     """A float64 ndarray and, when a gradient goes through it, its tape node."""
 
-    __slots__ = ("data", "_node", "name", "__weakref__")
+    __slots__ = ("data", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None, name=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         parents = tuple(p._node for p in _parents if p.requires_grad)
         # a result no gradient goes through keeps no tape
         self._node = _Node(self.data, parents, _backward) if parents or requires_grad else None
-        self.name = name
 
-    # a leaf's gradient, and an op result's parents and closure, live on its node
+    # a leaf's gradient and flag, and an op result's parents and closure, live on its node
     grad = _node_field("grad", None)
+    requires_grad = _node_field("requires_grad", False)
     _parents = _node_field("_parents", ())
     _backward = _node_field("_backward", None)
-
-    @property
-    def requires_grad(self):
-        return self._node is not None and self._node.requires_grad
-
-    @requires_grad.setter
-    def requires_grad(self, flag):
-        if self._node is None:
-            self._node = _Node(self.data)
-        self._node.requires_grad = bool(flag)
 
     @property
     def shape(self):
@@ -259,12 +249,6 @@ def div(a, b):
             _accum(nb, _unbroadcast(-g * ad / (bd * bd), nb.shape), owned=True)
 
     return Tensor(a.data / b.data, _parents=(a, b), _backward=bw)
-
-
-def scale(a, c):
-    """Multiply by a python scalar constant."""
-    c, na = float(c), a._node
-    return Tensor(a.data * c, _parents=(a,), _backward=lambda g: _accum(na, g * c, owned=True))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -800,7 +784,7 @@ class ParameterStore:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
         # C order, as matmul's products are: _accum keeps a first gradient of equal strides
-        t = Tensor(np.array(value, dtype=np.float64, order="C"), requires_grad=True, name=name)
+        t = Tensor(np.array(value, dtype=np.float64, order="C"), requires_grad=True)
         self._params[name] = t
         self._groups[name] = group
         return t

@@ -45,7 +45,6 @@ def primitive_checks(seed=0):
     chk("add", lambda t: T.tsum(T.mul(t + c, c)), x34)
     chk("mul", lambda t: T.tsum(T.mul(t, c)), x34)
     chk("div", lambda t: T.tsum(T.div(c, t)), pos)
-    chk("scale", lambda t: T.tsum(T.scale(t, 2.5)), x34)
     for shape in ((3, 8), (5, 4), (1, 4)):   # draws of removed checks: later inputs stay put
         rng.standard_normal(shape)
     chk("softmax_rows", lambda t: T.tsum(T.mul(T.softmax_rows(t), c)), x34)
@@ -178,7 +177,7 @@ def controller_check(seed=3):
         idx = extract_indices(pg)
         total = None
         for key in sorted(pg):
-            term = T.scale(T.pick(pg[key], idx[key]), weights[key])
+            term = T.mul(T.pick(pg[key], idx[key]), Tensor(weights[key]))
             total = term if total is None else total + term
         return total
 

@@ -587,7 +587,8 @@ def test_fused_heads_match_per_head_reference(kind, heads, agg):
     rng.bit_generator.state = rng_state      # the same scale values for the reference
     ref, ref_grads, heads_w = run(lambda x, s: _ref_block(g, x, choice, view, s))
     for key, stack in view.attention(kind, heads).items():
-        ref_grads[stack.name] = np.stack([w[key].grad for w in heads_w])
+        name = next(n for n, t in store.items() if t is stack)
+        ref_grads[name] = np.stack([w[key].grad for w in heads_w])
 
     assert _rel_err(fused, ref) < 1e-12
     assert fused_grads.keys() == ref_grads.keys()

@@ -1,16 +1,19 @@
 import ctypes
 import json
 import os
+import pathlib
 import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gnasforge.blocks import BlockChoice
+from gnasforge import cli
 from gnasforge.cli import main, load_run_config, ConfigError
-from gnasforge.search import Genotype, GenotypeNet, evaluate
+from gnasforge.search import Genotype, GenotypeNet, SearchConfig, evaluate
 from gnasforge.tensor import ParameterStore
-from gnasforge.graphs import load_graph_json
+from gnasforge.graphs import load_graph_json, random_split
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,24 @@ def test_invalid_json_is_config_error(tmp_path):
         load_run_config(p)
 
 
+def test_run_config_lists_become_tuples(tmp_path, dataset):
+    config, path = load_run_config(write_config(tmp_path / "c.json", dataset, freeze_layers=[1]))
+    assert path == str(dataset)
+    assert (config.hidden_grid, config.expansions, config.head_counts, config.freeze_layers) \
+        == ((16,), (1,), (1,), (1,))
+    assert (config.attentions, config.aggregators, config.activations) \
+        == (("const", "gcn"), ("sum",), ("relu", "tanh"))
+
+
+def test_readme_run_config_lists_every_key_with_its_default():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("A run config is a JSON object", 1)[1]
+    doc = json.loads(block.split("```json\n", 1)[1].split("```", 1)[0])
+    assert set(doc) == {f.name for f in fields(SearchConfig)} | {"dataset"}
+    doc.pop("dataset")
+    assert SearchConfig(**doc) == SearchConfig()
+
+
 def test_bad_config_value_is_config_error(tmp_path, dataset):
     cfg = write_config(tmp_path / "c.json", dataset, num_layers=1)
     with pytest.raises(ConfigError):
@@ -79,15 +100,24 @@ def test_search_missing_dataset_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["retrain_epochs", "patience", "split"])
+@pytest.mark.parametrize("key", ["retrain_epochs", "patience", "split", "split_seed", "out_dir"])
 def test_search_config_with_retrain_settings_exits_2(tmp_path, dataset, capsys, key):
     """Search configs hold no retrain settings, so naming one is an error, not a no-op.
 
-    Nor do they hold a split: the dataset's masks, or else ``split_seed``, set it.
+    Nor do they hold a split, which the dataset's masks, or else the seed-0
+    split every command applies, set, or an output directory, which ``--out``
+    names.
     """
     cfg = write_config(tmp_path / "c.json", dataset, **{key: 10})
     assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+def test_search_config_without_dataset_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"max_iter": 3}))
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config must name a 'dataset' path" in capsys.readouterr().err
 
 
 def test_search_missing_out_dir_exits_2(tmp_path, dataset):
@@ -102,6 +132,33 @@ def test_malformed_dataset_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"dataset": str(bad)}))
     rc = main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_every_command_splits_a_maskless_dataset_with_seed_0(tmp_path, monkeypatch):
+    data = tmp_path / "sbm.json"
+    assert main(["gen-data", "--kind", "sbm", "--out", str(data), "--classes", "2",
+                 "--per-class", "10", "--feature-dim", "8"]) == 0
+    assert not load_graph_json(data).masks
+    splits = []
+
+    def recording(graph, seed):
+        splits.append(random_split(graph, seed=seed))
+        return splits[-1]
+
+    monkeypatch.setattr(cli, "random_split", recording)
+    out, rt = tmp_path / "run", tmp_path / "rt"
+    assert main(["search", "--config", str(write_config(tmp_path / "c.json", data)),
+                 "--out", str(out)]) == 0
+    assert main(["retrain", "--genotype", str(out / "genotype.json"), "--data", str(data),
+                 "--out", str(rt), "--epochs", "2"]) == 0
+    assert main(["eval", "--genotype", str(out / "genotype.json"), "--data", str(data),
+                 "--checkpoint", str(rt / "checkpoint")]) == 0
+    expected = random_split(load_graph_json(data), seed=0).masks
+    assert len(splits) == 3
+    for graph in splits:
+        assert graph.masks.keys() == expected.keys()
+        for k in expected:
+            np.testing.assert_array_equal(graph.masks[k], expected[k])
 
 
 # -- gen-data -----------------------------------------------------------------

@@ -9,7 +9,8 @@ from gnasforge import search as search_mod
 from gnasforge import tensor as T
 from gnasforge.blocks import BlockChoice, _attention_param_names
 from gnasforge.controller import add_noise
-from gnasforge.graphs import generate_sbm, random_split
+from gnasforge.graphs import generate_sbm, load_graph_json, random_split, save_graph_json, \
+    graph_from_dict
 from gnasforge.optim import Adam
 from gnasforge.router import Router, sample_gumbel
 from gnasforge.search import (
@@ -48,10 +49,16 @@ def test_config_validation():
         tiny_config(num_layers=1)
     with pytest.raises(ValueError):
         tiny_config(num_layers=8)
-    with pytest.raises(ValueError):
-        tiny_config(hidden_grid=(20,))
+    with pytest.raises(ValueError, match="head count 8"):
+        tiny_config(hidden_grid=(20,), head_counts=(1, 8))
     with pytest.raises(ValueError):
         tiny_config(max_iter=0)
+
+
+def test_a_hidden_size_need_only_divide_by_every_head_count():
+    assert SearchConfig(hidden_grid=(24,), head_counts=(1, 2, 4, 8)).hidden_grid == (24,)
+    with pytest.raises(ValueError, match="out_dim 24 not divisible by head count 16"):
+        SearchConfig(hidden_grid=(24,))
 
 
 def test_accuracy_metric():
@@ -83,6 +90,49 @@ def test_compute_loss_dispatch():
     np.testing.assert_allclose(l1.item(), np.log(1 + np.exp(-2.0)), atol=1e-12)
     with pytest.raises(ValueError):
         compute_loss(logits, [0], [True], "ranking")
+
+
+def multi_label_graph():
+    """24 nodes on two 12-node rings; label 0 or 1 names the ring, label 2 marks even nodes."""
+    rng = np.random.default_rng(5)
+    n = 24
+    node = np.arange(n)
+    labels = np.stack([node < 12, node >= 12, node % 2 == 0], axis=1).astype(float)
+    features = labels @ rng.standard_normal((3, 6)) + 0.3 * rng.standard_normal((n, 6))
+    order = rng.permutation(n)
+    return graph_from_dict({
+        "num_nodes": n, "feature_dim": 6, "task": "multi", "num_classes": 3,
+        "features": features.tolist(), "labels": labels.tolist(),
+        "edges": [[i, (i + 1) % 12 + 12 * (i // 12)] for i in range(n)],
+        "masks": {"train": order[:12].tolist(), "val": order[12:18].tolist(),
+                  "test": order[18:].tolist()},
+    })
+
+
+def test_multi_label_search_and_retrain_run_in_process(tmp_path):
+    graph = multi_label_graph()
+    assert graph.spec.task == "multi" and graph.labels.shape == (24, 3)
+    save_graph_json(graph, tmp_path / "ml.json")
+    again = load_graph_json(tmp_path / "ml.json")
+    assert again.spec == graph.spec
+    for a, b in ((again.labels, graph.labels), (again.features, graph.features),
+                 (again.arcs.src, graph.arcs.src), (again.arcs.dst, graph.arcs.dst)):
+        np.testing.assert_array_equal(a, b)
+    assert all((again.masks[k] == graph.masks[k]).all() for k in ("train", "val", "test"))
+
+    logits = Tensor(np.random.default_rng(6).standard_normal((24, 3)))
+    train = graph.masks["train"]
+    assert compute_loss(logits, graph.labels, train, "multi").item() == \
+        T.sigmoid_bce(logits, graph.labels, train).item()
+
+    result = dual_search(tiny_config(max_iter=2), graph)
+    assert len(result.log) == 2
+    for rec in result.log:
+        assert np.isfinite([rec["train_loss"], rec["val_loss"]]).all()
+        assert 0.0 <= rec["val_metric"] <= 1.0
+    _, report = retrain_genotype(result.genotype, graph, epochs=3)
+    for key in ("train_metric", "val_metric", "test_metric"):
+        assert 0.0 <= report[key] <= 1.0
 
 
 # -- genotype ----------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_backward_linearity():
 
     f = lambda x: T.tsum(T.tanh(x))
     g = lambda x: T.tsum(T.mul(x, x))
-    combined = grad_of(lambda x: T.scale(f(x), a) + T.scale(g(x), b))
+    combined = grad_of(lambda x: T.mul(f(x), Tensor(a)) + T.mul(g(x), Tensor(b)))
     np.testing.assert_allclose(combined, a * grad_of(f) + b * grad_of(g), atol=1e-10)
 
 
@@ -211,7 +211,7 @@ def test_negative_zero_first_gradient_lands_as_positive_zero():
     # backwards that allocate the first gradient keep it and fix it up in place
     arcs = T.Arcs([0, 1, 2], [0, 0, 1], 3)
     coeff = Tensor([[-0.0], [1.0], [-2.0]])
-    for op in (lambda x: T.scale(x, -2.0),
+    for op in (lambda x: T.mul(x, Tensor(-2.0)),
                lambda x: T.matmul(x, Tensor([[0.0, -1.0], [-2.0, 0.0]])),
                lambda x: T.propagate(x, coeff, arcs, "sum"),
                lambda x: T.propagate(x, coeff, arcs, "max")):
@@ -246,7 +246,6 @@ _ARCS = T.Arcs([0, 1, 2, 2], [0, 0, 1, 2], 3)
 
 @pytest.mark.parametrize("op", [
     lambda h: T.tsum(h),
-    lambda h: T.scale(h, 2.0),
     lambda h: h + Tensor(np.ones((3, 2))),
     lambda h: T.mul(h, Tensor(np.ones((3, 2)))),
     lambda h: T.matmul(h, Tensor(np.ones((2, 2)))),
@@ -260,7 +259,7 @@ _ARCS = T.Arcs([0, 1, 2, 2], [0, 0, 1, 2], 3)
     lambda h: T.sigmoid_bce(h, np.ones((3, 2)), [True, False, True]),
 ] + [lambda h, kind=kind: T.activation_apply(kind, h) for kind in T.ACTIVATIONS
      if kind not in ("none", "softplus")],
-    ids=["tsum", "scale", "add", "mul_by_constant", "matmul_by_constant", "pick", "gather_rows",
+    ids=["tsum", "add", "mul_by_constant", "matmul_by_constant", "pick", "gather_rows",
          "propagate_sum", "propagate_max_fixed_coefficient", "softmax_rows", "edge_softmax",
          "softmax_cross_entropy", "sigmoid_bce"]
         + [k for k in T.ACTIVATIONS if k not in ("none", "softplus")])
@@ -318,14 +317,16 @@ def test_backward_of_a_loss_without_gradient_raises():
 def test_a_tensor_without_a_node_reads_no_tape_and_refuses_one():
     out = T.tsum(T.mul(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])))
     assert (out.grad, out._parents, out._backward) == (None, (), None)
-    for field, value in (("grad", np.ones(1)), ("_backward", lambda g: None), ("_parents", ())):
-        with pytest.raises(RuntimeError, match="no gradient passes through this tensor"):
-            setattr(out, field, value)
+    for t, field, value in ((out, "grad", np.ones(1)), (out, "_backward", lambda g: None),
+                            (out, "_parents", ()), (Tensor(1.0), "requires_grad", True)):
+        with pytest.raises(RuntimeError, match=f"cannot set {field}: no gradient passes"):
+            setattr(t, field, value)
+        assert t._node is None
 
 
 def test_a_released_tape_cannot_be_walked_again():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    shared = T.tanh(T.scale(x, 3.0))
+    shared = T.tanh(T.mul(x, Tensor(3.0)))
     loss = T.tsum(shared)
     loss.backward()
     grad = x.grad.copy()
@@ -375,7 +376,7 @@ def test_results_without_gradient_keep_no_tape(monkeypatch):
 
     monkeypatch.setattr(T, "_diagonal_reduce", spy)
     results = [T.matmul(x, Tensor(np.ones((2, 2)))), T.add(x, x),
-               T.mul(x, x), T.div(x, Tensor(np.ones((3, 2)))), T.scale(x, 2.0), T.tsum(x),
+               T.mul(x, x), T.div(x, Tensor(np.ones((3, 2)))), T.tsum(x),
                T.pick(x, 1), T.softmax_rows(x), T.gather_rows(x, arcs, "src"),
                T.edge_softmax(x, arcs), T.block_diag(Tensor(np.ones((2, 1, 1)))),
                T.softmax_cross_entropy(x, [0, 1, 0], [True, True, False]),
@@ -424,6 +425,17 @@ def test_frozen_leaves_keep_no_tape_and_get_no_gradient():
         T.tsum(y).backward()
     assert w.requires_grad and w.grad is None
     np.testing.assert_array_equal(a.grad, h.data.sum(axis=0, keepdims=True))
+
+
+def test_a_backward_inside_frozen_gives_no_gradient_to_a_leaf_frozen_after_the_forward():
+    store = ParameterStore()
+    w = store.add("w", np.array([[1.0, -2.0]]))
+    x = Tensor(np.array([[3.0, 0.5]]), requires_grad=True)
+    loss = T.tsum(T.mul(w, x))                  # both leaves take a gradient here
+    with store.frozen(["w"]):
+        loss.backward()
+    assert w.grad is None
+    np.testing.assert_array_equal(x.grad, w.data)
 
 
 def test_frozen_restores_the_flags_when_the_block_raises():
@@ -901,7 +913,7 @@ def test_constant_operand_product_is_skipped(op, const_first):
         x, c = Tensor([[1e-100, 2e-100]], requires_grad=True), Tensor([[1e-200, 3e-200]])
     out = op(c, x) if const_first else op(x, c)
     with np.errstate(all="raise"):
-        T.tsum(T.scale(out, 1e20)).backward()
+        T.tsum(T.mul(out, Tensor(1e20))).backward()
     assert c.grad is None
     expect = 1e20 * c.data if op is T.mul else 1e20 / c.data
     np.testing.assert_array_equal(x.grad, expect)
