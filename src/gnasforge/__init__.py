@@ -9,9 +9,9 @@ from .graphs import (
 )
 from .blocks import BlockSpace, BlockChoice, block_forward
 from .controller import Controller, add_noise, extract_indices
-from .router import Router, TempSchedule, temp_anneal, gumbel_sigmoid
+from .router import Router, gumbel_sigmoid
 from .search import (
-    SearchConfig, Genotype, GenotypeNet, Supernet,
+    SearchConfig, Genotype, GenotypeNet, Supernet, temp_anneal,
     dual_search, retrain_genotype, grid_search_hidden, compute_loss, evaluate,
 )
 
@@ -21,8 +21,8 @@ __all__ = [
     "generate_sbm", "generate_chain_task",
     "BlockSpace", "BlockChoice", "block_forward",
     "Controller", "add_noise", "extract_indices",
-    "Router", "TempSchedule", "temp_anneal", "gumbel_sigmoid",
-    "SearchConfig", "Genotype", "GenotypeNet", "Supernet",
+    "Router", "gumbel_sigmoid",
+    "SearchConfig", "Genotype", "GenotypeNet", "Supernet", "temp_anneal",
     "dual_search", "retrain_genotype", "grid_search_hidden", "compute_loss", "evaluate",
 ]
 

@@ -43,9 +43,6 @@ class BlockSpace:
     activations: tuple = ACTIVATION_KINDS
 
     def __post_init__(self):
-        if min(self.in_dim, self.out_dim) < 1:
-            raise ValueError(f"layer {self.layer}: dimensions must be >= 1, "
-                             f"got in_dim {self.in_dim}, out_dim {self.out_dim}")
         for name in ("expansions", "attentions", "head_counts", "aggregators", "activations"):
             if not getattr(self, name):
                 raise ValueError(f"empty candidate list {name!r}")
@@ -54,10 +51,11 @@ class BlockSpace:
             unknown = [v for v in getattr(self, name) if v not in known]
             if unknown:
                 raise ValueError(f"unknown {name} {unknown}; known: {list(known)}")
-        for name in ("expansions", "head_counts"):
-            small = [v for v in getattr(self, name) if not (isinstance(v, int) and v >= 1)]
-            if small:
-                raise ValueError(f"{name} must be integers >= 1, got {small}")
+        for name, values in (("dimensions", (self.in_dim, self.out_dim)),
+                             ("expansions", self.expansions), ("head_counts", self.head_counts)):
+            bad = [v for v in values if not (isinstance(v, int) and v >= 1)]
+            if bad:
+                raise ValueError(f"layer {self.layer}: {name} must be integers >= 1, got {bad}")
         for h in self.head_counts:
             if self.out_dim % h:
                 raise ValueError(f"out_dim {self.out_dim} not divisible by head count {h}")

@@ -75,7 +75,7 @@ def cmd_search(args):
     result.write_log(os.path.join(args.out, "metrics.jsonl"))
     resolved = dict(asdict(config), dataset=dataset)
     with open(os.path.join(args.out, "resolved_config.json"), "w", encoding="utf-8") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True, default=list)
+        json.dump(resolved, f, indent=2, sort_keys=True)
 
     hidden = result.supernet.hidden
     result.supernet.store.save(os.path.join(args.out, "checkpoint"),

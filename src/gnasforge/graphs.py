@@ -248,8 +248,7 @@ def generate_sbm(num_classes, nodes_per_class, p_in, p_out, feature_dim,
     return _make_graph(n, features, edges, labels, spec), spec
 
 
-def generate_chain_task(length, seed, feature_dim=8,
-                        distractor_degree=8, noise=0.3):
+def generate_chain_task(length, seed):
     """Binary task whose labels are a linear function of the raw input features.
 
     Edges are random distractors, so message passing mixes classes while a
@@ -259,6 +258,7 @@ def generate_chain_task(length, seed, feature_dim=8,
     """
     if length < 20:
         raise ValueError("generate_chain_task needs length >= 20")
+    feature_dim, distractor_degree, noise = 8, 8, 0.3
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=length)
     v = rng.standard_normal(feature_dim)

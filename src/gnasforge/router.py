@@ -5,57 +5,17 @@ block j through a bias-free linear map. Gate priors live in an upper
 triangular matrix of unconstrained log-priors; the lower triangle is
 permanently inactive (no backward connections). Diagonal entries are
 residual skips over a single block.
+
+The gates' temperature tau comes from the caller: ``search.temp_anneal``
+anneals it and is the only place that bounds it.
 """
 
 from __future__ import annotations
-
-import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, glorot
-
-log = logging.getLogger(__name__)
-
-TAU_MIN = 1e-3
-
-
-@dataclass
-class TempSchedule:
-    """Temperature annealing constants shared by the router and the controller noise."""
-    kind: str = "exp"          # "exp" | "cosine_exp"
-    alpha: float = 1.0
-    e_start: int = 80
-    e_max: int = 400
-    e_cos: int = 100
-    e_exp: int = 300
-
-    def __post_init__(self):
-        if self.kind not in ("exp", "cosine_exp"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-
-def temp_anneal(e, schedule):
-    """tau(e): flat at 1, then (optionally cosine, then) exponential decay.
-
-    The cosine part sweeps omega * (e - e_cos) from 0 to pi / 2 over
-    [e_cos, e_exp). The cosine variant is discontinuous at e_exp by its
-    published definition; values are clamped to [TAU_MIN, 1].
-    """
-    s = schedule
-    if s.kind == "exp":
-        tau = 1.0 if e < s.e_start else np.exp(-(s.alpha / s.e_max) * (e - s.e_start))
-    else:
-        if e < s.e_cos:
-            tau = 1.0
-        elif e < s.e_exp:
-            omega = np.pi / (2.0 * max(s.e_exp - s.e_cos, 1))
-            tau = np.cos(omega * (e - s.e_cos))
-        else:
-            tau = np.exp(-(s.alpha / s.e_max) * (e - s.e_exp))
-    return float(np.clip(tau, TAU_MIN, 1.0))
 
 
 def sample_gumbel(rng, size=None):
@@ -74,9 +34,6 @@ def gumbel_sigmoid(theta, tau, g):
     sigmoid saturates to exactly 0 or 1 in floats even though the true value
     never reaches either bound; the local gradient there is already ~0.
     """
-    if tau < TAU_MIN:
-        log.warning("gumbel_sigmoid: tau=%g below floor %g, clamping", tau, TAU_MIN)
-        tau = TAU_MIN
     s = T.sigmoid(T.mul(theta + Tensor(g), Tensor(1.0 / tau)))
     # clipped into a fresh node, whose gradient passes straight through: theta's
     # gradient keeps the unclipped y (1 - y) / tau, and no node's value changes;

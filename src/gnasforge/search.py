@@ -1,4 +1,5 @@
-"""Bi-level dual-optimization search, genotype derivation, retraining, grid search."""
+"""Bi-level dual-optimization search, its temperature schedule, genotype derivation,
+retraining and grid search."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .blocks import (
     SUB_BLOCKS, EXPANSIONS, ATTENTIONS, HEAD_COUNTS, AGGREGATORS, ACTIVATION_KINDS,
 )
 from .controller import Controller, add_noise, extract_indices
-from .router import Router, TempSchedule, temp_anneal
+from .router import Router
 
 
 class SearchError(RuntimeError):
@@ -59,12 +60,8 @@ class SearchConfig:
             raise ValueError("empty hidden-size grid")
         for h in self.hidden_grid:
             self.spaces(1, h)           # each layer's candidates, checked before any data loads
-        self.schedule()
-
-    def schedule(self):
-        return TempSchedule(kind=self.schedule_kind, alpha=self.alpha,
-                            e_start=self.e_start, e_max=self.max_iter,
-                            e_cos=self.e_cos, e_exp=self.e_exp)
+        if self.schedule_kind not in ("exp", "cosine_exp"):
+            raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
 
     def spaces(self, feat_dim, hidden):
         return [
@@ -78,6 +75,32 @@ class SearchConfig:
                        activations=self.activations)
             for l in range(self.num_layers)
         ]
+
+
+TAU_MIN = 1e-3
+
+
+def temp_anneal(e, config):
+    """tau(e): flat at 1, then (optionally cosine, then) exponential decay.
+
+    Reads ``config``'s schedule_kind, alpha, e_start, max_iter, e_cos and
+    e_exp. The cosine part sweeps omega * (e - e_cos) from 0 to pi / 2 over
+    [e_cos, e_exp). The cosine variant is discontinuous at e_exp by its
+    published definition. This is the only place tau is bounded: values are
+    clamped to [TAU_MIN, 1].
+    """
+    c = config
+    if c.schedule_kind == "exp":
+        tau = 1.0 if e < c.e_start else np.exp(-(c.alpha / c.max_iter) * (e - c.e_start))
+    else:
+        if e < c.e_cos:
+            tau = 1.0
+        elif e < c.e_exp:
+            omega = np.pi / (2.0 * max(c.e_exp - c.e_cos, 1))
+            tau = np.cos(omega * (e - c.e_cos))
+        else:
+            tau = np.exp(-(c.alpha / c.max_iter) * (e - c.e_exp))
+    return float(np.clip(tau, TAU_MIN, 1.0))
 
 
 # -- losses and metrics ---------------------------------------------------------
@@ -313,7 +336,6 @@ def dual_search(config, graph, hidden=None, seed=None):
     task = graph.spec.task
     model = Supernet(config, graph.spec.feature_dim, graph.spec.num_classes, hidden, seed)
     store = model.store
-    sched = config.schedule()
     rng = np.random.default_rng(seed + 0x5EED)
 
     w_names = model.w_param_names(config.freeze_layers)
@@ -336,7 +358,7 @@ def dual_search(config, graph, hidden=None, seed=None):
     counters = {"w_updates": 0, "a_micro_updates": 0, "a_macro_updates": 0}
     log = []
     for epoch in range(config.max_iter):
-        tau = temp_anneal(epoch, sched)
+        tau = temp_anneal(epoch, config)
         noise = {key: rng.random(model.controller.proj[key].data.shape[1])
                  for key in sorted(model.controller.proj)}
 

@@ -792,16 +792,10 @@ class ParameterStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def names(self, group=None):
         if group is None:
             return list(self._params)
         return [n for n, g in self._groups.items() if g == group]
-
-    def group_of(self, name):
-        return self._groups[name]
 
     def items(self):
         return self._params.items()

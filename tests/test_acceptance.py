@@ -24,9 +24,9 @@ from gnasforge.graphs import (
     generate_chain_task, generate_sbm, load_graph_json, random_split,
 )
 from gnasforge.optim import Adam
-from gnasforge.router import Router, TempSchedule, sample_gumbel, gumbel_sigmoid, temp_anneal
+from gnasforge.router import Router, sample_gumbel, gumbel_sigmoid
 from gnasforge.search import (
-    Genotype, GenotypeNet, SearchConfig, Supernet, dual_search, retrain_genotype,
+    Genotype, GenotypeNet, SearchConfig, Supernet, dual_search, retrain_genotype, temp_anneal,
 )
 from gnasforge.tensor import ParameterStore, Tensor
 
@@ -106,7 +106,7 @@ def test_probability_and_schedule_suite():
         all(i <= j for (i, j) in router.derive_binary_routing())
 
     # temperature schedule hand values at {0, e_s-1, e_s, e_m-1}
-    s = TempSchedule(kind="exp", alpha=1.0, e_start=80, e_max=400)
+    s = SearchConfig(alpha=1.0, e_start=80, max_iter=400)
     sched_err = max(
         abs(temp_anneal(0, s) - 1.0),
         abs(temp_anneal(79, s) - 1.0),

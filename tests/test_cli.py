@@ -319,14 +319,16 @@ def test_dataset_with_two_masks_exits_2(tmp_path, dataset, capsys, command, drop
     ({"aggregators": ["median"]}, "unknown aggregators ['median']"),
     ({"expansions": [0]}, "expansions must be integers >= 1, got [0]"),
     ({"attentions": ["gcn", "foo"]}, "unknown attentions ['foo']"),
-], ids=["aggregator", "expansion", "attention"])
+    ({"hidden_grid": [16.0]}, "dimensions must be integers >= 1, got [16.0]"),
+], ids=["aggregator", "expansion", "attention", "float_hidden"])
 def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path, capsys,
                                                                         over, message):
     cfg = write_config(tmp_path / "c.json", tmp_path / "missing.json", **over)
     capsys.readouterr()
     assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err      # not "dataset not found"
+    assert err.startswith("config error: ") and message in err
+    assert "dataset file not found" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -338,9 +340,10 @@ def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path
     (lambda d: d.pop("seed"), "genotype lacks the key(s) ['seed']"),
     (lambda d: d["layers"][1].update(aggregate="median"), "unknown aggregators ['median']"),
     (lambda d: d["layers"][0].update(expansion=0), "expansions must be integers >= 1"),
-    (lambda d: d.update(hidden_sizes=[16, -16]), "dimensions must be >= 1"),
+    (lambda d: d.update(hidden_sizes=[16, -16]), "dimensions must be integers >= 1, got [-16]"),
+    (lambda d: d.update(hidden_sizes=[16.0, 16.0]), "dimensions must be integers >= 1, got [16.0]"),
 ], ids=["hidden_sizes", "unknown_key", "missing_key", "no_layers", "no_seed",
-        "unknown_aggregate", "zero_expansion", "negative_hidden_size"])
+        "unknown_aggregate", "zero_expansion", "negative_hidden_size", "float_hidden_size"])
 def test_retrain_rejects_malformed_genotype(tmp_path, dataset, capsys, edit, message):
     geno = _two_layer_genotype(tmp_path / "genotype.json")
     doc = json.loads(geno.read_text())

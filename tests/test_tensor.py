@@ -493,13 +493,15 @@ def test_checkpoint_roundtrip(tmp_path):
     store.save(tmp_path / "ckpt", extra_meta={"step": 17})
 
     other = ParameterStore()
-    for name in store.names():
-        other.add(name, np.zeros(store[name].shape), group=store.group_of(name))
+    for group in ("w", "a_micro"):
+        for name in store.names(group):
+            other.add(name, np.zeros(store[name].shape), group=group)
     extra = other.load(tmp_path / "ckpt")
     assert extra == {"step": 17}
     for name in store.names():
         np.testing.assert_array_equal(other[name].data, store[name].data)
-        assert other.group_of(name) == store.group_of(name)
+    for group in ("w", "a_micro"):
+        assert other.names(group) == store.names(group)
 
 
 def _ckpt_store(shapes, start=0.0):
