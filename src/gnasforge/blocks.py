@@ -243,6 +243,6 @@ def block_forward(graph, x, choice, params, scales=None):
     agg = T.propagate(h if narrow else t_all, coeff, graph.arcs, _AGG[choice.aggregate])
     if narrow:                                                  # (A h) W2 = A (h W2)
         agg = scaled("expansion", T.matmul(agg, w2))
-    e = scaled("heads", scaled("aggregate", agg))
-    out = T.activation_apply(choice.activation, e + t_all)
-    return scaled("activation", out)
+    pre = scaled("heads", scaled("aggregate", agg)) + t_all
+    del t, h, t_all, agg, coeff         # values no closure saved die before the activation runs
+    return scaled("activation", T.activation_apply(choice.activation, pre))

@@ -108,5 +108,8 @@ class Router:
             contrib = T.matmul(inputs[i], w)
             if gates is not None:
                 contrib = T.mul(contrib, T.pick(gates, i * self.num_blocks + j))
-            acc = acc + contrib
+            # an ungated shortcut from an input without gradient feeds only w's gradient:
+            # as the first operand, its backward runs before the block's and frees its
+            # gradient early, and no sum changes order (a + b is b + a)
+            acc = contrib + acc if gates is None and not inputs[i].requires_grad else acc + contrib
         return acc

@@ -4,6 +4,7 @@ retraining and grid search."""
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -22,6 +23,14 @@ from .router import Router
 
 class SearchError(RuntimeError):
     pass
+
+
+# a scalar field's annotation -> (check, what it asks for); bool is an int and a real
+_SCALAR_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass
@@ -49,9 +58,12 @@ class SearchConfig:
     freeze_layers: tuple = ()
 
     def __post_init__(self):
-        for f in fields(self):              # a JSON config gives lists
-            if isinstance(f.default, tuple):
-                setattr(self, f.name, tuple(getattr(self, f.name)))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):    # a JSON config gives lists
+                setattr(self, f.name, tuple(value))
+            elif f.type in _SCALAR_KINDS and not _SCALAR_KINDS[f.type][0](value):
+                raise ValueError(f"{f.name} must be {_SCALAR_KINDS[f.type][1]}, got {value!r}")
         if self.max_iter < 1 or self.train_step < 1:
             raise ValueError("max_iter and train_step must be >= 1")
         if not 2 <= self.num_layers <= 7:

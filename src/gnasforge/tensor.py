@@ -294,10 +294,14 @@ def _unary(a, value, derivative):
 
     The derivative is computed in the backward: no node's value changes after
     it is built, so it reads the values the forward saw. It reads ``value``
-    where it can, so that ``a``'s value is not kept for it.
+    where it can, so that ``a``'s value is not kept for it. A closure owns its
+    upstream array g (``backward`` takes it off the node, and ``add`` gives
+    one operand the array and the other a copy), so the derivative is
+    multiplied into g.
     """
     na = a._node
-    return Tensor(value, _parents=(a,), _backward=lambda g: _accum(na, g * derivative(), owned=True))
+    return Tensor(value, _parents=(a,),
+                  _backward=lambda g: _accum(na, np.multiply(g, derivative(), out=g), owned=True))
 
 
 def tanh(a):
@@ -325,23 +329,28 @@ def sigmoid(a):
 
 def relu(a):
     y = np.maximum(a.data, 0.0)
-    return _unary(a, y, lambda: (y > 0).astype(np.float64))
+    return _unary(a, y, lambda: y > 0)                # g * True is g, g * False is g * 0.0
 
 
 def leaky_relu(a, slope=0.2):
-    if slope < 0:
-        raise ValueError(f"leaky_relu: slope must be >= 0, got {slope}")
-    y = np.where(a.data > 0, a.data, slope * a.data)
-    return _unary(a, y, lambda: np.where(y > 0, 1.0, slope))
+    if not 0 < slope <= 1:
+        raise ValueError(f"leaky_relu: slope must be in (0, 1], got {slope}")
+    x = a.data
+    # for 0 < slope <= 1, max(slope x, x) is x where x > 0 and slope x elsewhere,
+    # infinities, signed zeros and NaN included
+    y = np.multiply(x, slope, out=np.empty_like(x))     # an array also for a 0-d x
+    return _unary(a, np.maximum(y, x, out=y), lambda: np.where(y > 0, 1.0, slope))
 
 
 def relu6(a):
     y = np.clip(a.data, 0.0, 6.0)
-    return _unary(a, y, lambda: ((y > 0) & (y < 6)).astype(np.float64))
+    return _unary(a, y, lambda: (y > 0) & (y < 6))
 
 
 def elu(a):
-    y = np.where(a.data > 0, a.data, np.expm1(a.data))
+    x = a.data
+    y = np.expm1(x, out=np.empty_like(x))
+    np.putmask(y, x > 0, x)
 
     def derivative():
         # one transcendental pass: the derivative exp(x) is y + 1 where x <= 0
@@ -489,11 +498,12 @@ def _diagonal_reduce(v, coef, layout, agg, winners=False):
     for k0 in range(0, len(keys), b):
         width = min(b, len(keys) - k0)
         acc = np.zeros((width, d))
+        wr = None if win is None else np.zeros((width, d), dtype=np.uint32)  # winner's diagonal
         for r in range(layout.degrees[k0]):
             lo = offsets[r] + k0
             c = min(offsets[r + 1] - lo, width)             # this block's keys on diagonal r
             # Arcs checked the ids, and "clip" lets take write into buf unbuffered
-            m = np.take(v, layout.rows[lo:lo + c], axis=0, out=buf[:c], mode="clip")
+            m = v.take(layout.rows[lo:lo + c], axis=0, out=buf[:c], mode="clip")
             if coef is not None:
                 mh = m.reshape(c, coef.shape[1], -1)
                 mh *= coef[lo:lo + c, :, None]
@@ -501,13 +511,15 @@ def _diagonal_reduce(v, coef, layout, agg, winners=False):
                 acc[:c] += m
             elif r == 0:
                 acc[:c] = m
-                if win is not None:
-                    win[k0:k0 + c] = layout.arcs[lo:lo + c, None]
             else:
-                if win is not None:
-                    np.copyto(win[k0:k0 + c], layout.arcs[lo:lo + c, None], where=m > acc[:c])
+                if wr is not None:                          # the last diagonal to raise the max
+                    np.maximum(wr[:c], (m > acc[:c]) * np.uint32(r), out=wr[:c])
                 np.maximum(acc[:c], m, out=acc[:c])
         out[keys[k0:k0 + width]] = acc
+        if wr is not None and layout.degrees[k0]:
+            c = min(offsets[1] - k0, width)                 # this block's keys with arcs
+            first = np.asarray(offsets)[wr[:c]]             # where each winner's diagonal starts
+            win[k0:k0 + c] = layout.arcs[first + np.arange(k0, k0 + c)[:, None]]
     if win is not None:
         win = win[np.argsort(keys)]                 # by key, as ``out`` is
         win[np.isnan(out)] = -1
@@ -618,12 +630,12 @@ def propagate(x, coeff, arcs, agg):
                     w = g * np.append(cd, np.zeros((1, heads)), axis=0)[win, cols // hd]
                 _accum(nx, _bincount(at.ravel(), w.ravel(), (n_x + 1, d))[:n_x], owned=True)
             if nc:
-                xw = g * np.take(xs, at, mode="clip")
+                xw = g * xs.take(at, mode="clip")
                 _accum(nc, _bincount(((win + 1) * heads + cols // hd).ravel(), xw.ravel(),
                                         (len(src) + 1, heads))[1:], owned=True)
             return
         if agg == "mean":
-            g = g / arcs.counts
+            g /= arcs.counts
         if nx:
             outg = arcs.outgoing
             _accum(nx, _diagonal_reduce(g, None if cd is None else cd[outg.arcs],
@@ -676,7 +688,8 @@ def edge_softmax(scores, arcs):
     ns = scores._node
 
     def bw(g):
-        _accum(ns, y * (g - _diagonal_reduce(g * y, None, inc, "sum")[0][dst]), owned=True)
+        g -= _diagonal_reduce(g * y, None, inc, "sum")[0][dst]
+        _accum(ns, np.multiply(g, y, out=g), owned=True)     # (g - s[dst]) y = y (g - s[dst])
 
     return Tensor(y, _parents=(scores,), _backward=bw)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -686,6 +688,33 @@ def test_block_tape_holds_no_edge_by_width_array(kind, agg):
     out = block_forward(g, x, BlockChoice(1, kind, 4, agg, "relu"), BlockParamsView(space, store))
     sizes = [a.size for a in _tape_arrays(out)]
     assert sizes and max(sizes) < arcs * width
+
+
+@pytest.mark.parametrize("in_dim", [16, 64], ids=["narrow", "wide"])
+@pytest.mark.parametrize("kind, agg, act", [("const", "mean", "elu"), ("gcn", "sum", "relu")])
+def test_block_forward_holds_no_local_past_its_last_reader(kind, agg, act, in_dim):
+    """Above what a block holds when it returns, its forward peaks at two n x D arrays: the
+    pre-activation sum's two operands and its result coexist while the sum is taken, and
+    the end holds the activation's output. The locals die before the activation runs, and
+    the activation builds its output without a second full-size array."""
+    g, _ = generate_sbm(4, 500, 0.01, 0.001, 16, 0.5, seed=3)
+    n, width = g.num_nodes, 64
+    space = BlockSpace(layer=0, in_dim=in_dim, out_dim=width, expansions=(1,),
+                       attentions=(kind,), head_counts=(1,), aggregators=(agg,),
+                       activations=(act,))
+    store = ParameterStore()
+    init_block_params(space, store, np.random.default_rng(3))
+    x = Tensor(np.random.default_rng(4).standard_normal((n, in_dim)), requires_grad=True)
+    choice, view = BlockChoice(1, kind, 1, agg, act), BlockParamsView(space, store)
+    block_forward(g, x, choice, view)                # builds the graph's cached layouts
+    tracemalloc.start()
+    try:
+        out = block_forward(g, x, choice, view)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, width)
+    assert peak - held <= 2.25 * n * width * 8
 
 
 # -- activations ------------------------------------------------------------------

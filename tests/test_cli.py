@@ -320,7 +320,12 @@ def test_dataset_with_two_masks_exits_2(tmp_path, dataset, capsys, command, drop
     ({"expansions": [0]}, "expansions must be integers >= 1, got [0]"),
     ({"attentions": ["gcn", "foo"]}, "unknown attentions ['foo']"),
     ({"hidden_grid": [16.0]}, "dimensions must be integers >= 1, got [16.0]"),
-], ids=["aggregator", "expansion", "attention", "float_hidden"])
+    ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ({"e_start": None}, "e_start must be an integer, got None"),
+    ({"alpha": "1"}, "alpha must be a real number, got '1'"),
+    ({"router_enabled": 1}, "router_enabled must be true or false, got 1"),
+], ids=["aggregator", "expansion", "attention", "float_hidden", "float_int", "null_int",
+        "string_float", "int_bool"])
 def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path, capsys,
                                                                         over, message):
     cfg = write_config(tmp_path / "c.json", tmp_path / "missing.json", **over)

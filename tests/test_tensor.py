@@ -363,6 +363,97 @@ def test_backward_peak_does_not_grow_with_the_tape():
     assert long - short <= 2 * 8 * n
 
 
+@pytest.mark.parametrize("kind", ["relu", "leaky_relu", "relu6", "elu", "tanh"])
+def test_an_activation_builds_its_output_without_a_full_size_temporary(kind):
+    x = Tensor(np.random.default_rng(5).standard_normal((2000, 64)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = T.activation_apply(kind, x)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= out.data.nbytes
+    assert peak - held <= out.data.nbytes // 8 + 64 * 1024      # a boolean mask at most
+
+
+@pytest.mark.parametrize("slope", [0.2, 0.01, 1.0])
+def test_leaky_relu_is_the_masked_select_bit_for_bit(slope):
+    x = np.concatenate([np.random.default_rng(9).standard_normal(1000) * 10,
+                        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, np.nan]])
+    y = T.leaky_relu(Tensor(x), slope).data
+    assert y.tobytes() == np.where(x > 0, x, slope * x).tobytes()
+    assert T.leaky_relu(Tensor(-0.5), slope).data.shape == ()
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.1, 1.5])
+def test_leaky_relu_rejects_a_slope_outside_0_1(slope):
+    with pytest.raises(ValueError, match=r"slope must be in \(0, 1\]"):
+        T.leaky_relu(Tensor([1.0]), slope)
+
+
+def test_backward_closures_write_into_their_upstream_gradient():
+    """Along relu -> mean propagate -> elu, each closure allocates at most what its
+    gradient needs beyond the upstream array it owns: relu a boolean mask, elu one
+    derivative, and the mean the reduced gradient and the reduction's block buffers
+    (a gather buffer and an accumulator, which two blocks hold while one replaces the other)."""
+    n, d = 2000, 64
+    rng = np.random.default_rng(6)
+    dst = np.sort(rng.integers(0, n, size=8 * n))
+    arcs = T.Arcs(rng.integers(0, n, size=dst.size), dst, n)
+    arcs.outgoing                               # built once per graph, on first use
+    x = Tensor(np.random.default_rng(7).standard_normal((n, d)), requires_grad=True)
+    r = T.relu(x)
+    m = T.propagate(r, None, arcs, "mean")
+    e = T.elu(m)
+    loss = T.tsum(T.mul(e, Tensor(np.random.default_rng(8).standard_normal((n, d)))))
+    array, block = n * d * 8, T._BLOCK_ENTRIES * 8
+    budgets = {"relu": array // 8, "mean": array + 3 * block, "elu": array}
+    peaks = {}
+    for name, node in (("relu", r._node), ("mean", m._node), ("elu", e._node)):
+        def measured(g, closure=node._backward, name=name):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            closure(g)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+        node._backward = measured
+    del r, m, e
+    tracemalloc.start()
+    try:
+        loss.backward()
+    finally:
+        tracemalloc.stop()
+    # the slack covers numpy's 64 KB casting buffers and small objects
+    over = {k: peaks[k] - budgets[k] for k in budgets if peaks[k] > budgets[k] + 256 * 1024}
+    assert len(peaks) == 3 and not over
+
+
+def test_a_closure_writing_into_its_upstream_array_leaves_the_other_operand_exact():
+    """add hands its upstream array to one operand and a copy to the other, so an in-place
+    closure on either side changes nothing the other reads; forward values stay as built."""
+    xd = np.array([[0.5, -1.0, 2.0], [-0.25, 3.0, -2.0], [1.5, -0.5, 0.0], [-3.0, 0.75, 1.0]])
+    w = np.arange(1.0, 13.0).reshape(4, 3) / 7.0
+    arcs = T.Arcs([1, 2, 3, 0, 3], [0, 0, 1, 2, 2], 4)
+    mean = np.zeros((4, 4))                     # out = mean @ h
+    np.add.at(mean, (arcs.dst, arcs.src), 1.0)
+    mean /= arcs.counts
+    elu_slope = np.where(xd > 0, 1.0, np.exp(xd))
+    cases = [
+        (lambda h: T.relu(h) + h, (xd > 0) * w + w),
+        (lambda h: h + T.elu(h), w + elu_slope * w),
+        (lambda h: T.propagate(h, None, arcs, "mean") + h, mean.T @ w + w),
+        (lambda h: h + h, 2 * w),
+        (lambda h: T.elu(h) + T.elu(h), 2 * elu_slope * w),
+    ]
+    for op, expected in cases:
+        x = Tensor(xd.copy(), requires_grad=True)
+        out = op(x)
+        before = out.data.copy()
+        T.tsum(T.mul(out, Tensor(w))).backward()
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(out.data, before)
+        np.testing.assert_array_equal(x.data, xd)
+
+
 def test_results_without_gradient_keep_no_tape(monkeypatch):
     x = Tensor(np.array([[0.5, -1.0], [2.0, 0.0], [1.0, 3.0]]))
     arcs = T.Arcs([0, 1, 2], [0, 0, 1], 3)
