@@ -6,8 +6,10 @@ import numpy as np
 
 from .tensor import ParameterStore
 
+STEP = 1e-5     # the central difference's step
 
-def finite_difference_check(f, x, h=1e-5):
+
+def finite_difference_check(f, x):
     """Max relative error between the analytic gradient of ``f`` at ``x`` and
     central finite differences.
 
@@ -16,10 +18,10 @@ def finite_difference_check(f, x, h=1e-5):
     """
     store = ParameterStore()
     x = store.add("x", x)
-    return check_params(lambda: f(x), store, ["x"], h)
+    return check_params(lambda: f(x), store, ["x"])
 
 
-def check_params(build_loss, store, names, h=1e-5):
+def check_params(build_loss, store, names):
     """Finite-difference check of d(loss)/d(param) for named store parameters.
 
     ``build_loss`` takes no arguments and rebuilds the scalar loss from the
@@ -41,14 +43,14 @@ def check_params(build_loss, store, names, h=1e-5):
         aflat = analytic.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + STEP
             hi = build_loss().item()
-            flat[i] = orig - h
+            flat[i] = orig - STEP
             lo = build_loss().item()
             flat[i] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise ValueError(f"check_params: non-finite loss probing {name}[{i}]")
-            fd = (hi - lo) / (2.0 * h)
+            fd = (hi - lo) / (2.0 * STEP)
             err = abs(aflat[i] - fd) / max(1.0, abs(aflat[i]))
             worst = max(worst, err)
     store.zero_grad()

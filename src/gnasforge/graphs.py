@@ -197,16 +197,13 @@ def save_graph_json(graph, path):
 
 # -- splits --------------------------------------------------------------------
 
-def random_split(graph, ratios=(0.6, 0.2, 0.2), seed=0):
+def random_split(graph, seed=0):
     """Seeded random 60/20/20 repartition: floor rounding, remainder to test."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
     n = graph.num_nodes
     if n < 5:
         raise ValueError("random_split needs at least 5 nodes")
     perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(np.floor(ratios[0] * n))
-    n_val = int(np.floor(ratios[1] * n))
+    n_train, n_val = int(0.6 * n), int(0.2 * n)          # floors, as n > 0
     masks = {}
     for name, part in (
         ("train", perm[:n_train]),

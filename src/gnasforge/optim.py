@@ -13,13 +13,13 @@ class Adam:
     the moments and each parameter's ``data`` in place.
     """
 
-    def __init__(self, store, names, lr, weight_decay=0.0,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, store, names, lr, weight_decay=0.0):
         self.store = store
         self.names = list(names)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.state = {
             n: {"m": np.zeros_like(store[n].data), "v": np.zeros_like(store[n].data), "t": 0}
             for n in self.names
@@ -47,11 +47,11 @@ class Adam:
             # in place, rounding as m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2
             # and p = p - lr m_hat / (sqrt(v_hat) + eps) do
             m, v = st["m"], st["v"]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = m / (1.0 - self.beta1 ** st["t"])
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            update = m / (1.0 - self.BETA1 ** st["t"])
             update *= self.lr
-            update /= np.sqrt(v / (1.0 - self.beta2 ** st["t"])) + self.eps
+            update /= np.sqrt(v / (1.0 - self.BETA2 ** st["t"])) + self.EPS
             p.data -= update

@@ -100,12 +100,7 @@ class Router:
         """
         acc = output
         for i in [i for (i, k) in self._shortcuts if k == j]:
-            w = self.shortcut(i, j)
-            if output.data.shape[1] != w.data.shape[1]:
-                raise T.ShapeError(
-                    f"route: shortcut ({i},{j}) maps to width {w.data.shape[1]}, "
-                    f"output has width {output.data.shape[1]}")
-            contrib = T.matmul(inputs[i], w)
+            contrib = T.matmul(inputs[i], self.shortcut(i, j))
             if gates is not None:
                 contrib = T.mul(contrib, T.pick(gates, i * self.num_blocks + j))
             # an ungated shortcut from an input without gradient feeds only w's gradient:

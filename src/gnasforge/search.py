@@ -25,11 +25,12 @@ class SearchError(RuntimeError):
     pass
 
 
-# a scalar field's annotation -> (check, what it asks for); bool is an int and a real
-_SCALAR_KINDS = {
+# a field's annotation -> (check, what it asks for); bool is an int and a real
+_FIELD_KINDS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "list": (lambda v: isinstance(v, list), "a list"),
 }
 
 
@@ -62,8 +63,8 @@ class SearchConfig:
             value = getattr(self, f.name)
             if isinstance(f.default, tuple):    # a JSON config gives lists
                 setattr(self, f.name, tuple(value))
-            elif f.type in _SCALAR_KINDS and not _SCALAR_KINDS[f.type][0](value):
-                raise ValueError(f"{f.name} must be {_SCALAR_KINDS[f.type][1]}, got {value!r}")
+            elif f.type in _FIELD_KINDS and not _FIELD_KINDS[f.type][0](value):
+                raise ValueError(f"{f.name} must be {_FIELD_KINDS[f.type][1]}, got {value!r}")
         if self.max_iter < 1 or self.train_step < 1:
             raise ValueError("max_iter and train_step must be >= 1")
         if not 2 <= self.num_layers <= 7:
@@ -170,20 +171,28 @@ class Genotype:
         missing = [f.name for f in fields(cls) if f.name not in doc]
         if missing:
             raise ValueError(f"genotype lacks the key(s) {missing}")
-        keys = {f.name for f in fields(BlockChoice)}
+        for f in fields(cls):       # a malformed field raises ValueError, as in SearchConfig
+            check, what = _FIELD_KINDS[f.type]
+            if not check(doc[f.name]):
+                raise ValueError(f"genotype {f.name} must be {what}, got {doc[f.name]!r}")
+        keys = sorted(f.name for f in fields(BlockChoice))
         for l, rec in enumerate(doc["layers"]):
-            if set(rec) != keys:
-                raise ValueError(f"genotype layer {l} has keys {sorted(rec)}, not {sorted(keys)}")
+            got = sorted(rec) if isinstance(rec, dict) else repr(rec)
+            if got != keys:
+                raise ValueError(f"genotype layer {l} has keys {got}, not {keys}")
         layers = [BlockChoice(**rec) for rec in doc["layers"]]
-        routing = [tuple(p) for p in doc["routing"]]
         L = len(layers)
         if len(doc["hidden_sizes"]) != L:
             raise ValueError(f"genotype has {len(doc['hidden_sizes'])} hidden sizes for {L} layers")
-        for (i, j) in routing:
-            if not 0 <= i <= j < L:
-                raise ValueError(f"invalid routing pair ({i}, {j}) for {L} layers")
+        routing = [tuple(p) if isinstance(p, list) and all(map(_FIELD_KINDS["int"][0], p)) else p
+                   for p in doc["routing"]]
+        for p in routing:
+            if not (isinstance(p, tuple) and len(p) == 2 and 0 <= p[0] <= p[1] < L):
+                raise ValueError(f"invalid routing pair {p!r} for {L} layers")
+        if len(set(routing)) < len(routing):
+            raise ValueError(f"genotype routing repeats a pair: {doc['routing']}")
         return cls(layers=layers, routing=routing,
-                   hidden_sizes=list(doc["hidden_sizes"]), seed=int(doc["seed"]))
+                   hidden_sizes=list(doc["hidden_sizes"]), seed=doc["seed"])
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
@@ -204,7 +213,6 @@ class Supernet:
         rng = np.random.default_rng(seed)
         self.config = config
         self.hidden = hidden
-        self.num_classes = num_classes
         self._add_blocks(config.spaces(feat_dim, hidden), rng)
         self.classifier = self.store.add("classifier/W", glorot(rng, num_classes, hidden).T)
         head_sizes = {(s.layer, kind): len(s.candidates(kind))
@@ -284,7 +292,6 @@ class GenotypeNet(Supernet):
     def __init__(self, genotype, feat_dim, num_classes, seed=0):
         rng = np.random.default_rng(seed)
         self.genotype = genotype
-        self.num_classes = num_classes
         hidden = genotype.hidden_sizes
         self._add_blocks([
             BlockSpace(layer=l,
@@ -431,9 +438,11 @@ def dual_search(config, graph, hidden=None, seed=None):
 
 # -- retraining ----------------------------------------------------------------------
 
-def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
-                     weight_decay=5e-4, patience=50, freeze_layers=()):
-    """Fresh-weight training of the discrete architecture.
+RETRAIN_LR, RETRAIN_WEIGHT_DECAY = 0.005, 5e-4
+
+
+def retrain_genotype(genotype, graph, epochs=300, seed=0, patience=50, freeze_layers=()):
+    """Fresh-weight training of the discrete architecture, by Adam at the RETRAIN_ settings.
 
     Early-stops on the validation metric (given patience) and reports the
     test metric at the best-validation checkpoint.
@@ -451,7 +460,7 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, lr=0.005,
         raise ValueError(f"retrain_genotype: epochs must be >= 1, got {epochs}")
     task = graph.spec.task
     net = GenotypeNet(genotype, graph.spec.feature_dim, graph.spec.num_classes, seed=seed)
-    opt = Adam(net.store, net.w_param_names(freeze_layers), lr, weight_decay)
+    opt = Adam(net.store, net.w_param_names(freeze_layers), RETRAIN_LR, RETRAIN_WEIGHT_DECAY)
 
     best = {"val": -1.0, "epoch": -1, "weights": None, "logits": None}
     since_best = 0

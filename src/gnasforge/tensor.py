@@ -179,29 +179,15 @@ def _accum(node, g, owned=False):
 
 
 def _unbroadcast(g, shape):
-    """Reduce an upstream gradient back to the broadcast operand's shape.
-
-    Returns ``g`` itself when no reduction is needed, else a fresh value.
-    """
-    if g.shape == shape:
-        return g
-    if shape == () or all(s == 1 for s in shape):
-        return g.sum().reshape(shape)
-    # row vector (1, d) or column vector (n, 1)
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True).reshape(shape)
+    """The upstream gradient of an operand of ``shape``: ``g`` itself, or a size-1 operand's sum."""
+    return g if g.shape == shape else g.sum().reshape(shape)
 
 
 def _check_ew(op, a, b):
+    """Equal shapes, or one size-1 operand with no more axes than the other; no row or column."""
     sa, sb = a.data.shape, b.data.shape
-    if sa == sb or a.size == 1 or b.size == 1:
-        return
-    if len(sa) == 2 and len(sb) == 2:
-        rows_ok = sa[0] == sb[0] or sa[0] == 1 or sb[0] == 1
-        cols_ok = sa[1] == sb[1] or sa[1] == 1 or sb[1] == 1
-        if rows_ok and cols_ok and (sa[0] == sb[0] or sa[1] == sb[1]):
-            return
-    raise _shape_err(op, sa, sb)
+    if not (sa == sb or a.size == 1 and len(sa) <= len(sb) or b.size == 1 and len(sb) <= len(sa)):
+        raise _shape_err(op, sa, sb)
 
 
 # -- elementwise arithmetic --------------------------------------------------
@@ -494,11 +480,12 @@ def _diagonal_reduce(v, coef, layout, agg, winners=False):
     out = np.empty((len(keys), d))
     win = np.full((len(keys), d), -1) if agg == "max" and winners else None  # by slot, until the end
     b = max(1, _BLOCK_ENTRIES // d)
-    buf = np.empty((b, d))
+    buf, acc = np.empty((2, min(b, len(keys)), d))      # every block's gather buffer and sums
+    wr = np.empty(acc.shape if win is not None else (0, d), dtype=np.uint32)   # winners' diagonals
     for k0 in range(0, len(keys), b):
         width = min(b, len(keys) - k0)
-        acc = np.zeros((width, d))
-        wr = None if win is None else np.zeros((width, d), dtype=np.uint32)  # winner's diagonal
+        acc[:width] = 0.0
+        wr[:width] = 0
         for r in range(layout.degrees[k0]):
             lo = offsets[r] + k0
             c = min(offsets[r + 1] - lo, width)             # this block's keys on diagonal r
@@ -512,11 +499,11 @@ def _diagonal_reduce(v, coef, layout, agg, winners=False):
             elif r == 0:
                 acc[:c] = m
             else:
-                if wr is not None:                          # the last diagonal to raise the max
+                if win is not None:                         # the last diagonal to raise the max
                     np.maximum(wr[:c], (m > acc[:c]) * np.uint32(r), out=wr[:c])
                 np.maximum(acc[:c], m, out=acc[:c])
-        out[keys[k0:k0 + width]] = acc
-        if wr is not None and layout.degrees[k0]:
+        out[keys[k0:k0 + width]] = acc[:width]
+        if win is not None and layout.degrees[k0]:
             c = min(offsets[1] - k0, width)                 # this block's keys with arcs
             first = np.asarray(offsets)[wr[:c]]             # where each winner's diagonal starts
             win[k0:k0 + c] = layout.arcs[first + np.arange(k0, k0 + c)[:, None]]
@@ -530,20 +517,24 @@ def _diagonal_dot(a, b, layout, heads):
     """Per arc, in arc order, the per-head sums of ``a[key] * b[row]``: E x H (the SDDMM).
 
     Keys run in ``_diagonal_reduce``'s blocks. A block gathers its keys' rows
-    of ``a`` once, each diagonal its rows of ``b``, and a D x H 0/1 matmul
-    sums each head's columns.
+    of ``a`` once, each diagonal its rows of ``b`` into one reused buffer,
+    which it multiplies in place, and a D x H 0/1 matmul sums each head's
+    columns.
     """
     d, keys, offsets = a.shape[1], layout.keys, layout.offsets
     head_sum = np.repeat(np.eye(heads), d // heads, axis=0)
     out = np.empty((len(layout.arcs), heads))
     blk = max(1, _BLOCK_ENTRIES // d)
+    a_buf, b_buf = np.empty((2, min(blk, len(keys)), d))      # reused by every block
     for k0 in range(0, len(keys), blk):
         width = min(blk, len(keys) - k0)
-        ak = a[keys[k0:k0 + width]]
+        ak = a.take(keys[k0:k0 + width], axis=0, out=a_buf[:width], mode="clip")
         for r in range(layout.degrees[k0]):
             lo = offsets[r] + k0
             c = min(offsets[r + 1] - lo, width)
-            out[layout.arcs[lo:lo + c]] = (b[layout.rows[lo:lo + c]] * ak[:c]) @ head_sum
+            m = b.take(layout.rows[lo:lo + c], axis=0, out=b_buf[:c], mode="clip")
+            m *= ak[:c]
+            out[layout.arcs[lo:lo + c]] = m @ head_sum
     return out
 
 
@@ -835,14 +826,10 @@ class ParameterStore:
             for t, flag in zip(leaves, flags):
                 t.requires_grad = flag
 
-    def grads(self, group=None):
-        """Collect accumulated gradients keyed by parameter name."""
-        out = {}
-        for n in self.names(group):
-            g = self._params[n].grad
-            if g is not None:
-                out[n] = g
-        return out
+    def grads(self, group):
+        """The accumulated gradients of ``group``'s parameters, keyed by name."""
+        grads = {n: self._params[n].grad for n in self.names(group)}
+        return {n: g for n, g in grads.items() if g is not None}
 
     # checkpoint container: meta.json + one raw little-endian f64 file per param
     def save(self, directory, extra_meta=None):

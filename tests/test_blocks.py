@@ -526,7 +526,7 @@ def _ref_block(g, x, choice, view, scales):
     for h in range(H):
         f = _cols(t_all, h * hd, (h + 1) * hd)
         coeff = sc("attention", _ref_head_coeff(choice.attention, f, g, heads[h]))
-        msgs = T.mul(T.gather_rows(f, g.arcs, "src"), coeff)
+        msgs = T.mul(T.gather_rows(f, g.arcs, "src"), T.matmul(coeff, Tensor(np.ones((1, hd)))))
         agg = sc("aggregate", _REF_AGG[choice.aggregate](msgs, g.arcs.dst, g.num_nodes))
         place = np.zeros((hd, out_dim))
         place[np.arange(hd), np.arange(h * hd, (h + 1) * hd)] = 1.0

@@ -324,8 +324,9 @@ def test_dataset_with_two_masks_exits_2(tmp_path, dataset, capsys, command, drop
     ({"e_start": None}, "e_start must be an integer, got None"),
     ({"alpha": "1"}, "alpha must be a real number, got '1'"),
     ({"router_enabled": 1}, "router_enabled must be true or false, got 1"),
+    ({"aggregators": []}, "empty candidate list 'aggregators'"),
 ], ids=["aggregator", "expansion", "attention", "float_hidden", "float_int", "null_int",
-        "string_float", "int_bool"])
+        "string_float", "int_bool", "empty_aggregators"])
 def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path, capsys,
                                                                         over, message):
     cfg = write_config(tmp_path / "c.json", tmp_path / "missing.json", **over)
@@ -347,8 +348,21 @@ def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path
     (lambda d: d["layers"][0].update(expansion=0), "expansions must be integers >= 1"),
     (lambda d: d.update(hidden_sizes=[16, -16]), "dimensions must be integers >= 1, got [-16]"),
     (lambda d: d.update(hidden_sizes=[16.0, 16.0]), "dimensions must be integers >= 1, got [16.0]"),
+    (lambda d: d.update(routing=[1]), "invalid routing pair 1 for 2 layers"),
+    (lambda d: d.update(seed=None), "genotype seed must be an integer, got None"),
+    (lambda d: d.update(seed=True), "genotype seed must be an integer, got True"),
+    (lambda d: d.update(hidden_sizes=8), "genotype hidden_sizes must be a list, got 8"),
+    (lambda d: d.update(layers=3), "genotype layers must be a list, got 3"),
+    (lambda d: d.update(layers=[3, 3]), "genotype layer 0 has keys 3, not"),
+    (lambda d: d.update(routing=[["0", 1]]), "invalid routing pair ['0', 1] for 2 layers"),
+    (lambda d: d.update(routing=[[0, 1, 2]]), "invalid routing pair (0, 1, 2) for 2 layers"),
+    (lambda d: d.update(routing=[[0, 1], [0, 1]]),
+     "genotype routing repeats a pair: [[0, 1], [0, 1]]"),
 ], ids=["hidden_sizes", "unknown_key", "missing_key", "no_layers", "no_seed",
-        "unknown_aggregate", "zero_expansion", "negative_hidden_size", "float_hidden_size"])
+        "unknown_aggregate", "zero_expansion", "negative_hidden_size", "float_hidden_size",
+        "routing_not_a_pair", "null_seed", "bool_seed", "hidden_sizes_not_a_list",
+        "layers_not_a_list", "layer_not_an_object", "string_node_id", "routing_triple",
+        "repeated_pair"])
 def test_retrain_rejects_malformed_genotype(tmp_path, dataset, capsys, edit, message):
     geno = _two_layer_genotype(tmp_path / "genotype.json")
     doc = json.loads(geno.read_text())
@@ -411,6 +425,13 @@ def test_gradcheck_single_target(capsys):
     assert main(["gradcheck", "sigmoid"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "sigmoid" in out and "worst:" in out
+
+
+def test_gradcheck_group_target(capsys):
+    """A group name runs that group's checks: ``route`` checks the gated shortcuts."""
+    assert main(["gradcheck", "route"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("ok   route ") and lines[1].startswith("worst:")
 
 
 # -- allocator policy -------------------------------------------------------------

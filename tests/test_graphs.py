@@ -94,6 +94,23 @@ def test_masks_name_all_three_splits_or_none(masks):
     assert set(full.masks) == {"train", "val", "test"}
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"features": [[0.0, 0.0, 0.0]] * 3}, r"features shape \(3, 3\) != \(3, 2\)"),
+    ({"labels": [[0, 1]] * 3}, r"labels shape \(3, 2\) != \(3,\)"),
+    ({"task": "multi"}, r"labels shape \(3,\) != \(3, 2\)"),
+    ({"labels": [0, 2, 1]}, "label index out of range"),
+    ({"masks": {"dev": [0]}}, "unknown mask 'dev'"),
+    ({"masks": {"train": [0], "val": [3], "test": [1]}}, "mask 'val' index out of range"),
+    ({"edges": [[0, 1], ["a", 2]]}, "edges must be pairs of integer node ids"),
+    ({"task": "ranking"}, "unknown task kind 'ranking'"),
+    ({"num_classes": 1, "labels": [0, 0, 0]}, "num_classes must be >= 2"),
+], ids=["features_shape", "single_label_shape", "multi_label_shape", "label_range",
+        "mask_name", "mask_range", "edge_ids", "task", "num_classes"])
+def test_graph_from_dict_rejects_a_malformed_field(over, message):
+    with pytest.raises(GraphFormatError, match=message):
+        graph_from_dict(dict(doc(3, [[0, 1]]), **over))
+
+
 def _neighbors(g, i):
     """The sources of the arcs into node i, self-loop included."""
     return g.arcs.src[g.arcs.dst == i]
@@ -159,11 +176,6 @@ def test_split_deterministic_and_exhaustive():
 def test_split_rejects_tiny_graphs():
     with pytest.raises(ValueError, match="5 nodes"):
         random_split(graph_from_dict(doc(4, [])), seed=0)
-
-
-def test_split_rejects_bad_ratios():
-    with pytest.raises(ValueError, match="sum to 1"):
-        random_split(graph_from_dict(doc(10, [])), ratios=(0.5, 0.2, 0.2), seed=0)
 
 
 def test_sbm_degenerate_probabilities_give_cliques():

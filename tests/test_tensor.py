@@ -185,16 +185,16 @@ def test_first_gradients_are_distinct_arrays():
     # an add hands its upstream array to one operand: along a chain of adds,
     # with broadcast and repeated operands, no two operands share an array
     weights = np.arange(6.0).reshape(2, 3)
-    for op, x_uses in ((lambda x, row, y: (x + row) + y, 1),
-                       (lambda x, row, y: y + (row + x), 1),
-                       (lambda x, row, y: (x + y) + (x + row), 2)):
+    for op, x_uses in ((lambda x, one, y: (x + one) + y, 1),
+                       (lambda x, one, y: y + (one + x), 1),
+                       (lambda x, one, y: (x + y) + (x + one), 2)):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        row = Tensor(np.ones((1, 3)), requires_grad=True)
+        one = Tensor(np.ones((1, 1)), requires_grad=True)
         y = Tensor(np.ones((2, 3)), requires_grad=True)
-        T.tsum(T.mul(op(x, row, y), Tensor(weights))).backward()
-        for g, h in itertools.combinations([x.grad, row.grad, y.grad], 2):
+        T.tsum(T.mul(op(x, one, y), Tensor(weights))).backward()
+        for g, h in itertools.combinations([x.grad, one.grad, y.grad], 2):
             assert not np.shares_memory(g, h)
-        np.testing.assert_array_equal(row.grad, weights.sum(axis=0, keepdims=True))
+        np.testing.assert_array_equal(one.grad, weights.sum(keepdims=True))
         np.testing.assert_array_equal(y.grad, weights)
         np.testing.assert_array_equal(x.grad, x_uses * weights)
     # x + x keeps the upstream array once and adds it to itself: 2g
@@ -427,6 +427,44 @@ def test_backward_closures_write_into_their_upstream_gradient():
     assert len(peaks) == 3 and not over
 
 
+@pytest.mark.parametrize("case", ["mean", "coefficient"])
+def test_a_reduction_backward_holds_two_block_buffers(case):
+    """A mean propagate's x gradient (``_diagonal_reduce``) and a sum's coefficient gradient
+    (``_diagonal_dot``) each peak at the gradient they build plus two block buffers, reused
+    by every block of keys: a gather buffer and an accumulator, or two gather buffers."""
+    n, d, heads = 2000, 64, 4
+    rng = np.random.default_rng(6)
+    dst = np.sort(rng.integers(0, n, size=8 * n))
+    arcs = T.Arcs(rng.integers(0, n, size=dst.size), dst, n)
+    arcs.incoming, arcs.outgoing                # built once per graph, on first use
+    if case == "mean":
+        x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        out, grad = T.propagate(x, None, arcs, "mean"), n * d * 8
+    else:
+        coeff = Tensor(rng.random((dst.size, heads)), requires_grad=True)
+        out = T.propagate(Tensor(rng.standard_normal((n, d))), coeff, arcs, "sum")
+        grad = dst.size * heads * 8
+    loss = T.tsum(T.mul(out, Tensor(rng.standard_normal((n, d)))))
+    node, peaks = out._node, []
+    closure = node._backward
+
+    def measured(g):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        closure(g)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    node._backward = measured
+    del out
+    tracemalloc.start()
+    try:
+        loss.backward()
+    finally:
+        tracemalloc.stop()
+    # the slack covers small objects and the per-diagonal c x H head sums
+    assert peaks[0] <= grad + 2 * T._BLOCK_ENTRIES * 8 + 32 * 1024
+
+
 def test_a_closure_writing_into_its_upstream_array_leaves_the_other_operand_exact():
     """add hands its upstream array to one operand and a copy to the other, so an in-place
     closure on either side changes nothing the other reads; forward values stay as built."""
@@ -506,7 +544,7 @@ def test_unary_ops_skip_the_derivative_without_gradient(monkeypatch):
 def test_frozen_leaves_keep_no_tape_and_get_no_gradient():
     store = ParameterStore()
     w = store.add("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
-    a = store.add("a", np.array([[2.0, 1.0]]), group="a_micro")
+    a = store.add("a", np.array([[2.0, 1.0], [-1.0, 0.5]]), group="a_micro")
     x = Tensor(np.array([[1.0, 1.0], [2.0, -1.0]]))
     with store.frozen(["w"]):
         assert not w.requires_grad and a.requires_grad
@@ -515,7 +553,7 @@ def test_frozen_leaves_keep_no_tape_and_get_no_gradient():
         y = T.mul(h, a)
         T.tsum(y).backward()
     assert w.requires_grad and w.grad is None
-    np.testing.assert_array_equal(a.grad, h.data.sum(axis=0, keepdims=True))
+    np.testing.assert_array_equal(a.grad, h.data)
 
 
 def test_a_backward_inside_frozen_gives_no_gradient_to_a_leaf_frozen_after_the_forward():
@@ -547,11 +585,22 @@ def test_frozen_restores_the_flags_when_the_block_raises():
     assert w.requires_grad
 
 
-def test_row_vector_broadcast():
-    row = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+@pytest.mark.parametrize("op", [T.add, T.mul, T.div])
+def test_only_a_size_one_operand_broadcasts(op):
+    """A (1, d) row or (n, 1) column against (n, d) raises; a size-1 operand with no more
+    axes than the other broadcasts, and its gradient sums the upstream gradient."""
     big = Tensor(np.ones((3, 2)))
-    T.tsum(T.add(big, row)).backward()
-    np.testing.assert_array_equal(row.grad, [[3.0, 3.0]])
+    for other in (np.ones((1, 2)), np.ones((3, 1)), np.ones((3,)), np.ones((1, 1, 1))):
+        for a, b in ((big, Tensor(other)), (Tensor(other), big)):
+            with pytest.raises(ShapeError, match=op.__name__):
+                op(a, b)
+    for shape in ((), (1,), (1, 1)):
+        one = Tensor(np.full(shape, 2.0), requires_grad=True)
+        out = op(big, one)
+        assert out.shape == (3, 2)
+        T.tsum(out).backward()
+        want = {"add": 6.0, "mul": 6.0, "div": -6.0 / 4.0}[op.__name__]
+        np.testing.assert_array_equal(one.grad, np.full(shape, want))
 
 
 def test_finite_difference_constant_gradient():
