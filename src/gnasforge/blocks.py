@@ -30,6 +30,11 @@ SUB_BLOCKS = ("expansion", "attention", "heads", "aggregate", "activation")
 ATTN_LEAKY_SLOPE = 0.2
 
 
+def is_int(v):
+    """The integer rule of every config and genotype field: an int, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class BlockSpace:
     """Candidate lists for one layer's five sub-blocks."""
@@ -53,7 +58,7 @@ class BlockSpace:
                 raise ValueError(f"unknown {name} {unknown}; known: {list(known)}")
         for name, values in (("dimensions", (self.in_dim, self.out_dim)),
                              ("expansions", self.expansions), ("head_counts", self.head_counts)):
-            bad = [v for v in values if not (isinstance(v, int) and v >= 1)]
+            bad = [v for v in values if not (is_int(v) and v >= 1)]
             if bad:
                 raise ValueError(f"layer {self.layer}: {name} must be integers >= 1, got {bad}")
         for h in self.head_counts:

@@ -67,8 +67,7 @@ def cmd_search(args):
         raise ConfigError("no output directory (use --out)")
     os.makedirs(args.out, exist_ok=True)
 
-    threads = int(os.environ.get("GNASFORGE_THREADS", "1"))
-    result = grid_search_hidden(config, graph, max_workers=threads)[0]
+    result = grid_search_hidden(config, graph)
 
     result.genotype.save(os.path.join(args.out, "genotype.json"))
     result.write_log(os.path.join(args.out, "metrics.jsonl"))

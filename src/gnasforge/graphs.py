@@ -92,8 +92,10 @@ def graph_from_dict(doc):
     missing = required - set(doc)
     if missing:
         raise GraphFormatError(f"missing keys: {sorted(missing)}")
-    n = int(doc["num_nodes"])
-    d = int(doc["feature_dim"])
+    for key in ("num_nodes", "feature_dim", "num_classes"):   # not a bool, a real or a list
+        if isinstance(doc[key], list) or np.asarray(doc[key]).dtype.kind != "i":
+            raise GraphFormatError(f"{key} must be an integer, got {doc[key]!r}")
+    n, d = int(doc["num_nodes"]), int(doc["feature_dim"])
     spec = DatasetSpec(doc["task"], int(doc["num_classes"]), d)
 
     features = np.asarray(doc["features"], dtype=np.float64)
@@ -106,6 +108,8 @@ def graph_from_dict(doc):
     if spec.task == "single":
         if labels.shape != (n,):
             raise GraphFormatError(f"labels shape {labels.shape} != ({n},)")
+        if labels.size and labels.dtype.kind != "i":
+            raise GraphFormatError("single-label labels must be integer class ids")
         if labels.size and (labels.min() < 0 or labels.max() >= spec.num_classes):
             raise GraphFormatError("label index out of range")
         labels = labels.astype(np.int64)
@@ -119,10 +123,12 @@ def graph_from_dict(doc):
         if name not in ("train", "val", "test"):
             raise GraphFormatError(f"unknown mask {name!r}")
         m = np.zeros(n, dtype=bool)
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind != "i":
+            raise GraphFormatError(f"mask {name!r} must list integer node ids")
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise GraphFormatError(f"mask {name!r} index out of range")
-        m[idx] = True
+        m[idx.astype(np.int64)] = True
         masks[name] = m
     for a in masks:
         for b in masks:
@@ -138,12 +144,14 @@ def _edge_array(edges, n):
     """Validate JSON edges into an (m, 2) int array.
 
     Raises GraphFormatError for the first edge, in list order, that is not a
-    pair, is out of range, or repeats an earlier (s, t).
+    pair, is out of range, or repeats an earlier (s, t), or for non-integer ids.
     """
     try:
-        arr = np.asarray(edges, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        arr = None     # ragged, non-numeric or huge: told apart below
+        arr = np.asarray(edges)
+    except (TypeError, ValueError):
+        arr = None     # ragged: told apart below
+    if arr is not None and arr.shape == (len(edges), 2) and arr.dtype.kind != "i":
+        raise GraphFormatError("edges must be pairs of integer node ids")
     if arr is None or arr.shape != (len(edges), 2):
         if len(edges) == 0:
             return np.empty((0, 2), dtype=np.int64)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -14,7 +13,7 @@ from . import tensor as T
 from .tensor import Tensor, ParameterStore, glorot
 from .optim import Adam
 from .blocks import (
-    BlockSpace, BlockChoice, BlockParamsView, block_forward, init_block_params,
+    BlockSpace, BlockChoice, BlockParamsView, block_forward, init_block_params, is_int,
     SUB_BLOCKS, EXPANSIONS, ATTENTIONS, HEAD_COUNTS, AGGREGATORS, ACTIVATION_KINDS,
 )
 from .controller import Controller, add_noise, extract_indices
@@ -27,7 +26,7 @@ class SearchError(RuntimeError):
 
 # a field's annotation -> (check, what it asks for); bool is an int and a real
 _FIELD_KINDS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "int": (is_int, "an integer"),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "list": (lambda v: isinstance(v, list), "a list"),
@@ -69,6 +68,9 @@ class SearchConfig:
             raise ValueError("max_iter and train_step must be >= 1")
         if not 2 <= self.num_layers <= 7:
             raise ValueError("num_layers must be in [2, 7]")
+        bad = [l for l in self.freeze_layers if not (is_int(l) and 0 <= l < self.num_layers)]
+        if bad:
+            raise ValueError(f"freeze_layers must be layers in [0, {self.num_layers}), got {bad}")
         if not self.hidden_grid:
             raise ValueError("empty hidden-size grid")
         for h in self.hidden_grid:
@@ -218,11 +220,10 @@ class Supernet:
         head_sizes = {(s.layer, kind): len(s.candidates(kind))
                       for s in self.spaces for kind in SUB_BLOCKS}
         self.controller = Controller(self.store, head_sizes, rng)
-        self.router = None
-        if config.router_enabled:
-            in_dims = [s.in_dim for s in self.spaces]
-            out_dims = [s.out_dim for s in self.spaces]
-            self.router = Router(self.store, in_dims, out_dims, rng)
+        # without the macro search the router owns no shortcut, like a genotype with no routing
+        self.router = Router(self.store, [s.in_dim for s in self.spaces],
+                             [s.out_dim for s in self.spaces], rng,
+                             shortcuts=None if config.router_enabled else [])
 
     def _add_blocks(self, spaces, rng):
         """A fresh store holding every candidate operator of each layer's space."""
@@ -257,11 +258,8 @@ class Supernet:
         inputs = []
         for j, (view, choice) in enumerate(zip(self.views, choices)):
             inputs.append(x)
-            out = block_forward(graph, x, choice,
-                                view, scales[j] if scales is not None else None)
-            if self.router is not None:
-                out = self.router.route_step(j, inputs, out, gates)
-            x = out
+            x = block_forward(graph, x, choice, view, scales[j] if scales is not None else None)
+            x = self.router.route_step(j, inputs, x, gates)
         return T.matmul(x, self.classifier)
 
     def w_param_names(self, freeze_layers=()):
@@ -271,8 +269,8 @@ class Supernet:
     def derive_genotype(self):
         pbar = self.controller.forward()
         indices = extract_indices(pbar)
-        routing = self.router.derive_binary_routing() if self.router is not None else []
-        return Genotype(layers=self.choices_from_indices(indices), routing=routing,
+        return Genotype(layers=self.choices_from_indices(indices),
+                        routing=self.router.derive_binary_routing(),
                         hidden_sizes=[self.hidden] * len(self.spaces),
                         seed=self.config.seed)
 
@@ -338,12 +336,12 @@ def dual_search(config, graph, hidden=None, seed=None):
 
     Per epoch: anneal tau, sample controller noise once, fix the argmax
     operator indices, run ``train_step`` weight updates on the training
-    loss, then one a_micro and one a_macro update from a single validation
-    backward pass. Each of these forwards draws fresh Gumbel noise for its
-    gates; the eval forward uses the noise-free gates. Bit-deterministic for
-    a fixed seed.
+    loss, then one a_micro + a_macro update from a single validation backward
+    pass. Each of these forwards draws fresh Gumbel noise for its gates (none
+    without ``router_enabled``); the eval forward uses the noise-free gates.
+    Bit-deterministic for a fixed seed.
 
-    Each step freezes every leaf that its optimizers do not update, so its
+    Each step freezes every leaf that its optimizer does not update, so its
     tape and backward cover only the gradients a step reads: the weight
     steps skip theta and the ``freeze_layers`` weights, the architecture
     step every weight, and the eval forward keeps no tape at all.
@@ -354,25 +352,29 @@ def dual_search(config, graph, hidden=None, seed=None):
     seed = config.seed if seed is None else seed
     task = graph.spec.task
     model = Supernet(config, graph.spec.feature_dim, graph.spec.num_classes, hidden, seed)
-    store = model.store
+    store, router, macro = model.store, model.router, config.router_enabled
     rng = np.random.default_rng(seed + 0x5EED)
 
-    w_names = model.w_param_names(config.freeze_layers)
-    opt_w = Adam(store, w_names, config.lr_w, config.weight_decay_w)
-    opt_micro = Adam(store, store.names("a_micro"), config.lr_a, config.weight_decay_a)
-    router = model.router
-    opt_macro = None
-    if router is not None:
-        opt_macro = Adam(store, store.names("a_macro"), config.lr_a, config.weight_decay_a)
+    opt_w = Adam(store, model.w_param_names(config.freeze_layers),
+                 config.lr_w, config.weight_decay_w)
+    opt_a = Adam(store, store.names("a_micro") + store.names("a_macro"),
+                 config.lr_a, config.weight_decay_a)
 
-    def sampled_gates(tau):
+    def sampled_gates():
         """Gates for one weight or architecture forward, on fresh Gumbel noise from ``rng``."""
-        return None if router is None else router.gates(tau, router.sample_noise(rng))
+        return router.gates(tau, router.sample_noise(rng)) if macro else None
 
-    def stepping(*opts):
-        """Freeze every leaf that none of ``opts`` updates."""
-        kept = {n for opt in opts if opt is not None for n in opt.names}
-        return store.frozen([n for n in store.names() if n not in kept])
+    def gradient_step(opt, mask, scales=None):
+        """One ``opt`` update from the loss on ``mask`` at this epoch's choices; its value."""
+        store.zero_grad()
+        kept = set(opt.names)
+        with store.frozen([n for n in store.names() if n not in kept]):
+            logits = model.forward(graph, choices, scales=scales, gates=sampled_gates())
+            loss = compute_loss(logits, graph.labels, graph.masks[mask], task)
+            _finite_or_raise(loss, epoch, "training loss" if mask == "train" else "validation loss")
+            loss.backward()
+        opt.step(store.grads())
+        return loss.item()
 
     counters = {"w_updates": 0, "a_micro_updates": 0, "a_macro_updates": 0}
     log = []
@@ -386,48 +388,27 @@ def dual_search(config, graph, hidden=None, seed=None):
         indices = extract_indices(pg)
         choices = model.choices_from_indices(indices)
 
-        train_loss = None
         for _ in range(config.train_step):
-            store.zero_grad()
-            with stepping(opt_w):
-                logits = model.forward(graph, choices, gates=sampled_gates(tau))
-                loss = compute_loss(logits, graph.labels, graph.masks["train"], task)
-                _finite_or_raise(loss, epoch, "training loss")
-                loss.backward()
-            opt_w.step(store.grads("w"))
+            train_loss = gradient_step(opt_w, "train")
             counters["w_updates"] += 1
-            train_loss = loss.item()
-            del logits, loss   # the backward released the rest of the tape
 
         # architecture update on the epoch's controller tape: weight steps change only w
-        store.zero_grad()
-        with stepping(opt_micro, opt_macro):
-            scales = model.scales_from_probs(pg, indices)
-            logits = model.forward(graph, choices, scales=scales, gates=sampled_gates(tau))
-            val_loss = compute_loss(logits, graph.labels, graph.masks["val"], task)
-            _finite_or_raise(val_loss, epoch, "validation loss")
-            val_loss.backward()
-        opt_micro.step(store.grads("a_micro"))
+        val_loss = gradient_step(opt_a, "val", scales=model.scales_from_probs(pg, indices))
         counters["a_micro_updates"] += 1
-        if opt_macro is not None:
-            opt_macro.step(store.grads("a_macro"))
-            counters["a_macro_updates"] += 1
-        val_loss_value = val_loss.item()
-        del logits, val_loss   # the backward released the rest of the tape
+        counters["a_macro_updates"] += int(macro)
 
-        with stepping():
-            eval_gates = None if router is None else router.gates(tau)
-            eval_logits = model.forward(graph, choices, gates=eval_gates)
+        with store.frozen(store.names()):
+            eval_logits = model.forward(graph, choices, gates=router.gates(tau) if macro else None)
         val_metric = evaluate(eval_logits, graph.labels, graph.masks["val"], task)
         rec = {
             "epoch": epoch,
             "tau": tau,
             "train_loss": train_loss,
-            "val_loss": val_loss_value,
+            "val_loss": val_loss,
             "val_metric": val_metric,
             "indices": {f"l{l}/{k}": v for (l, k), v in sorted(indices.items())},
         }
-        if router is not None:
+        if macro:
             rec["gates"] = {f"{i}_{j}": v
                             for (i, j), v in sorted(router.gate_expectations().items())}
         log.append(rec)
@@ -501,18 +482,13 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, patience=50, freeze_la
 
 # -- grid search -----------------------------------------------------------------------
 
-def grid_search_hidden(config, graph, max_workers=1):
-    """Run dual_search per hidden size; their SearchResults, best first.
+def grid_search_hidden(config, graph):
+    """Run dual_search per hidden size, one at a time; the best SearchResult.
 
     The best has the largest final validation metric, ties going to the
     smaller hidden size. The k-th size searches with seed ``config.seed + k``.
+    A result is dropped as soon as a better one exists.
     """
-    sizes = config.hidden_grid
-    args = ([config] * len(sizes), [graph] * len(sizes), sizes,
-            [config.seed + k for k in range(len(sizes))])
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(dual_search, *args))
-    else:
-        results = list(map(dual_search, *args))
-    return sorted(results, key=lambda r: (-r.final_val_metric, r.supernet.hidden))
+    results = (dual_search(config, graph, h, config.seed + k)
+               for k, h in enumerate(config.hidden_grid))
+    return max(results, key=lambda r: (r.final_val_metric, -r.supernet.hidden))

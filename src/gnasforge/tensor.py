@@ -826,8 +826,8 @@ class ParameterStore:
             for t, flag in zip(leaves, flags):
                 t.requires_grad = flag
 
-    def grads(self, group):
-        """The accumulated gradients of ``group``'s parameters, keyed by name."""
+    def grads(self, group=None):
+        """The accumulated gradients of ``group``'s parameters (default all), keyed by name."""
         grads = {n: self._params[n].grad for n in self.names(group)}
         return {n: g for n, g in grads.items() if g is not None}
 

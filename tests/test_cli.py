@@ -2,6 +2,8 @@ import ctypes
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import types
 from dataclasses import fields
 
@@ -325,8 +327,15 @@ def test_dataset_with_two_masks_exits_2(tmp_path, dataset, capsys, command, drop
     ({"alpha": "1"}, "alpha must be a real number, got '1'"),
     ({"router_enabled": 1}, "router_enabled must be true or false, got 1"),
     ({"aggregators": []}, "empty candidate list 'aggregators'"),
+    ({"hidden_grid": [True]}, "dimensions must be integers >= 1, got [True]"),
+    ({"freeze_layers": [2]}, "freeze_layers must be layers in [0, 2), got [2]"),
+    ({"freeze_layers": [0, -1]}, "freeze_layers must be layers in [0, 2), got [-1]"),
+    ({"freeze_layers": ["a"]}, "freeze_layers must be layers in [0, 2), got ['a']"),
+    ({"freeze_layers": [True]}, "freeze_layers must be layers in [0, 2), got [True]"),
+    ({"freeze_layers": [1.0]}, "freeze_layers must be layers in [0, 2), got [1.0]"),
 ], ids=["aggregator", "expansion", "attention", "float_hidden", "float_int", "null_int",
-        "string_float", "int_bool", "empty_aggregators"])
+        "string_float", "int_bool", "empty_aggregators", "bool_hidden", "freeze_too_deep",
+        "freeze_negative", "freeze_string", "freeze_bool", "freeze_float"])
 def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path, capsys,
                                                                         over, message):
     cfg = write_config(tmp_path / "c.json", tmp_path / "missing.json", **over)
@@ -348,6 +357,8 @@ def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path
     (lambda d: d["layers"][0].update(expansion=0), "expansions must be integers >= 1"),
     (lambda d: d.update(hidden_sizes=[16, -16]), "dimensions must be integers >= 1, got [-16]"),
     (lambda d: d.update(hidden_sizes=[16.0, 16.0]), "dimensions must be integers >= 1, got [16.0]"),
+    (lambda d: d.update(hidden_sizes=[True, True]),
+     "dimensions must be integers >= 1, got [True]"),
     (lambda d: d.update(routing=[1]), "invalid routing pair 1 for 2 layers"),
     (lambda d: d.update(seed=None), "genotype seed must be an integer, got None"),
     (lambda d: d.update(seed=True), "genotype seed must be an integer, got True"),
@@ -360,9 +371,9 @@ def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path
      "genotype routing repeats a pair: [[0, 1], [0, 1]]"),
 ], ids=["hidden_sizes", "unknown_key", "missing_key", "no_layers", "no_seed",
         "unknown_aggregate", "zero_expansion", "negative_hidden_size", "float_hidden_size",
-        "routing_not_a_pair", "null_seed", "bool_seed", "hidden_sizes_not_a_list",
-        "layers_not_a_list", "layer_not_an_object", "string_node_id", "routing_triple",
-        "repeated_pair"])
+        "bool_hidden_size", "routing_not_a_pair", "null_seed", "bool_seed",
+        "hidden_sizes_not_a_list", "layers_not_a_list", "layer_not_an_object", "string_node_id",
+        "routing_triple", "repeated_pair"])
 def test_retrain_rejects_malformed_genotype(tmp_path, dataset, capsys, edit, message):
     geno = _two_layer_genotype(tmp_path / "genotype.json")
     doc = json.loads(geno.read_text())
@@ -459,3 +470,14 @@ def test_main_runs_without_mallopt(monkeypatch, capsys, cdll):
     assert main(["gradcheck", "sigmoid"]) == 0
     assert main(["gradcheck", "no_such_check"]) == 1
     assert "unknown gradcheck target" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The search runs in-process: the CLI's imports pull in no pool machinery."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, gnasforge.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

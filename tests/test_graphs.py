@@ -104,8 +104,25 @@ def test_masks_name_all_three_splits_or_none(masks):
     ({"edges": [[0, 1], ["a", 2]]}, "edges must be pairs of integer node ids"),
     ({"task": "ranking"}, "unknown task kind 'ranking'"),
     ({"num_classes": 1, "labels": [0, 0, 0]}, "num_classes must be >= 2"),
+    ({"edges": [[0.5, 1.9]]}, "edges must be pairs of integer node ids"),
+    ({"edges": [[True, False]]}, "edges must be pairs of integer node ids"),
+    ({"labels": [0, 1.5, 0.7]}, "single-label labels must be integer class ids"),
+    ({"labels": [True, False, True]}, "single-label labels must be integer class ids"),
+    ({"masks": {"train": [0.5], "val": [1], "test": [2]}},
+     "mask 'train' must list integer node ids"),
+    ({"masks": {"train": [0], "val": [True], "test": [2]}},
+     "mask 'val' must list integer node ids"),
+    ({"num_nodes": 3.7}, r"num_nodes must be an integer, got 3\.7"),
+    ({"num_nodes": True}, "num_nodes must be an integer, got True"),
+    ({"feature_dim": 2.0}, r"feature_dim must be an integer, got 2\.0"),
+    ({"num_classes": True}, "num_classes must be an integer, got True"),
+    ({"num_classes": "2"}, "num_classes must be an integer, got '2'"),
+    ({"num_nodes": [3]}, r"num_nodes must be an integer, got \[3\]"),
 ], ids=["features_shape", "single_label_shape", "multi_label_shape", "label_range",
-        "mask_name", "mask_range", "edge_ids", "task", "num_classes"])
+        "mask_name", "mask_range", "edge_ids", "task", "num_classes", "float_edge_ids",
+        "bool_edge_ids", "float_labels", "bool_labels", "float_mask_ids", "bool_mask_ids",
+        "float_num_nodes", "bool_num_nodes", "float_feature_dim", "bool_num_classes",
+        "string_num_classes", "list_num_nodes"])
 def test_graph_from_dict_rejects_a_malformed_field(over, message):
     with pytest.raises(GraphFormatError, match=message):
         graph_from_dict(dict(doc(3, [[0, 1]]), **over))

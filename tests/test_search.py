@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -693,19 +694,34 @@ def test_retrain_rejects_fewer_than_one_epoch(graph, epochs):
 
 def test_grid_search_picks_best_val(graph):
     cfg = tiny_config(hidden_grid=(16, 32), max_iter=2)
-    out = grid_search_hidden(cfg, graph)
-    assert sorted(r.supernet.hidden for r in out) == [16, 32]
-    best = out[0]
-    assert best.final_val_metric == max(r.final_val_metric for r in out)
+    best = grid_search_hidden(cfg, graph)
+    runs = [dual_search(cfg, graph, h, cfg.seed + k) for k, h in enumerate(cfg.hidden_grid)]
+    top = max(r.final_val_metric for r in runs)
+    want = next(r for r in runs if r.final_val_metric == top)   # the grid is ascending
+    assert best.supernet.hidden == want.supernet.hidden
     assert best.genotype.hidden_sizes == [best.supernet.hidden] * 2
+    assert best.genotype.to_dict() == want.genotype.to_dict()
+    assert best.log == want.log and best.counters == want.counters
+    for name, t in want.supernet.store.items():
+        np.testing.assert_array_equal(best.supernet.store[name].data, t.data, err_msg=name)
 
 
-def test_grid_search_parallel_matches_serial(graph):
-    cfg = tiny_config(hidden_grid=(16, 32), max_iter=2)
-    serial = grid_search_hidden(cfg, graph, max_workers=1)
-    parallel = grid_search_hidden(cfg, graph, max_workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.genotype.to_dict() == b.genotype.to_dict()
-        assert a.log == b.log and a.counters == b.counters
-        for name, t in a.supernet.store.items():
-            np.testing.assert_array_equal(t.data, b.supernet.store[name].data)
+@pytest.mark.parametrize("metrics, winner", [
+    ((0.5, 0.5, 0.5), 16),
+    ((0.75, 0.5, 0.75), 32),
+    ((0.5, 0.25, 0.75), 48),
+], ids=["all_tied", "tie_of_two", "largest_size_best"])
+def test_grid_search_breaks_ties_toward_the_smaller_hidden_size(graph, monkeypatch,
+                                                               metrics, winner):
+    cfg = tiny_config(hidden_grid=(32, 16, 48), seed=7)
+    calls = []
+
+    def fake(config, graph, hidden, seed):
+        calls.append((hidden, seed))
+        metric = metrics[cfg.hidden_grid.index(hidden)]
+        return search_mod.SearchResult(genotype=None, log=[{"val_metric": metric}],
+                                       supernet=types.SimpleNamespace(hidden=hidden))
+
+    monkeypatch.setattr(search_mod, "dual_search", fake)
+    assert grid_search_hidden(cfg, graph).supernet.hidden == winner
+    assert calls == [(32, 7), (16, 8), (48, 9)]
