@@ -150,12 +150,11 @@ def attention_coefficients(kind, feats, graph, params):
     on columns [h*D/H, (h+1)*D/H). Each entry of ``params`` stacks the H
     heads' weights as (H, ., .). Learned kinds (gat, sym_gat, cos, linear,
     gene_linear) are softmax-normalized per head over each destination's
-    in-neighborhood; const and gcn are used raw and return one E x 1 column
-    that every head shares.
+    in-neighborhood; gcn is used raw and returns one E x 1 column that every
+    head shares. const has no coefficients: its block passes none to
+    T.propagate.
     """
     arcs = graph.arcs
-    if kind == "const":
-        return Tensor(np.ones((len(arcs.dst), 1)))
     if kind == "gcn":
         return Tensor(graph.gcn_coefficients)
     if kind not in _ATTN_WEIGHTS:
@@ -223,7 +222,14 @@ def block_forward(graph, x, choice, params, scales=None):
 
     ``scales`` maps sub-block kind -> scalar Tensor (the controller's
     probability value). When None the scale factor is a constant 1, which
-    is the pure weight-training path.
+    is the pure weight-training path. The expansion probability scales F(x)
+    (and (A h) W2 on the narrow side), the activation probability the
+    block's output, and the attention, aggregate and heads probabilities the
+    aggregated rows. Scaling the aggregate by the attention probability p
+    equals aggregating with p times the coefficients: sum and mean are
+    linear in them, and max commutes with p > 0 (the argmax entry of a
+    probability vector). So const still passes no coefficient and gcn's
+    stays a constant, and neither takes a per-arc product for p's gradient.
     """
     space = params.space
     if x.data.shape != (graph.num_nodes, space.in_dim):
@@ -237,17 +243,16 @@ def block_forward(graph, x, choice, params, scales=None):
     t, h = transform_forward(x, w1, w2)
     t_all = scaled("expansion", t)                              # n x out_dim
 
-    if choice.attention == "const" and (scales is None or "attention" not in scales):
+    if choice.attention == "const":
         coeff = None                                            # all ones: no products to take
-    else:
+    else:                                                       # E x H, or E x 1 for all heads
         coeff = attention_coefficients(choice.attention, t_all, graph,
                                        params.attention(choice.attention, choice.heads))
-        coeff = scaled("attention", coeff)                      # E x H, or E x 1 for all heads
     shared = coeff is None or coeff.shape[1] == 1
     narrow = shared and choice.aggregate != "max" and h.shape[1] < space.out_dim
     agg = T.propagate(h if narrow else t_all, coeff, graph.arcs, _AGG[choice.aggregate])
     if narrow:                                                  # (A h) W2 = A (h W2)
         agg = scaled("expansion", T.matmul(agg, w2))
-    pre = scaled("heads", scaled("aggregate", agg)) + t_all
+    pre = scaled("heads", scaled("aggregate", scaled("attention", agg))) + t_all
     del t, h, t_all, agg, coeff         # values no closure saved die before the activation runs
     return scaled("activation", T.activation_apply(choice.activation, pre))

@@ -98,13 +98,16 @@ def graph_from_dict(doc):
     n, d = int(doc["num_nodes"]), int(doc["feature_dim"])
     spec = DatasetSpec(doc["task"], int(doc["num_classes"]), d)
 
-    features = np.asarray(doc["features"], dtype=np.float64)
+    features = _array(doc["features"], f"features must be a ({n}, {d}) list of lists")
     if features.shape != (n, d):
         raise GraphFormatError(f"features shape {features.shape} != ({n}, {d})")
+    # a null loads as an object array and a string as a str array
+    if features.dtype.kind not in "iuf" or not np.isfinite(features).all():
+        raise GraphFormatError("features must be finite numbers")
 
     edges = _edge_array(doc["edges"], n)
 
-    labels = np.asarray(doc["labels"])
+    labels = _array(doc["labels"], "labels must be a list of class ids or of 0/1 rows")
     if spec.task == "single":
         if labels.shape != (n,):
             raise GraphFormatError(f"labels shape {labels.shape} != ({n},)")
@@ -116,6 +119,8 @@ def graph_from_dict(doc):
     else:
         if labels.shape != (n, spec.num_classes):
             raise GraphFormatError(f"labels shape {labels.shape} != ({n}, {spec.num_classes})")
+        if labels.dtype.kind not in "iuf" or ((labels != 0) & (labels != 1)).any():
+            raise GraphFormatError("multi-label labels must be 0 or 1")
         labels = labels.astype(np.float64)
 
     masks = {}
@@ -123,9 +128,10 @@ def graph_from_dict(doc):
         if name not in ("train", "val", "test"):
             raise GraphFormatError(f"unknown mask {name!r}")
         m = np.zeros(n, dtype=bool)
-        idx = np.asarray(idx)
-        if idx.size and idx.dtype.kind != "i":
-            raise GraphFormatError(f"mask {name!r} must list integer node ids")
+        message = f"mask {name!r} must list integer node ids"
+        idx = _array(idx, message)
+        if idx.ndim != 1 or idx.size and idx.dtype.kind != "i":
+            raise GraphFormatError(message)
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise GraphFormatError(f"mask {name!r} index out of range")
         m[idx.astype(np.int64)] = True
@@ -138,6 +144,14 @@ def graph_from_dict(doc):
         raise GraphFormatError(f"masks name {sorted(masks)}: give train, val and test, or none")
 
     return _make_graph(n, features, edges, labels, spec, masks)
+
+
+def _array(value, message):
+    """``np.asarray(value)``; a ragged list raises GraphFormatError(message)."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        raise GraphFormatError(message) from None
 
 
 def _edge_array(edges, n):

@@ -40,18 +40,25 @@ class Adam:
                 continue
             p = self.store[name]
             st = self.state[name]
-            g = grads[name]
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             st["t"] += 1
-            # in place, rounding as m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2
-            # and p = p - lr m_hat / (sqrt(v_hat) + eps) do
+            # in place, rounding as g = g + wd p, m = b1 m + (1 - b1) g,
+            # v = b2 v + (1 - b2) g^2 and p = p - lr m_hat / (sqrt(v_hat) + eps) do,
+            # through two temporaries of the parameter's size
             m, v = st["m"], st["v"]
+            g, a, b = grads[name], np.empty_like(p.data), np.empty_like(p.data)
+            if self.weight_decay:
+                g = np.add(g, np.multiply(self.weight_decay, p.data, out=a), out=a)
+            np.multiply(1.0 - self.BETA1, g, out=b)
             m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
+            m += b
+            np.multiply(g, g, out=b)
+            b *= 1.0 - self.BETA2
             v *= self.BETA2
-            v += (1.0 - self.BETA2) * (g * g)
-            update = m / (1.0 - self.BETA1 ** st["t"])
-            update *= self.lr
-            update /= np.sqrt(v / (1.0 - self.BETA2 ** st["t"])) + self.EPS
-            p.data -= update
+            v += b
+            np.divide(m, 1.0 - self.BETA1 ** st["t"], out=a)
+            a *= self.lr
+            np.divide(v, 1.0 - self.BETA2 ** st["t"], out=b)
+            np.sqrt(b, out=b)
+            b += self.EPS
+            a /= b
+            p.data -= a

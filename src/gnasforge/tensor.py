@@ -296,13 +296,13 @@ def tanh(a):
 
 
 def _sigmoid_np(x):
-    # split form avoids overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, rounded as those
+    formulas round, from one exp(min(x, -x)) that never overflows; min keeps a NaN's sign."""
+    e = np.minimum(x, -x, out=np.empty_like(x))
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.copyto(e, 1.0, where=x >= 0)
+    return np.divide(e, d, out=e)
 
 
 def sigmoid(a):
@@ -335,7 +335,10 @@ def relu6(a):
 
 def elu(a):
     x = a.data
-    y = np.expm1(x, out=np.empty_like(x))
+    # expm1 of the positive side could overflow; min returns its second operand on a
+    # tie, so -0.0 stays -0.0
+    y = np.minimum(0.0, x, out=np.empty_like(x))
+    np.expm1(y, out=y)
     np.putmask(y, x > 0, x)
 
     def derivative():

@@ -64,12 +64,6 @@ def test_transform_matches_hand_arithmetic():
 
 # -- attention ----------------------------------------------------------------
 
-def test_const_attention_is_one_per_edge():
-    g = tiny_graph(3, [[0, 1], [1, 2]], [[1.0], [2.0], [3.0]])
-    coeff = attention_coefficients("const", Tensor(g.features), g, {})
-    np.testing.assert_array_equal(coeff.data, 1.0)
-
-
 def test_gcn_attention_inverse_sqrt_degrees():
     # 3-clique + one extra neighbor on node 0: after self-loops d = [4, 3, 3, 2]
     g = tiny_graph(4, [[0, 1], [1, 2], [0, 2], [0, 3]],
@@ -597,6 +591,98 @@ def test_fused_heads_match_per_head_reference(kind, heads, agg):
     for name, grad in ref_grads.items():
         assert fused_grads[name].shape == grad.shape, name
         assert _rel_err(fused_grads[name], grad) < 1e-12, name
+
+
+@pytest.mark.parametrize("kind", ["const", "gcn"])
+def test_scaled_const_and_gcn_blocks_take_no_per_arc_product(monkeypatch, kind):
+    """The attention probability scales the aggregate: const's message pass gets no
+    coefficient and gcn's needs no gradient, so neither block runs the SDDMM."""
+    dots, coeffs = [], []
+    diagonal_dot, propagate = T._diagonal_dot, T.propagate
+
+    def counting_dot(*args):
+        dots.append(args)
+        return diagonal_dot(*args)
+
+    def recording(x, coeff, *args):
+        coeffs.append(coeff)
+        return propagate(x, coeff, *args)
+
+    monkeypatch.setattr(T, "_diagonal_dot", counting_dot)
+    monkeypatch.setattr(T, "propagate", recording)
+    g = verify._test_graph()
+    space = BlockSpace(layer=0, in_dim=3, out_dim=8, expansions=(1,), attentions=(kind,),
+                       head_counts=(1,), aggregators=("sum",), activations=("tanh",))
+    store = ParameterStore()
+    init_block_params(space, store, np.random.default_rng(42))
+    scales = {k: Tensor(0.7, requires_grad=True) for k in SUB_BLOCKS}
+    x = Tensor(np.random.default_rng(43).standard_normal((g.num_nodes, 3)), requires_grad=True)
+    out = block_forward(g, x, BlockChoice(1, kind, 1, "sum", "tanh"),
+                        BlockParamsView(space, store), scales)
+    T.tsum(out).backward()
+    assert dots == []
+    (coeff,) = coeffs
+    assert coeff is None if kind == "const" else not coeff.requires_grad
+    assert scales["attention"].grad != 0.0
+
+
+def _attention_scaled_on_the_arcs(g, x, choice, view, scales):
+    """The block with the attention probability p multiplied into every arc's coefficient,
+    T.propagate(x, p c), const's c a column of ones; the other scales as block_forward
+    places them."""
+    def sc(kind, t):
+        return T.mul(t, scales[kind])
+
+    w1, w2 = view.transform(choice.expansion)
+    t, h = transform_forward(x, w1, w2)
+    t_all = sc("expansion", t)
+    if choice.attention == "const":
+        coeff = Tensor(np.ones((len(g.arcs.dst), 1)))
+    else:
+        coeff = attention_coefficients(choice.attention, t_all, g,
+                                       view.attention(choice.attention, choice.heads))
+    coeff = sc("attention", coeff)
+    narrow = coeff.shape[1] == 1 and choice.aggregate != "max" \
+        and h.shape[1] < view.space.out_dim
+    agg = T.propagate(h if narrow else t_all, coeff, g.arcs, choice.aggregate)
+    if narrow:
+        agg = sc("expansion", T.matmul(agg, w2))
+    pre = sc("heads", sc("aggregate", agg)) + t_all
+    return sc("activation", T.activation_apply(choice.activation, pre))
+
+
+@pytest.mark.parametrize("agg", AGGREGATORS)
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("kind", ATTENTIONS)
+def test_attention_scale_on_the_aggregate_matches_it_on_the_arcs(kind, heads, agg):
+    g, _ = generate_sbm(2, 5, 0.7, 0.3, 4, 0.5, seed=44)
+    space = BlockSpace(layer=0, in_dim=4, out_dim=16, expansions=(2,), attentions=(kind,),
+                       head_counts=(heads,), aggregators=(agg,), activations=("elu",))
+    store = ParameterStore()
+    init_block_params(space, store, np.random.default_rng(45))
+    view = BlockParamsView(space, store)
+    choice = BlockChoice(2, kind, heads, agg, "elu")
+    proj = Tensor(np.random.default_rng(46).standard_normal((g.num_nodes, 16)))
+    probs = dict(zip(SUB_BLOCKS, np.random.default_rng(47).uniform(0.2, 1.0, len(SUB_BLOCKS))))
+
+    def run(forward):
+        store.zero_grad()
+        x = Tensor(g.features, requires_grad=True)
+        scales = {k: Tensor(p, requires_grad=True) for k, p in probs.items()}
+        out = forward(g, x, choice, view, scales)
+        T.tsum(T.mul(out, proj)).backward()
+        grads = {n: t.grad.copy() for n, t in store.items() if t.grad is not None}
+        grads.update({f"scale/{k}": s.grad for k, s in scales.items()}, x=x.grad)
+        return out.data, grads
+
+    out, grads = run(block_forward)
+    ref, ref_grads = run(_attention_scaled_on_the_arcs)
+    assert _rel_err(out, ref) < 1e-12
+    if agg == "max" and kind == "const":   # rounding is monotone: max(p x) = p max(x)
+        assert out.tobytes() == ref.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in ref_grads.items():
+        assert _rel_err(grads[name], grad) < 1e-12, name
 
 
 @pytest.mark.parametrize("agg", AGGREGATORS)

@@ -118,11 +118,18 @@ def test_masks_name_all_three_splits_or_none(masks):
     ({"num_classes": True}, "num_classes must be an integer, got True"),
     ({"num_classes": "2"}, "num_classes must be an integer, got '2'"),
     ({"num_nodes": [3]}, r"num_nodes must be an integer, got \[3\]"),
+    ({"task": "multi", "labels": [[0, 1], [2.0, -1.0], [1, 0]]},
+     "multi-label labels must be 0 or 1"),
+    ({"features": [[0.0, 0.0], [1.0, None], [2.0, 0.0]]}, "features must be finite numbers"),
+    ({"features": [[0.0, 0.0], [1.0, "0.5"], [2.0, 0.0]]}, "features must be finite numbers"),
+    ({"masks": {"train": [[0], [1, 2]], "val": [], "test": []}},
+     "mask 'train' must list integer node ids"),
 ], ids=["features_shape", "single_label_shape", "multi_label_shape", "label_range",
         "mask_name", "mask_range", "edge_ids", "task", "num_classes", "float_edge_ids",
         "bool_edge_ids", "float_labels", "bool_labels", "float_mask_ids", "bool_mask_ids",
         "float_num_nodes", "bool_num_nodes", "float_feature_dim", "bool_num_classes",
-        "string_num_classes", "list_num_nodes"])
+        "string_num_classes", "list_num_nodes", "multi_label_targets", "null_feature",
+        "string_feature", "ragged_mask"])
 def test_graph_from_dict_rejects_a_malformed_field(over, message):
     with pytest.raises(GraphFormatError, match=message):
         graph_from_dict(dict(doc(3, [[0, 1]]), **over))

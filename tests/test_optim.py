@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,21 @@ def test_step_rounds_as_the_textbook_expressions():
             np.testing.assert_array_equal(store[n].data, p)
             np.testing.assert_array_equal(opt.state[n]["m"], m)
             np.testing.assert_array_equal(opt.state[n]["v"], v)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_a_step_allocates_two_arrays_of_the_leaf_size(weight_decay):
+    store = ParameterStore()
+    store.add("w", np.random.default_rng(6).standard_normal((500, 200)))
+    opt = Adam(store, ["w"], lr=0.01, weight_decay=weight_decay)
+    grads = {"w": np.random.default_rng(7).standard_normal((500, 200))}
+    opt.step(grads)
+    tracemalloc.start()
+    try:
+        opt.step(grads)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    leaf = store["w"].data.nbytes
+    assert held < leaf // 8
+    assert peak <= 2 * leaf + 64 * 1024

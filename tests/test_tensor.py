@@ -391,6 +391,33 @@ def test_leaky_relu_rejects_a_slope_outside_0_1(slope):
         T.leaky_relu(Tensor([1.0]), slope)
 
 
+def _split_sigmoid(x):
+    """The logistic function in its boolean-mask split form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_is_the_split_form_bit_for_bit():
+    """sigmoid, softplus's derivative and sigmoid_bce's backward share this function."""
+    x = np.concatenate([np.random.default_rng(10).standard_normal(100_000) * 30,
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                         709.8, -709.8, 5e-324, -5e-324, 1e-310, -1e-310]])
+    assert T._sigmoid_np(x).tobytes() == _split_sigmoid(x).tobytes()
+    for v in (0.5, -0.5, -0.0):
+        y = T._sigmoid_np(np.array(v))
+        assert y.shape == () and y.tobytes() == _split_sigmoid(np.array(v)).tobytes()
+
+
+def test_elu_of_a_large_input_does_not_overflow():
+    x = np.array([1e3, 710.0, -1e3, 0.0, -0.0, np.inf])
+    y = T.elu(Tensor(x)).data           # an overflow's RuntimeWarning fails the test
+    assert y.tobytes() == np.array([1e3, 710.0, -1.0, 0.0, -0.0, np.inf]).tobytes()
+
+
 def test_backward_closures_write_into_their_upstream_gradient():
     """Along relu -> mean propagate -> elu, each closure allocates at most what its
     gradient needs beyond the upstream array it owns: relu a boolean mask, elu one
