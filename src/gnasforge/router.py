@@ -96,13 +96,13 @@ class Router:
 
         ``gates`` is an L x L Tensor from ``gates``; without it every shortcut
         this router owns has weight 1. Shortcuts into block j are added in
-        shortcut order.
+        shortcut order. A gate multiplies inside its shortcut's ``T.scale``
+        node, which keeps I_i and g_ij rather than their n x D product.
         """
         acc = output
         for i in [i for (i, k) in self._shortcuts if k == j]:
-            contrib = T.matmul(inputs[i], self.shortcut(i, j))
-            if gates is not None:
-                contrib = T.mul(contrib, T.pick(gates, i * self.num_blocks + j))
+            gate = [] if gates is None else [T.pick(gates, i * self.num_blocks + j)]
+            contrib = T.scale(inputs[i], gate, self.shortcut(i, j))
             # an ungated shortcut from an input without gradient feeds only w's gradient:
             # as the first operand, its backward runs before the block's and frees its
             # gradient early, and no sum changes order (a + b is b + a)

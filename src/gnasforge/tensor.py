@@ -256,6 +256,70 @@ def matmul(a, b):
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
 
 
+def scale(a, scales, b=None):
+    """``a @ b``, or ``a`` without ``b``, times each size-1 Tensor of ``scales`` in turn.
+
+    With no scales this is ``matmul(a, b)``, or ``a`` itself. Otherwise it is
+    one tape node with the value and gradients of the chain
+    ``mul(... mul(matmul(a, b), p1) ..., pk)`` it stands for, bit for bit:
+    the backward walks that chain top down with the same numpy expressions,
+    gives each inner gradient the + 0.0 of an inner node's first gradient,
+    and accumulates into ``a``, ``b`` and the scalars in the chain's order.
+    The chain keeps one product per scalar for that scalar's gradient; this
+    node keeps ``a``, ``b`` and the scalars, and a scalar's gradient
+    recomputes the partial product before it (Chen et al., arXiv
+    1604.06174): one matmul and at most k - 1 products by a scalar.
+    """
+    if not scales:
+        return a if b is None else matmul(a, b)
+    ad, bd, ps = a.data, None if b is None else b.data, [p.data for p in scales]
+    if bd is not None and (ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]):
+        raise _shape_err("scale", ad.shape, bd.shape)
+    for p in ps:
+        if p.size != 1 or p.ndim > ad.ndim:
+            raise _shape_err("scale", ad.shape, p.shape)
+    nodes = [_node_of(p) for p in scales]
+    na, nb, mm = _node_of(a), b is not None and _node_of(b), b is not None
+    # a is read for b's gradient and the scalars', b for a's and the scalars'
+    ak = ad if nb or any(nodes) else None
+    bk = bd if mm and (na or any(nodes)) else None
+
+    def bw(g):
+        # the chain's nodes top down: g is the gradient of its product after scalar k
+        for k in reversed(range(len(ps))):
+            inner = k > 0 or mm                     # the factor before scalar k is a chain node
+            gp = None
+            if nodes[k]:
+                v = _scaled_product(ak, bk, ps[:k]) if inner else ak
+                gp = _unbroadcast(np.multiply(g, v, out=v if inner else None), nodes[k].shape)
+            below = na or nb or any(nodes[:k])
+            if below:
+                np.multiply(g, ps[k], out=g)
+                if inner:
+                    np.add(g, 0.0, out=g)           # an inner node's first gradient
+                else:
+                    _accum(na, g, owned=True)
+            if gp is not None:
+                _accum(nodes[k], gp, owned=True)
+            if not below:
+                return
+        if mm and na:
+            _accum(na, g @ bk.T, owned=True)
+        if nb:
+            _accum(nb, ak.T @ g, owned=True)
+
+    return Tensor(_scaled_product(ad, bd, ps), _parents=((a, b) if mm else (a,)) + tuple(scales),
+                  _backward=bw)
+
+
+def _scaled_product(a, b, ps):
+    """``a @ b`` times each of ``ps`` in turn, or ``a`` times them without ``b``: a fresh array."""
+    v = np.multiply(a, ps[0], out=np.empty_like(a)) if b is None else a @ b
+    for p in ps[b is None:]:
+        np.multiply(v, p, out=v)
+    return v
+
+
 def block_diag(a):
     """Map an (H, p, q) stack to the (H*p, H*q) matrix with block h on the diagonal.
 
@@ -301,7 +365,7 @@ def _sigmoid_np(x):
     e = np.minimum(x, -x, out=np.empty_like(x))
     np.exp(e, out=e)
     d = e + 1.0
-    np.copyto(e, 1.0, where=x >= 0)
+    np.maximum(e, x >= 0, out=e)        # 1 where x >= 0; elsewhere e, as 0 <= e <= 1 or NaN
     return np.divide(e, d, out=e)
 
 
@@ -325,7 +389,9 @@ def leaky_relu(a, slope=0.2):
     # for 0 < slope <= 1, max(slope x, x) is x where x > 0 and slope x elsewhere,
     # infinities, signed zeros and NaN included
     y = np.multiply(x, slope, out=np.empty_like(x))     # an array also for a 0-d x
-    return _unary(a, np.maximum(y, x, out=y), lambda: np.where(y > 0, 1.0, slope))
+    # the derivative indexes [slope, 1] by the mask, with no masked select
+    table = np.array([slope, 1.0])
+    return _unary(a, np.maximum(y, x, out=y), lambda: table[(y > 0).view(np.int8)])
 
 
 def relu6(a):
@@ -336,10 +402,10 @@ def relu6(a):
 def elu(a):
     x = a.data
     # expm1 of the positive side could overflow; min returns its second operand on a
-    # tie, so -0.0 stays -0.0
+    # tie, so -0.0 stays -0.0; expm1(min(0, x)) >= x, so max picks x only where x > 0
     y = np.minimum(0.0, x, out=np.empty_like(x))
     np.expm1(y, out=y)
-    np.putmask(y, x > 0, x)
+    np.maximum(x, y, out=y)
 
     def derivative():
         # one transcendental pass: the derivative exp(x) is y + 1 where x <= 0

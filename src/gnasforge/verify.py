@@ -28,74 +28,93 @@ def _test_graph(seed=7):
     return graph
 
 
-def primitive_checks(seed=0):
+def _rng(name):
+    """The generator of check ``name``, seeded from the name: the inputs of a check do not
+    depend on which checks run before it."""
+    return np.random.default_rng(list(name.encode()))
+
+
+def _normal(name, *shapes):
+    """Standard normal arrays of ``shapes``, drawn in turn from check ``name``'s generator."""
+    rng = _rng(name)
+    return [rng.standard_normal(s) for s in shapes]
+
+
+def primitive_checks():
     """FD-check each forward primitive on random inputs."""
-    rng = np.random.default_rng(seed)
-    x34 = rng.standard_normal((3, 4))
-    x33 = rng.standard_normal((3, 3))
-    pos = rng.random((3, 4)) + 0.5
     out = {}
 
     def chk(name, f, x):
         out[name] = finite_difference_check(f, x)
 
-    w = Tensor(rng.standard_normal((4, 3)))
-    chk("matmul", lambda t: T.tsum(T.matmul(t, w)), x34)
-    c = Tensor(rng.standard_normal((3, 4)))
-    chk("add", lambda t: T.tsum(T.mul(t + c, c)), x34)
-    chk("mul", lambda t: T.tsum(T.mul(t, c)), x34)
-    chk("div", lambda t: T.tsum(T.div(c, t)), pos)
-    for shape in ((3, 8), (5, 4), (1, 4)):   # draws of removed checks: later inputs stay put
-        rng.standard_normal(shape)
-    chk("softmax_rows", lambda t: T.tsum(T.mul(T.softmax_rows(t), c)), x34)
-    chk("tanh", lambda t: T.tsum(T.tanh(t)), x34)
-    chk("sigmoid", lambda t: T.tsum(T.sigmoid(t)), x34)
-    chk("relu", lambda t: T.tsum(T.relu(t)), x34)
-    chk("leaky_relu", lambda t: T.tsum(T.leaky_relu(t, 0.2)), x34)
-    chk("relu6", lambda t: T.tsum(T.relu6(t)), x34)
-    chk("elu", lambda t: T.tsum(T.elu(t)), x34)
-    chk("softplus", lambda t: T.tsum(T.softplus(t)), x34)
+    x, w = _normal("matmul", (3, 4), (4, 3))
+    chk("matmul", lambda t: T.tsum(T.matmul(t, Tensor(w))), x)
+    x, c = _normal("add", (3, 4), (3, 4))
+    chk("add", lambda t: T.tsum(T.mul(t + Tensor(c), Tensor(c))), x)
+    x, c = _normal("mul", (3, 4), (3, 4))
+    chk("mul", lambda t: T.tsum(T.mul(t, Tensor(c))), x)
+    x, c = _normal("div", (3, 4), (3, 4))
+    chk("div", lambda t: T.tsum(T.div(Tensor(c), t)), np.abs(x) + 0.5)
+    x, c = _normal("softmax_rows", (3, 4), (3, 4))
+    chk("softmax_rows", lambda t: T.tsum(T.mul(T.softmax_rows(t), Tensor(c))), x)
+    for name, fn in (("tanh", T.tanh), ("sigmoid", T.sigmoid), ("relu", T.relu),
+                     ("leaky_relu", lambda t: T.leaky_relu(t, 0.2)), ("relu6", T.relu6),
+                     ("elu", T.elu), ("softplus", T.softplus)):
+        chk(name, lambda t, fn=fn: T.tsum(fn(t)), *_normal(name, (3, 4)))
     picks = T.Arcs([2, 0, 0], [0, 1, 1], 2, 3)    # rows 2, 0 and 0 of a 3-row input
-    chk("gather_rows", lambda t: T.tsum(T.mul(T.gather_rows(t, picks, "src"), c)), x34)
-    rng.standard_normal((2, 4))              # a removed check's draw: later inputs stay put
+    x, c = _normal("gather_rows", (3, 4), (3, 4))
+    chk("gather_rows", lambda t: T.tsum(T.mul(T.gather_rows(t, picks, "src"), Tensor(c))), x)
     # two heads over in-degrees 3, 1, 0 and 2: node 2 has no in-arcs
     soft = T.Arcs([0, 1, 2, 1, 0, 3], [0, 0, 0, 1, 3, 3], 4)
-    c62 = Tensor(c.data.reshape(6, 2))
-    chk("edge_softmax", lambda t: T.tsum(T.mul(T.edge_softmax(t, soft), c62)), x34.reshape(6, 2))
-    chk("sum", lambda t: T.tsum(T.mul(t, c)), x34)
-    chk("pick", lambda t: T.pick(T.mul(t, c), 5), x34)
+    x, c = _normal("edge_softmax", (6, 2), (6, 2))
+    chk("edge_softmax", lambda t: T.tsum(T.mul(T.edge_softmax(t, soft), Tensor(c))), x)
+    x, c = _normal("sum", (3, 4), (3, 4))
+    chk("sum", lambda t: T.tsum(T.mul(t, Tensor(c))), x)
+    x, c = _normal("pick", (3, 4), (3, 4))
+    chk("pick", lambda t: T.pick(T.mul(t, Tensor(c)), 5), x)
     chk("softmax_cross_entropy",
-        lambda t: T.softmax_cross_entropy(t, np.array([0, 2, 1]), np.array([True, True, False])), x34)
-    bce_targets = (rng.random((3, 4)) > 0.5).astype(float)
+        lambda t: T.softmax_cross_entropy(t, np.array([0, 2, 1]), np.array([True, True, False])),
+        *_normal("softmax_cross_entropy", (3, 4)))
+    x, c = _normal("sigmoid_bce", (3, 4), (3, 4))
     chk("sigmoid_bce",
-        lambda t: T.sigmoid_bce(t, bce_targets, np.array([True, False, True])), x34)
-    w35 = Tensor(rng.standard_normal((3, 5)))
-    chk("matmul_weight", lambda t: T.tsum(T.matmul(T.matmul(Tensor(x34[:, :3]), t), w35)), x33)
-    c68 = Tensor(rng.standard_normal((6, 8)))
-    chk("block_diag", lambda t: T.tsum(T.mul(T.block_diag(t), c68)),
-        rng.standard_normal((2, 3, 4)))
+        lambda t: T.sigmoid_bce(t, (c > 0).astype(float), np.array([True, False, True])), x)
+    a, x, w = _normal("matmul_weight", (3, 3), (3, 3), (3, 5))
+    chk("matmul_weight", lambda t: T.tsum(T.matmul(T.matmul(Tensor(a), t), Tensor(w))), x)
+    x, c = _normal("block_diag", (2, 3, 4), (6, 8))
+    chk("block_diag", lambda t: T.tsum(T.mul(T.block_diag(t), Tensor(c))), x)
     # message passing into 4 nodes, node 1 with no in-arcs: a constant E x 1
     # coefficient checks the x gradient, a learned E x 2 one its own gradient
     arcs = T.Arcs([2, 0, 1, 1, 0], [0, 0, 2, 2, 3], 4, 3)
-    c51 = Tensor(rng.uniform(0.5, 1.5, (5, 1)))
-    c44 = Tensor(rng.standard_normal((4, 4)))
     for agg in AGGREGATORS:
-        chk(f"propagate_{agg}",
-            lambda t, agg=agg: T.tsum(T.mul(T.propagate(t, c51, arcs, agg), c44)), x34)
-        chk(f"propagate_{agg}_coeff",
-            lambda t, agg=agg: T.tsum(T.mul(T.propagate(Tensor(x34), t, arcs, agg), c44)),
-            rng.standard_normal((5, 2)))
+        x, coef, c = _normal(f"propagate_{agg}", (3, 4), (5, 1), (4, 4))
+        chk(f"propagate_{agg}", lambda t, agg=agg, coef=Tensor(np.abs(coef) + 0.5), c=Tensor(c):
+            T.tsum(T.mul(T.propagate(t, coef, arcs, agg), c)), x)
+        x, coef, c = _normal(f"propagate_{agg}_coeff", (3, 4), (5, 2), (4, 4))
+        chk(f"propagate_{agg}_coeff", lambda t, agg=agg, x=Tensor(x), c=Tensor(c):
+            T.tsum(T.mul(T.propagate(x, t, arcs, agg), c)), coef)
     # in-degrees 0, 1, 2 and 5, out-degrees 4, 2 and 2 with a learned E x 2
     # coefficient: the x gradient crosses diagonals whose prefixes shrink
     skew = T.Arcs([1, 0, 2, 0, 0, 1, 2, 0], [1, 2, 2, 3, 3, 3, 3, 3], 4, 3)
-    c82 = Tensor(rng.uniform(0.5, 1.5, (8, 2)), requires_grad=True)
     for agg in ("sum", "mean"):
-        chk(f"propagate_{agg}_skew",
-            lambda t, agg=agg: T.tsum(T.mul(T.propagate(t, c82, skew, agg), c44)), x34)
-    a44, c52 = Tensor(rng.standard_normal((4, 4))), Tensor(rng.standard_normal((5, 2)))
-    b34 = Tensor(x34)
-    chk("edge_dot_a", lambda t: T.tsum(T.mul(T.edge_dot(t, b34, arcs, 2), c52)), a44.data)
-    chk("edge_dot_b", lambda t: T.tsum(T.mul(T.edge_dot(a44, t, arcs, 2), c52)), x34)
+        x, coef, c = _normal(f"propagate_{agg}_skew", (3, 4), (8, 2), (4, 4))
+        coef = Tensor(np.abs(coef) + 0.5, requires_grad=True)
+        chk(f"propagate_{agg}_skew", lambda t, agg=agg, coef=coef, c=Tensor(c):
+            T.tsum(T.mul(T.propagate(t, coef, skew, agg), c)), x)
+    a, b, c = _normal("edge_dot_a", (4, 4), (3, 4), (5, 2))
+    chk("edge_dot_a", lambda t: T.tsum(T.mul(T.edge_dot(t, Tensor(b), arcs, 2), Tensor(c))), a)
+    a, b, c = _normal("edge_dot_b", (4, 4), (3, 4), (5, 2))
+    chk("edge_dot_b", lambda t: T.tsum(T.mul(T.edge_dot(Tensor(a), t, arcs, 2), Tensor(c))), b)
+    # scale without and with its matmul: a, b and two scalars checked, the middle
+    # scalar a constant
+    for name, b_shape in (("scale", None), ("scale_matmul", (4, 2))):
+        rng, store = _rng(name), ParameterStore()
+        a = store.add("a", rng.standard_normal((3, 4)))
+        b = b_shape and store.add("b", rng.standard_normal(b_shape))
+        ps = [store.add("p0", rng.uniform(0.5, 1.5)), Tensor(rng.uniform(0.5, 1.5)),
+              store.add("p2", rng.uniform(0.5, 1.5))]
+        c = Tensor(rng.standard_normal((3, 2) if b_shape else (3, 4)))
+        out[name] = check_params(lambda a=a, b=b, ps=ps, c=c: T.tsum(T.mul(T.scale(a, ps, b), c)),
+                                 store, store.names())
     return out
 
 
@@ -108,7 +127,7 @@ def operator_combos():
     return combos
 
 
-def block_combo_checks(seed=1):
+def block_combo_checks():
     """FD-check block_forward over all its parameters per operator combination.
 
     The operator combos run at in 3, out 4, expansion 2: hidden rows (6) at
@@ -117,32 +136,33 @@ def block_combo_checks(seed=1):
     (3) narrower than the output, where these blocks aggregate before W2.
     """
     graph = _test_graph()
-    rng = np.random.default_rng(seed)
-    proj = {d: Tensor(rng.standard_normal((graph.num_nodes, d))) for d in (4, 8)}
     runs = [(combo, 4, 2, "") for combo in operator_combos()]
     runs += [((attn, agg, "tanh"), 8, 1, "/narrow")
              for attn in ("const", "gcn") for agg in ("sum", "mean")]
     out = {}
     for (attn, agg, act), out_dim, e, tag in runs:
+        name = f"block[{attn}/{agg}/{act}{tag}]"
+        rng = _rng(name)
         space = BlockSpace(layer=0, in_dim=3, out_dim=out_dim, expansions=(e,),
                            attentions=(attn,), head_counts=(2,),
                            aggregators=(agg,), activations=(act,))
         store = ParameterStore()
-        init_block_params(space, store, np.random.default_rng(seed))
+        init_block_params(space, store, rng)
         view = BlockParamsView(space, store)
         choice = BlockChoice(e, attn, 2, agg, act)
         x = Tensor(graph.features)
+        proj = Tensor(rng.standard_normal((graph.num_nodes, out_dim)))
 
         def build_loss():
-            return T.tsum(T.mul(block_forward(graph, x, choice, view), proj[out_dim]))
+            return T.tsum(T.mul(block_forward(graph, x, choice, view), proj))
 
-        out[f"block[{attn}/{agg}/{act}{tag}]"] = check_params(build_loss, store, store.names())
+        out[name] = check_params(build_loss, store, store.names())
     return out
 
 
-def route_check(seed=2):
+def route_check():
     """FD-check routing gradients with frozen Gumbel draws, as the search routes."""
-    rng = np.random.default_rng(seed)
+    rng = _rng("route")
     store = ParameterStore()
     router = Router(store, input_dims=[3, 4, 4], output_dims=[4, 4, 4], rng=rng)
     store["router/theta"].data = rng.standard_normal((3, 3)) * 0.5
@@ -162,12 +182,12 @@ def route_check(seed=2):
     return {"route": check_params(build_loss, store, store.names())}
 
 
-def controller_check(seed=3):
+def controller_check():
     """FD-check the controller path through the P^g[Index] scaling."""
-    rng = np.random.default_rng(seed)
+    rng = _rng("controller")
     store = ParameterStore()
     ctrl = Controller(store, {(0, "attention"): 7, (0, "aggregate"): 3, (1, "heads"): 5},
-                      np.random.default_rng(seed), hidden=8)
+                      rng, hidden=8)
     noise = {key: rng.random(size) for key, size in
              sorted({(0, "attention"): 7, (0, "aggregate"): 3, (1, "heads"): 5}.items())}
     weights = {key: 1.0 + rng.random() for key in noise}

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -500,6 +501,71 @@ def test_architecture_step_leaves_weights_alone(graph):
     assert [n for n in store.names("w") if store[n].grad is not None] == []
     assert store["router/theta"].grad is not None and z.grad is not None
     assert all(t.requires_grad for _, t in store.items())
+
+
+def _architecture_step_tapes(graph, cfg, monkeypatch, measure):
+    """``measure(logits)`` for the logits of each architecture step of ``dual_search``, taken
+    before its backward releases the tape."""
+    seen = []
+
+    def spy(logits, labels, mask, task):
+        if mask is graph.masks["val"]:
+            seen.append(measure(logits))
+        return compute_loss(logits, labels, mask, task)
+
+    monkeypatch.setattr(search_mod, "compute_loss", spy)
+    dual_search(cfg, graph)
+    return seen
+
+
+def test_architecture_step_tape_keeps_no_product_per_gate_or_probability(graph, monkeypatch):
+    """A 7-layer search's architecture step. Per layer the tape holds at most three n x D
+    arrays, the hidden rows, the aggregate and the activation's output, and the router adds
+    one per block input it reads, not one per gated shortcut (28)."""
+    from test_blocks import _tape_arrays
+    layers, width = 7, 16
+
+    def count(logits):
+        return sum(a.shape == (graph.num_nodes, width) for a in _tape_arrays(logits._node))
+
+    counts = {}
+    for macro in (False, True):
+        cfg = tiny_config(num_layers=layers, hidden_grid=(width,), max_iter=1, train_step=1,
+                          attentions=("gcn",), activations=("relu",), router_enabled=macro)
+        (counts[macro],) = _architecture_step_tapes(graph, cfg, monkeypatch, count)
+    assert counts[False] <= 3 * layers
+    assert counts[True] - counts[False] <= layers - 1
+
+
+def test_architecture_step_forward_memory_is_bounded_per_layer(monkeypatch):
+    """tracemalloc around the architecture step's forward of a 7-layer search on a
+    2,000-node graph: what it still holds when it returns, its tape, stays within 6.5
+    n x D arrays per layer (6.0 measured; 12.3 while each probability and gate kept its
+    product)."""
+    g, _ = generate_sbm(4, 500, 0.01, 0.001, 16, 0.5, seed=3)
+    g = random_split(g, seed=3)
+    layers, width = 7, 64
+    cfg = SearchConfig(num_layers=layers, hidden_grid=(width,), max_iter=1, train_step=1,
+                       attentions=("const", "gcn"), head_counts=(1,),
+                       aggregators=("sum", "mean"), seed=0)
+    held = []
+    forward = Supernet.forward
+
+    def traced(self, graph, choices, scales=None, gates=None):
+        if scales is None:
+            return forward(self, graph, choices, scales, gates)
+        tracemalloc.start()
+        try:
+            out = forward(self, graph, choices, scales, gates)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(Supernet, "forward", traced)
+    dual_search(cfg, g)
+    assert len(held) == 1
+    assert held[0] <= 6.5 * layers * g.num_nodes * width * 8
 
 
 def test_eval_forward_keeps_no_tape(graph, monkeypatch):

@@ -418,6 +418,41 @@ def test_elu_of_a_large_input_does_not_overflow():
     assert y.tobytes() == np.array([1e3, 710.0, -1.0, 0.0, -0.0, np.inf]).tobytes()
 
 
+def _activation_edges(seed):
+    """Random values over a wide range, then signed zeros, infinities, NaNs of both signs,
+    subnormals and the edges of exp's range."""
+    return np.concatenate([np.random.default_rng(seed).standard_normal(200_000) * 30,
+                           [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            1e-310, -1e-310, 1e-17, -1e-17, 709.8, -709.8, 745.2, -745.2]])
+
+
+def test_elu_is_the_masked_select_form_bit_for_bit():
+    """elu ends with max(x, expm1(min(0, x))), not a select of x where x > 0."""
+    x = _activation_edges(11)
+    ref = np.expm1(np.minimum(0.0, x))
+    np.putmask(ref, x > 0, x)
+    assert T.elu(Tensor(x)).data.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.2, 0.01, 1.0])
+def test_leaky_relu_derivative_is_the_where_form_bit_for_bit(slope):
+    """The derivative indexes [slope, 1] by the mask instead of selecting with np.where."""
+    x = _activation_edges(12)
+    g = np.random.default_rng(13).standard_normal(x.size)
+    with np.errstate(invalid="ignore"):             # the loss sums inf and -inf
+        y, grad = _grad(lambda t: T.leaky_relu(t, slope), x, g)
+    assert grad.tobytes() == (g * np.where(y > 0, 1.0, slope) + 0.0).tobytes()
+
+
+def test_sigmoid_numerator_is_the_masked_copy_bit_for_bit():
+    """_sigmoid_np sets its numerator to 1 where x >= 0 by a max with the mask."""
+    x = _activation_edges(14)
+    e = np.exp(np.minimum(x, -x))
+    d = e + 1.0
+    np.copyto(e, 1.0, where=x >= 0)
+    assert T._sigmoid_np(x).tobytes() == (e / d).tobytes()
+
+
 def test_backward_closures_write_into_their_upstream_gradient():
     """Along relu -> mean propagate -> elu, each closure allocates at most what its
     gradient needs beyond the upstream array it owns: relu a boolean mask, elu one
@@ -1086,6 +1121,81 @@ def test_constant_operand_product_is_skipped(op, const_first):
     assert c.grad is None
     expect = 1e20 * c.data if op is T.mul else 1e20 / c.data
     np.testing.assert_array_equal(x.grad, expect)
+
+
+# -- scale: a product and its scalars as one node ----------------------------------------
+
+def _scale_chain(a, scales, b=None):
+    """What T.scale stands for: a matmul, then one mul node per scalar."""
+    y = a if b is None else T.matmul(a, b)
+    for p in scales:
+        y = T.mul(y, p)
+    return y
+
+
+def _with_edges(rng, shape):
+    """Normal entries, six of them replaced by ±0, ±inf and a subnormal pair."""
+    x = rng.standard_normal(shape)
+    x.reshape(-1)[rng.choice(x.size, 6, replace=False)] = [0.0, -0.0, np.inf, -np.inf,
+                                                            5e-324, -5e-324]
+    return x
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+@pytest.mark.parametrize("with_b", [False, True], ids=["scalars", "matmul"])
+def test_scale_is_its_chain_bit_for_bit(with_b, count):
+    """Value and every gradient, for every set of operands frozen, with signed zeros and
+    infinities in a, b and the upstream gradient, and a negative scalar."""
+    rng = np.random.default_rng(50 + count)
+    a, b = _with_edges(rng, (6, 3)), _with_edges(rng, (3, 4)) if with_b else None
+    ps = rng.uniform(0.1, 2.0, count) * np.where(np.arange(count) == 1, -1.0, 1.0)
+    g = _with_edges(rng, (6, 4) if with_b else (6, 3))
+    for flags in itertools.product([True, False], repeat=1 + with_b + count):
+        if not any(flags):
+            continue
+        runs = []
+        for op in (_scale_chain, T.scale):
+            leaves = [Tensor(a, requires_grad=flags[0])]
+            if with_b:
+                leaves.append(Tensor(b, requires_grad=flags[1]))
+            scales = [Tensor(p, requires_grad=f) for p, f in zip(ps, flags[1 + with_b:])]
+            with np.errstate(invalid="ignore"):             # inf * 0 and inf - inf
+                out = op(leaves[0], scales, leaves[1] if with_b else None)
+                T.tsum(T.mul(out, Tensor(g))).backward()
+            runs.append([out.data] + [t.grad for t in leaves + scales])
+        for got, want in zip(*runs):
+            assert (got is None) == (want is None), flags
+            assert got is None or got.tobytes() == want.tobytes(), flags
+
+
+@pytest.mark.parametrize("with_b", [False, True], ids=["scalars", "matmul"])
+def test_scale_saves_only_its_operands(with_b):
+    """The node keeps a, b and the scalars, and no array of the result's shape; the chain
+    keeps one product per scalar."""
+    from test_blocks import _held_arrays, _tape_arrays
+    rng = np.random.default_rng(60)
+    a = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal((3, 5)), requires_grad=True) if with_b else None
+    scales = [Tensor(p, requires_grad=True) for p in rng.uniform(0.1, 1.0, 3)]
+    out = T.scale(a, scales, b)
+    operands = [t.data for t in [a, b] + scales if t is not None]
+    held = list(_held_arrays(out._backward, set()))
+    assert all(any(h is d for d in operands) for h in held)
+    assert all(h.shape != out.shape for h in held if h is not a.data)
+    chain = _scale_chain(a, scales, b)
+    products = [h for h in _tape_arrays(chain._node) if h.shape == out.shape and h is not a.data]
+    assert len(products) == len(scales) - (b is None)
+
+
+def test_scale_without_scalars_is_matmul_and_rejects_bad_shapes():
+    a, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((3, 4)))
+    assert T.scale(a, []) is a
+    assert T.scale(a, [], b)._backward.__qualname__.startswith("matmul.")
+    with pytest.raises(ShapeError, match=r"scale.*\(2, 3\).*\(4, 3\)"):
+        T.scale(a, [Tensor(1.0)], Tensor(np.ones((4, 3))))
+    for p in (np.ones(2), np.ones((1, 1, 1))):
+        with pytest.raises(ShapeError, match="scale"):
+            T.scale(a, [Tensor(0.5), Tensor(p)])
 
 
 # -- the engine holds only what the model uses -----------------------------------------
