@@ -10,6 +10,7 @@ reach the controller.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,16 +134,16 @@ def init_block_params(space, store, rng):
                 store.add(name, np.stack([w[key] for w in heads]))
 
 
-def transform_forward(x, w1, w2, scales=()):
+def transform_forward(x, w1, w2, p=None):
     """F(x) = relu(x W1) W2 on the rows of x, with W1 and W2 stored (in, out).
 
     Returns (F(x), h) with h = relu(x W1), the e*D_I-wide hidden rows that
     block_forward aggregates instead of F(x) when they are the narrower side.
-    F(x) is multiplied by each scalar of ``scales`` inside ``T.scale``, whose
-    node keeps h and W2 rather than F(x).
+    A scalar ``p`` multiplies F(x) inside the second matmul, whose node keeps
+    h and W2 rather than F(x).
     """
     h = T.relu(T.matmul(x, w1))
-    return T.scale(h, scales, w2), h
+    return T.matmul(h, w2, p), h
 
 
 def attention_coefficients(kind, feats, graph, params):
@@ -232,23 +233,28 @@ def block_forward(graph, x, choice, params, scales=None):
     linear in them, and max commutes with p > 0 (the argmax entry of a
     probability vector). So const still passes no coefficient and gcn's
     stays a constant, and neither takes a per-arc product for p's gradient.
-    Every probability multiplies inside the ``T.scale`` node of the value it
-    scales: F(x) in the transform's second matmul, the aggregate with its
-    three probabilities (after W2 and the expansion probability on the
-    narrow side), and the activation's output. So the tape keeps no n x D
-    product per probability for that probability's gradient.
+    The probabilities that scale one value are first multiplied into one
+    scalar, which multiplies that value once: F(x) inside the transform's
+    second matmul, the aggregate by its attention, aggregate and heads
+    probabilities (inside the matmul by W2, with the expansion probability,
+    on the narrow side), and the activation's output. So the tape keeps no
+    n x D product per probability for that probability's gradient.
     """
     space = params.space
     if x.data.shape != (graph.num_nodes, space.in_dim):
         raise T.ShapeError(
             f"block_forward: input shape {x.data.shape} != ({graph.num_nodes}, {space.in_dim})")
 
-    def probs(*kinds):
-        """The probabilities of ``kinds`` that ``scales`` holds, in turn."""
-        return [scales[k] for k in kinds if k in scales] if scales is not None else []
+    def prob(*kinds):
+        """The product of the probabilities of ``kinds`` that ``scales`` holds, or None."""
+        ps = [scales[k] for k in kinds if k in scales] if scales is not None else []
+        return functools.reduce(T.mul, ps) if ps else None
+
+    def scaled(t, p):
+        return t if p is None else T.mul(t, p)
 
     w1, w2 = params.transform(choice.expansion)
-    t_all, h = transform_forward(x, w1, w2, probs("expansion"))  # n x out_dim
+    t_all, h = transform_forward(x, w1, w2, prob("expansion"))  # n x out_dim
 
     if choice.attention == "const":
         coeff = None                                            # all ones: no products to take
@@ -258,11 +264,10 @@ def block_forward(graph, x, choice, params, scales=None):
     shared = coeff is None or coeff.shape[1] == 1
     narrow = shared and choice.aggregate != "max" and h.shape[1] < space.out_dim
     agg = T.propagate(h if narrow else t_all, coeff, graph.arcs, _AGG[choice.aggregate])
-    sub = probs("attention", "aggregate", "heads")
     if narrow:                                                  # (A h) W2 = A (h W2)
-        agg = T.scale(agg, probs("expansion") + sub, w2)
+        agg = T.matmul(agg, w2, prob("expansion", "attention", "aggregate", "heads"))
     else:
-        agg = T.scale(agg, sub)
+        agg = scaled(agg, prob("attention", "aggregate", "heads"))
     pre = agg + t_all
     del h, t_all, agg, coeff            # values no closure saved die before the activation runs
-    return T.scale(T.activation_apply(choice.activation, pre), probs("activation"))
+    return scaled(T.activation_apply(choice.activation, pre), prob("activation"))

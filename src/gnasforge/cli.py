@@ -62,9 +62,9 @@ def cmd_search(args):
         config = SearchConfig(**{**asdict(config), "seed": args.seed})
     if dataset is None:
         raise ConfigError("config must name a 'dataset' path")
-    graph = _load_dataset(dataset)
     if not args.out:
         raise ConfigError("no output directory (use --out)")
+    graph = _load_dataset(dataset)
     os.makedirs(args.out, exist_ok=True)
 
     result = grid_search_hidden(config, graph)

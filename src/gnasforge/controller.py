@@ -40,6 +40,10 @@ class Controller:
         h = T.relu(T.matmul(h, self.w2))
         return {key: T.softmax_rows(T.matmul(h, p)) for key, p in self.proj.items()}
 
+    def sample_noise(self, rng):
+        """One Uniform(0, 1) draw per candidate, per (layer, sub-block) in sorted order."""
+        return {key: rng.random(n) for key, n in sorted(self.head_sizes.items())}
+
 
 def add_noise(pbar, tau, uniforms):
     """P = (P-bar + tau * U) / Z, with U the pre-drawn Uniform(0, 1) draws.

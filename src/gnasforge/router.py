@@ -72,7 +72,7 @@ class Router:
 
     def gate_expectations(self):
         """Noise-free expected gates sigmoid(theta) on the active triangle."""
-        s = 1.0 / (1.0 + np.exp(-self.theta.data))
+        s = T._sigmoid_np(self.theta.data)
         return {(i, j): float(s[i, j]) for (i, j) in self.pairs()}
 
     def derive_binary_routing(self):
@@ -96,13 +96,13 @@ class Router:
 
         ``gates`` is an L x L Tensor from ``gates``; without it every shortcut
         this router owns has weight 1. Shortcuts into block j are added in
-        shortcut order. A gate multiplies inside its shortcut's ``T.scale``
-        node, which keeps I_i and g_ij rather than their n x D product.
+        shortcut order. A gate multiplies inside its shortcut's matmul, whose
+        node keeps I_i and g_ij rather than their n x D product.
         """
         acc = output
         for i in [i for (i, k) in self._shortcuts if k == j]:
-            gate = [] if gates is None else [T.pick(gates, i * self.num_blocks + j)]
-            contrib = T.scale(inputs[i], gate, self.shortcut(i, j))
+            gate = None if gates is None else T.pick(gates, i * self.num_blocks + j)
+            contrib = T.matmul(inputs[i], self.shortcut(i, j), gate)
             # an ungated shortcut from an input without gradient feeds only w's gradient:
             # as the first operand, its backward runs before the block's and frees its
             # gradient early, and no sum changes order (a + b is b + a)

@@ -380,11 +380,7 @@ def dual_search(config, graph, hidden=None, seed=None):
     log = []
     for epoch in range(config.max_iter):
         tau = temp_anneal(epoch, config)
-        noise = {key: rng.random(model.controller.proj[key].data.shape[1])
-                 for key in sorted(model.controller.proj)}
-
-        pbar = model.controller.forward()
-        pg = add_noise(pbar, tau, noise)
+        pg = add_noise(model.controller.forward(), tau, model.controller.sample_noise(rng))
         indices = extract_indices(pg)
         choices = model.choices_from_indices(indices)
 

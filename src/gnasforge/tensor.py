@@ -239,85 +239,43 @@ def div(a, b):
 
 # -- linear algebra ----------------------------------------------------------
 
-def matmul(a, b):
+def matmul(a, b, p=None):
+    """``a @ b``, times the size-1 Tensor ``p`` when one is given.
+
+    With ``p`` this is one tape node with the value and gradients of
+    ``mul(matmul(a, b), p)``, bit for bit. That chain keeps ``a @ b`` for
+    p's gradient; this node keeps ``a``, ``b`` and ``p``, and p's gradient
+    recomputes ``a @ b`` (Chen et al., arXiv 1604.06174). The gradients of
+    ``a`` and ``b`` read g * p, plus the 0.0 an inner node's first gradient
+    gets.
+    """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise _shape_err("matmul", a.data.shape, b.data.shape)
+    if p is not None and (p.size != 1 or p.data.ndim > 2):
+        raise _shape_err("matmul", a.data.shape, b.data.shape, p.data.shape)
 
-    na, nb = _node_of(a), _node_of(b)
-    ad, bd = a.data if nb else None, b.data if na else None    # each gradient reads the other
+    na, nb, npr = _node_of(a), _node_of(b), p is not None and _node_of(p)
+    # each operand's gradient reads the other, and p's reads both
+    ad, bd = a.data if nb or npr else None, b.data if na or npr else None
+    pd = p.data if p is not None and (na or nb) else None
 
     def bw(g):
+        if npr:
+            ab = ad @ bd
+            _accum(npr, _unbroadcast(np.multiply(g, ab, out=ab), npr.shape), owned=True)
+        if pd is not None:
+            np.multiply(g, pd, out=g)
+            np.add(g, 0.0, out=g)
         # skip the product for a constant operand (input features, frozen weights)
         if na:
             _accum(na, g @ bd.T, owned=True)
         if nb:
             _accum(nb, ad.T @ g, owned=True)
 
-    return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
-
-
-def scale(a, scales, b=None):
-    """``a @ b``, or ``a`` without ``b``, times each size-1 Tensor of ``scales`` in turn.
-
-    With no scales this is ``matmul(a, b)``, or ``a`` itself. Otherwise it is
-    one tape node with the value and gradients of the chain
-    ``mul(... mul(matmul(a, b), p1) ..., pk)`` it stands for, bit for bit:
-    the backward walks that chain top down with the same numpy expressions,
-    gives each inner gradient the + 0.0 of an inner node's first gradient,
-    and accumulates into ``a``, ``b`` and the scalars in the chain's order.
-    The chain keeps one product per scalar for that scalar's gradient; this
-    node keeps ``a``, ``b`` and the scalars, and a scalar's gradient
-    recomputes the partial product before it (Chen et al., arXiv
-    1604.06174): one matmul and at most k - 1 products by a scalar.
-    """
-    if not scales:
-        return a if b is None else matmul(a, b)
-    ad, bd, ps = a.data, None if b is None else b.data, [p.data for p in scales]
-    if bd is not None and (ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]):
-        raise _shape_err("scale", ad.shape, bd.shape)
-    for p in ps:
-        if p.size != 1 or p.ndim > ad.ndim:
-            raise _shape_err("scale", ad.shape, p.shape)
-    nodes = [_node_of(p) for p in scales]
-    na, nb, mm = _node_of(a), b is not None and _node_of(b), b is not None
-    # a is read for b's gradient and the scalars', b for a's and the scalars'
-    ak = ad if nb or any(nodes) else None
-    bk = bd if mm and (na or any(nodes)) else None
-
-    def bw(g):
-        # the chain's nodes top down: g is the gradient of its product after scalar k
-        for k in reversed(range(len(ps))):
-            inner = k > 0 or mm                     # the factor before scalar k is a chain node
-            gp = None
-            if nodes[k]:
-                v = _scaled_product(ak, bk, ps[:k]) if inner else ak
-                gp = _unbroadcast(np.multiply(g, v, out=v if inner else None), nodes[k].shape)
-            below = na or nb or any(nodes[:k])
-            if below:
-                np.multiply(g, ps[k], out=g)
-                if inner:
-                    np.add(g, 0.0, out=g)           # an inner node's first gradient
-                else:
-                    _accum(na, g, owned=True)
-            if gp is not None:
-                _accum(nodes[k], gp, owned=True)
-            if not below:
-                return
-        if mm and na:
-            _accum(na, g @ bk.T, owned=True)
-        if nb:
-            _accum(nb, ak.T @ g, owned=True)
-
-    return Tensor(_scaled_product(ad, bd, ps), _parents=((a, b) if mm else (a,)) + tuple(scales),
-                  _backward=bw)
-
-
-def _scaled_product(a, b, ps):
-    """``a @ b`` times each of ``ps`` in turn, or ``a`` times them without ``b``: a fresh array."""
-    v = np.multiply(a, ps[0], out=np.empty_like(a)) if b is None else a @ b
-    for p in ps[b is None:]:
-        np.multiply(v, p, out=v)
-    return v
+    y = a.data @ b.data
+    if p is not None:
+        np.multiply(y, p.data, out=y)
+    return Tensor(y, _parents=(a, b) if p is None else (a, b, p), _backward=bw)
 
 
 def block_diag(a):

@@ -104,17 +104,17 @@ def primitive_checks():
     chk("edge_dot_a", lambda t: T.tsum(T.mul(T.edge_dot(t, Tensor(b), arcs, 2), Tensor(c))), a)
     a, b, c = _normal("edge_dot_b", (4, 4), (3, 4), (5, 2))
     chk("edge_dot_b", lambda t: T.tsum(T.mul(T.edge_dot(Tensor(a), t, arcs, 2), Tensor(c))), b)
-    # scale without and with its matmul: a, b and two scalars checked, the middle
-    # scalar a constant
-    for name, b_shape in (("scale", None), ("scale_matmul", (4, 2))):
+    # a product scaled by a 0-d scalar, as the block and router scale theirs: every
+    # operand checked
+    for name, b_shape in (("mul_scalar", None), ("matmul_scaled", (4, 2))):
         rng, store = _rng(name), ParameterStore()
         a = store.add("a", rng.standard_normal((3, 4)))
         b = b_shape and store.add("b", rng.standard_normal(b_shape))
-        ps = [store.add("p0", rng.uniform(0.5, 1.5)), Tensor(rng.uniform(0.5, 1.5)),
-              store.add("p2", rng.uniform(0.5, 1.5))]
+        p = store.add("p", rng.uniform(0.5, 1.5))
         c = Tensor(rng.standard_normal((3, 2) if b_shape else (3, 4)))
-        out[name] = check_params(lambda a=a, b=b, ps=ps, c=c: T.tsum(T.mul(T.scale(a, ps, b), c)),
-                                 store, store.names())
+        out[name] = check_params(
+            lambda a=a, b=b, p=p, c=c: T.tsum(T.mul(T.matmul(a, b, p) if b else T.mul(a, p), c)),
+            store, store.names())
     return out
 
 
@@ -188,8 +188,7 @@ def controller_check():
     store = ParameterStore()
     ctrl = Controller(store, {(0, "attention"): 7, (0, "aggregate"): 3, (1, "heads"): 5},
                       rng, hidden=8)
-    noise = {key: rng.random(size) for key, size in
-             sorted({(0, "attention"): 7, (0, "aggregate"): 3, (1, "heads"): 5}.items())}
+    noise = ctrl.sample_noise(rng)
     weights = {key: 1.0 + rng.random() for key in noise}
 
     def build_loss():

@@ -627,9 +627,9 @@ def test_scaled_const_and_gcn_blocks_take_no_per_arc_product(monkeypatch, kind):
 
 
 def _attention_scaled_on_the_arcs(g, x, choice, view, scales):
-    """The block with the attention probability p multiplied into every arc's coefficient,
-    T.propagate(x, p c), const's c a column of ones; the other scales as block_forward
-    places them."""
+    """The block with the product p of the attention, aggregate and heads probabilities
+    multiplied into every arc's coefficient, T.propagate(x, p c), const's c a column of
+    ones; the expansion and activation probabilities each scale their value alone."""
     def sc(kind, t):
         return T.mul(t, scales[kind])
 
@@ -641,13 +641,13 @@ def _attention_scaled_on_the_arcs(g, x, choice, view, scales):
     else:
         coeff = attention_coefficients(choice.attention, t_all, g,
                                        view.attention(choice.attention, choice.heads))
-    coeff = sc("attention", coeff)
+    coeff = T.mul(coeff, T.mul(T.mul(scales["attention"], scales["aggregate"]), scales["heads"]))
     narrow = coeff.shape[1] == 1 and choice.aggregate != "max" \
         and h.shape[1] < view.space.out_dim
     agg = T.propagate(h if narrow else t_all, coeff, g.arcs, choice.aggregate)
     if narrow:
         agg = sc("expansion", T.matmul(agg, w2))
-    pre = sc("heads", sc("aggregate", agg)) + t_all
+    pre = agg + t_all
     return sc("activation", T.activation_apply(choice.activation, pre))
 
 

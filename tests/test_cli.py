@@ -122,9 +122,19 @@ def test_search_config_without_dataset_exits_2(tmp_path, capsys):
     assert "config must name a 'dataset' path" in capsys.readouterr().err
 
 
-def test_search_missing_out_dir_exits_2(tmp_path, dataset):
+def test_search_missing_out_dir_exits_2(tmp_path, dataset, monkeypatch, capsys):
+    """The missing --out is reported before the dataset is parsed."""
+    loads = []
+
+    def failing_load(path):
+        loads.append(path)
+        raise RuntimeError("the dataset was loaded")
+
+    monkeypatch.setattr(cli, "_load_dataset", failing_load)
     cfg = write_config(tmp_path / "c.json", dataset)
     assert main(["search", "--config", str(cfg)]) == 2
+    assert "no output directory" in capsys.readouterr().err
+    assert loads == []
 
 
 def test_malformed_dataset_exits_2(tmp_path, capsys):

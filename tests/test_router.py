@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,17 @@ def test_gate_expectations_match_sigmoid_of_theta():
     np.testing.assert_allclose(gates[(1, 1)], 1.0 / (1.0 + np.exp(0.5)))
     assert gates[(0, 0)] == 0.5
     assert all(0.0 < v < 1.0 for v in gates.values())
+
+
+def test_gate_expectations_saturate_without_overflow():
+    """exp(800) overflows in 1 / (1 + exp(-theta)); the engine's sigmoid never takes it."""
+    _, router = make_router()
+    router.theta.data[0, 1] = -800.0
+    router.theta.data[1, 2] = 800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gates = router.gate_expectations()
+    assert gates[(0, 1)] == 0.0 and gates[(1, 2)] == 1.0
 
 
 def test_binary_routing_keeps_strictly_positive_theta():

@@ -10,7 +10,7 @@ import pytest
 from gnasforge import search as search_mod
 from gnasforge import tensor as T
 from gnasforge.blocks import BlockChoice, _attention_param_names
-from gnasforge.controller import add_noise
+from gnasforge.controller import Controller, add_noise
 from gnasforge.graphs import generate_sbm, load_graph_json, random_split, save_graph_json, \
     graph_from_dict
 from gnasforge.optim import Adam
@@ -402,6 +402,32 @@ def test_dual_search_draws_gate_noise_per_sampled_forward(graph, monkeypatch):
         want += [sample_gumbel(rng, (2, 2)) for _ in range(cfg.train_step + 1)]
     for got, ref in zip(seen, want):
         np.testing.assert_array_equal(got, ref)
+
+
+def test_dual_search_draws_controller_noise_through_the_controller(graph, monkeypatch):
+    """Each epoch draws its exploration uniforms by one ``Controller.sample_noise`` call,
+    before the epoch's Gumbel draws, from the same stream."""
+    seen = []
+
+    def recording(self, rng):
+        seen.append(sample_noise(self, rng))
+        return seen[-1]
+
+    sample_noise = Controller.sample_noise
+    monkeypatch.setattr(Controller, "sample_noise", recording)
+    cfg = tiny_config(max_iter=2, train_step=3)
+    dual_search(cfg, graph)
+    assert len(seen) == cfg.max_iter
+    rng = np.random.default_rng(cfg.seed + 0x5EED)
+    sizes = {"activation": 2, "aggregate": 1, "attention": 2, "expansion": 1, "heads": 1}
+    for got in seen:
+        want = {(layer, kind): rng.random(sizes[kind])
+                for layer in range(2) for kind in sorted(sizes)}
+        assert list(got) == list(want)
+        for key, ref in want.items():
+            np.testing.assert_array_equal(got[key], ref)
+        for _ in range(cfg.train_step + 1):
+            sample_gumbel(rng, (2, 2))
 
 
 def test_non_finite_losses_raise_at_their_epoch(graph):

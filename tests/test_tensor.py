@@ -1123,79 +1123,64 @@ def test_constant_operand_product_is_skipped(op, const_first):
     np.testing.assert_array_equal(x.grad, expect)
 
 
-# -- scale: a product and its scalars as one node ----------------------------------------
+# -- matmul's scalar operand: a product and the scalar that scales it as one node -------
 
-def _scale_chain(a, scales, b=None):
-    """What T.scale stands for: a matmul, then one mul node per scalar."""
-    y = a if b is None else T.matmul(a, b)
-    for p in scales:
-        y = T.mul(y, p)
-    return y
-
-
-def _with_edges(rng, shape):
-    """Normal entries, six of them replaced by ±0, ±inf and a subnormal pair."""
+def _with_edges(rng, shape, edges):
+    """Normal entries, some of them replaced by the values ``edges``."""
     x = rng.standard_normal(shape)
-    x.reshape(-1)[rng.choice(x.size, 6, replace=False)] = [0.0, -0.0, np.inf, -np.inf,
-                                                            5e-324, -5e-324]
+    x.reshape(-1)[rng.choice(x.size, len(edges), replace=False)] = edges
     return x
 
 
-@pytest.mark.parametrize("count", [1, 2, 4])
-@pytest.mark.parametrize("with_b", [False, True], ids=["scalars", "matmul"])
-def test_scale_is_its_chain_bit_for_bit(with_b, count):
-    """Value and every gradient, for every set of operands frozen, with signed zeros and
-    infinities in a, b and the upstream gradient, and a negative scalar."""
-    rng = np.random.default_rng(50 + count)
-    a, b = _with_edges(rng, (6, 3)), _with_edges(rng, (3, 4)) if with_b else None
-    ps = rng.uniform(0.1, 2.0, count) * np.where(np.arange(count) == 1, -1.0, 1.0)
-    g = _with_edges(rng, (6, 4) if with_b else (6, 3))
-    for flags in itertools.product([True, False], repeat=1 + with_b + count):
+@pytest.mark.parametrize("edges", [[0.0, -0.0, 5e-324, -5e-324],
+                                   [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]],
+                         ids=["finite", "inf"])
+@pytest.mark.parametrize("p", [0.7, -1.3, [[0.4]]], ids=["0d", "negative", "1x1"])
+def test_scaled_matmul_is_its_chain_bit_for_bit(p, edges):
+    """matmul(a, b, p) against mul(matmul(a, b), p): the value and every gradient, for every
+    set of operands frozen, with signed zeros, subnormals and, in one run, infinities (which
+    make p's gradient NaN) in a, b and the upstream gradient."""
+    rng = np.random.default_rng(50)
+    a, b, g = (_with_edges(rng, shape, edges) for shape in ((6, 3), (3, 4), (6, 4)))
+
+    def chain(a, b, p):
+        return T.mul(T.matmul(a, b), p)
+
+    for flags in itertools.product([True, False], repeat=3):
         if not any(flags):
             continue
         runs = []
-        for op in (_scale_chain, T.scale):
-            leaves = [Tensor(a, requires_grad=flags[0])]
-            if with_b:
-                leaves.append(Tensor(b, requires_grad=flags[1]))
-            scales = [Tensor(p, requires_grad=f) for p, f in zip(ps, flags[1 + with_b:])]
+        for op in (chain, T.matmul):
+            leaves = [Tensor(v, requires_grad=f) for v, f in zip((a, b, p), flags)]
             with np.errstate(invalid="ignore"):             # inf * 0 and inf - inf
-                out = op(leaves[0], scales, leaves[1] if with_b else None)
+                out = op(*leaves)
                 T.tsum(T.mul(out, Tensor(g))).backward()
-            runs.append([out.data] + [t.grad for t in leaves + scales])
+            runs.append([out.data] + [t.grad for t in leaves])
         for got, want in zip(*runs):
             assert (got is None) == (want is None), flags
             assert got is None or got.tobytes() == want.tobytes(), flags
 
 
-@pytest.mark.parametrize("with_b", [False, True], ids=["scalars", "matmul"])
-def test_scale_saves_only_its_operands(with_b):
-    """The node keeps a, b and the scalars, and no array of the result's shape; the chain
-    keeps one product per scalar."""
+def test_scaled_matmul_saves_no_product():
+    """The node keeps a, b and p, and no array of the result's shape; the chain it stands
+    for keeps a @ b for p's gradient."""
     from test_blocks import _held_arrays, _tape_arrays
     rng = np.random.default_rng(60)
-    a = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal((3, 5)), requires_grad=True) if with_b else None
-    scales = [Tensor(p, requires_grad=True) for p in rng.uniform(0.1, 1.0, 3)]
-    out = T.scale(a, scales, b)
-    operands = [t.data for t in [a, b] + scales if t is not None]
+    a, b, p = (Tensor(v, requires_grad=True)
+               for v in (rng.standard_normal((6, 3)), rng.standard_normal((3, 5)), 0.4))
+    out = T.matmul(a, b, p)
     held = list(_held_arrays(out._backward, set()))
-    assert all(any(h is d for d in operands) for h in held)
-    assert all(h.shape != out.shape for h in held if h is not a.data)
-    chain = _scale_chain(a, scales, b)
-    products = [h for h in _tape_arrays(chain._node) if h.shape == out.shape and h is not a.data]
-    assert len(products) == len(scales) - (b is None)
+    assert all(any(h is t.data for t in (a, b, p)) for h in held)
+    assert all(h.shape != out.shape for h in held)
+    chain = T.mul(T.matmul(a, b), p)
+    assert sum(h.shape == out.shape for h in _tape_arrays(chain._node)) == 1
 
 
-def test_scale_without_scalars_is_matmul_and_rejects_bad_shapes():
+def test_scaled_matmul_rejects_a_scalar_of_more_than_one_entry():
     a, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((3, 4)))
-    assert T.scale(a, []) is a
-    assert T.scale(a, [], b)._backward.__qualname__.startswith("matmul.")
-    with pytest.raises(ShapeError, match=r"scale.*\(2, 3\).*\(4, 3\)"):
-        T.scale(a, [Tensor(1.0)], Tensor(np.ones((4, 3))))
-    for p in (np.ones(2), np.ones((1, 1, 1))):
-        with pytest.raises(ShapeError, match="scale"):
-            T.scale(a, [Tensor(0.5), Tensor(p)])
+    for p in (np.ones(2), np.ones((1, 2)), np.ones((1, 1, 1))):
+        with pytest.raises(ShapeError, match="matmul"):
+            T.matmul(a, b, Tensor(p))
 
 
 # -- the engine holds only what the model uses -----------------------------------------
