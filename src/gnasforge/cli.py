@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import fields, asdict
 
-from .graphs import load_graph_json, save_graph_json, random_split, \
+from .graphs import load_graph_json, load_json_object, save_graph_json, random_split, \
     generate_sbm, generate_chain_task, GraphFormatError
 from .search import (
     SearchConfig, SearchError, Genotype, GenotypeNet,
@@ -32,12 +32,9 @@ class ConfigError(ValueError):
 def load_run_config(path):
     """Parse a run config JSON into (SearchConfig, dataset path); unknown keys rejected."""
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = load_json_object(path, "config", ConfigError)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}")
     unknown = set(doc) - {f.name for f in fields(SearchConfig)} - {"dataset"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

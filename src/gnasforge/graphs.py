@@ -80,11 +80,21 @@ def _make_graph(num_nodes, features, edges, labels, spec, masks=None):
 
 # -- JSON ingestion -----------------------------------------------------------
 
+def load_json_object(path, what, error):
+    """The JSON object every input file holds; anything else raises ``error`` naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except ValueError as e:                     # not JSON, or not UTF-8
+            raise error(f"{what} {path} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_graph_json(path):
     """Load and validate a Graph from the canonical JSON schema."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    return graph_from_dict(doc)
+    return graph_from_dict(load_json_object(path, "graph", GraphFormatError))
 
 
 def graph_from_dict(doc):

@@ -35,13 +35,11 @@ def gumbel_sigmoid(theta, tau, g):
     never reaches either bound; the local gradient there is already ~0.
     """
     s = T.sigmoid(T.mul(theta + Tensor(g), Tensor(1.0 / tau)))
-    # clipped into a fresh node, whose gradient passes straight through: theta's
-    # gradient keeps the unclipped y (1 - y) / tau, and no node's value changes;
-    # the upstream array is released with the node, so s keeps it, and the
-    # closure saves no value
+    # clipped into a fresh node, whose gradient passes straight through to s: theta's
+    # keeps the unclipped y (1 - y) / tau, and the closure saves no value
     ns = s._node
     return Tensor(np.clip(s.data, GATE_EPS, 1.0 - GATE_EPS), _parents=(s,),
-                  _backward=lambda grad: T._accum(ns, grad, owned=True))
+                  _backward=lambda grad: T._accum(ns, grad))
 
 
 class Router:
@@ -70,14 +68,20 @@ class Router:
     def pairs(self):
         return list(self._shortcuts)
 
+    def _theta_values(self):
+        """theta's values, or none for a router without theta that owns no shortcut to read."""
+        if self.theta is None and self._shortcuts:
+            raise ValueError("a router without theta has no gates")
+        return np.empty((0, 0)) if self.theta is None else self.theta.data
+
     def gate_expectations(self):
         """Noise-free expected gates sigmoid(theta) on the active triangle."""
-        s = T._sigmoid_np(self.theta.data)
+        s = T._sigmoid_np(self._theta_values())
         return {(i, j): float(s[i, j]) for (i, j) in self.pairs()}
 
     def derive_binary_routing(self):
         """Keep (i, j) iff sigmoid(theta_ij) > 0.5, i.e. theta_ij > 0 (strict)."""
-        return [(i, j) for (i, j) in self.pairs() if self.theta.data[i, j] > 0.0]
+        return [(i, j) for (i, j) in self.pairs() if self._theta_values()[i, j] > 0.0]
 
     def sample_noise(self, rng):
         return sample_gumbel(rng, (self.num_blocks, self.num_blocks))

@@ -17,6 +17,7 @@ from .blocks import (
     SUB_BLOCKS, EXPANSIONS, ATTENTIONS, HEAD_COUNTS, AGGREGATORS, ACTIVATION_KINDS,
 )
 from .controller import Controller, add_noise, extract_indices
+from .graphs import load_json_object
 from .router import Router
 
 
@@ -202,8 +203,7 @@ class Genotype:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(load_json_object(path, "genotype", ValueError))
 
 
 # -- supernet ----------------------------------------------------------------------

@@ -155,27 +155,24 @@ def _node_of(t):
     return t._node if t.requires_grad else None
 
 
-def _accum(node, g, owned=False):
+def _accum(node, g):
     """Add the gradient ``g`` into ``node.grad``, unless the node needs none.
 
-    A first gradient gets + 0.0, which maps -0.0 to +0.0 as zeros + g does.
-    ``owned`` says that no one else holds ``g`` (or the array it views): the
-    caller allocated it for this call, or it is the closure's upstream
-    gradient, which ``backward`` releases when the closure returns. When it
-    is an array with the value's strides, the node keeps it and the + 0.0
-    runs in place. Anything else is copied into a fresh C-ordered array, the
-    layout ``ParameterStore`` gives every parameter and the ops give their
-    results: an upstream array already handed to one operand, and numpy's
-    0-d operation results, which are scalars.
+    Every closure hands over an array that no one else holds: one it made, or
+    the upstream gradient ``backward`` took off its node (``add`` copies it for
+    a second operand). A first gradient that is an array with the value's
+    strides becomes ``node.grad`` as it is; anything else (a numpy scalar,
+    another layout) is copied into a fresh C-ordered array, the layout of every
+    parameter and op result. Later gradients are added in place.
     """
     if not node.requires_grad:
         return
     if node.grad is not None:
         node.grad += g
-    elif owned and isinstance(g, np.ndarray) and g.strides == node.strides:
-        node.grad = np.add(g, 0.0, out=g)
+    elif isinstance(g, np.ndarray) and g.strides == node.strides:
+        node.grad = g
     else:
-        node.grad = np.add(g, 0.0, out=np.empty(node.shape))
+        node.grad = np.array(g, order="C")
 
 
 def _unbroadcast(g, shape):
@@ -194,17 +191,15 @@ def _check_ew(op, a, b):
 
 def add(a, b):
     _check_ew("add", a, b)
-    nodes = (_node_of(a), _node_of(b))
+    na, nb = _node_of(a), _node_of(b)
 
     def bw(g):
-        # one operand keeps the upstream array; the other gets a copy, or adds
-        # into it when both are one tensor (x + x gives 2g)
-        kept = False
-        for t in nodes:
-            if t:
-                gt = _unbroadcast(g, t.shape)               # a reduction is a fresh array
-                _accum(t, gt, owned=gt is not g or not kept)
-                kept = kept or t.grad is g
+        # b gets a copy of the upstream array a kept; x + x adds it into itself: 2g
+        if na:
+            _accum(na, _unbroadcast(g, na.shape))           # a reduction is a fresh array
+        if nb:
+            gb = _unbroadcast(g, nb.shape)
+            _accum(nb, gb.copy() if nb is not na and na and na.grad is gb else gb)
 
     return Tensor(a.data + b.data, _parents=(a, b), _backward=bw)
 
@@ -217,9 +212,9 @@ def mul(a, b):
     def bw(g):
         # skip the product for a constant operand, as matmul does
         if na:
-            _accum(na, _unbroadcast(g * bd, na.shape), owned=True)
+            _accum(na, _unbroadcast(g * bd, na.shape))
         if nb:
-            _accum(nb, _unbroadcast(g * ad, nb.shape), owned=True)
+            _accum(nb, _unbroadcast(g * ad, nb.shape))
 
     return Tensor(a.data * b.data, _parents=(a, b), _backward=bw)
 
@@ -230,9 +225,9 @@ def div(a, b):
 
     def bw(g):
         if na:
-            _accum(na, _unbroadcast(g / bd, na.shape), owned=True)
+            _accum(na, _unbroadcast(g / bd, na.shape))
         if nb:
-            _accum(nb, _unbroadcast(-g * ad / (bd * bd), nb.shape), owned=True)
+            _accum(nb, _unbroadcast(-g * ad / (bd * bd), nb.shape))
 
     return Tensor(a.data / b.data, _parents=(a, b), _backward=bw)
 
@@ -246,8 +241,7 @@ def matmul(a, b, p=None):
     ``mul(matmul(a, b), p)``, bit for bit. That chain keeps ``a @ b`` for
     p's gradient; this node keeps ``a``, ``b`` and ``p``, and p's gradient
     recomputes ``a @ b`` (Chen et al., arXiv 1604.06174). The gradients of
-    ``a`` and ``b`` read g * p, plus the 0.0 an inner node's first gradient
-    gets.
+    ``a`` and ``b`` read g * p, multiplied into the closure's upstream array.
     """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise _shape_err("matmul", a.data.shape, b.data.shape)
@@ -262,15 +256,14 @@ def matmul(a, b, p=None):
     def bw(g):
         if npr:
             ab = ad @ bd
-            _accum(npr, _unbroadcast(np.multiply(g, ab, out=ab), npr.shape), owned=True)
+            _accum(npr, _unbroadcast(np.multiply(g, ab, out=ab), npr.shape))
         if pd is not None:
             np.multiply(g, pd, out=g)
-            np.add(g, 0.0, out=g)
         # skip the product for a constant operand (input features, frozen weights)
         if na:
-            _accum(na, g @ bd.T, owned=True)
+            _accum(na, g @ bd.T)
         if nb:
-            _accum(nb, ad.T @ g, owned=True)
+            _accum(nb, ad.T @ g)
 
     y = a.data @ b.data
     if p is not None:
@@ -291,8 +284,7 @@ def block_diag(a):
     y = np.zeros((h, p, h, q))
     y[heads, :, heads, :] = a.data
     return Tensor(y.reshape(h * p, h * q), _parents=(a,),
-                  _backward=lambda g: _accum(na, g.reshape(h, p, h, q)[heads, :, heads, :],
-                                             owned=True))
+                  _backward=lambda g: _accum(na, g.reshape(h, p, h, q)[heads, :, heads, :]))
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -302,14 +294,13 @@ def _unary(a, value, derivative):
 
     The derivative is computed in the backward: no node's value changes after
     it is built, so it reads the values the forward saw. It reads ``value``
-    where it can, so that ``a``'s value is not kept for it. A closure owns its
-    upstream array g (``backward`` takes it off the node, and ``add`` gives
-    one operand the array and the other a copy), so the derivative is
-    multiplied into g.
+    where it can, so that ``a``'s value is not kept for it. The closure owns
+    its upstream array g (see ``_accum``), so the derivative is multiplied
+    into g, which ``_accum`` keeps as ``a``'s first gradient.
     """
     na = a._node
     return Tensor(value, _parents=(a,),
-                  _backward=lambda g: _accum(na, np.multiply(g, derivative(), out=g), owned=True))
+                  _backward=lambda g: _accum(na, np.multiply(g, derivative(), out=g)))
 
 
 def tanh(a):
@@ -386,12 +377,8 @@ def softmax_rows(a):
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
     na = a._node
-
-    def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(na, y * (g - dot), owned=True)
-
-    return Tensor(y, _parents=(a,), _backward=bw)
+    return Tensor(y, _parents=(a,),
+                  _backward=lambda g: _accum(na, y * (g - (g * y).sum(axis=-1, keepdims=True))))
 
 
 # -- array helpers -------------------------------------------------------------
@@ -587,7 +574,7 @@ def gather_rows(a, arcs, end):
 
     def bw(g):
         layout = arcs.outgoing if end == "src" else arcs.incoming
-        _accum(na, _diagonal_reduce(g, None, _by_arc(layout), "sum")[0], owned=True)
+        _accum(na, _diagonal_reduce(g, None, _by_arc(layout), "sum")[0])
 
     return Tensor(a.data[getattr(arcs, end)], _parents=(a,), _backward=bw)
 
@@ -646,20 +633,19 @@ def propagate(x, coeff, arcs, agg):
                 w = g
                 if cd is not None:
                     w = g * np.append(cd, np.zeros((1, heads)), axis=0)[win, cols // hd]
-                _accum(nx, _bincount(at.ravel(), w.ravel(), (n_x + 1, d))[:n_x], owned=True)
+                _accum(nx, _bincount(at.ravel(), w.ravel(), (n_x + 1, d))[:n_x])
             if nc:
                 xw = g * xs.take(at, mode="clip")
                 _accum(nc, _bincount(((win + 1) * heads + cols // hd).ravel(), xw.ravel(),
-                                        (len(src) + 1, heads))[1:], owned=True)
+                                        (len(src) + 1, heads))[1:])
             return
         if agg == "mean":
             g /= arcs.counts
         if nx:
             outg = arcs.outgoing
-            _accum(nx, _diagonal_reduce(g, None if cd is None else cd[outg.arcs],
-                                        outg, "sum")[0], owned=True)
+            _accum(nx, _diagonal_reduce(g, None if cd is None else cd[outg.arcs], outg, "sum")[0])
         if nc:
-            _accum(nc, _diagonal_dot(g, xs, inc, heads), owned=True)
+            _accum(nc, _diagonal_dot(g, xs, inc, heads))
 
     return Tensor(y, _parents=(x,) if coeff is None else (x, coeff), _backward=bw)
 
@@ -681,7 +667,7 @@ def edge_dot(a, b, arcs, heads):
         for t, other, end in nodes:
             if t:
                 layout = getattr(arcs, end)
-                _accum(t, _diagonal_reduce(other, g[layout.arcs], layout, "sum")[0], owned=True)
+                _accum(t, _diagonal_reduce(other, g[layout.arcs], layout, "sum")[0])
 
     return Tensor(_diagonal_dot(ad, bd, arcs.incoming, heads), _parents=(a, b), _backward=bw)
 
@@ -707,7 +693,7 @@ def edge_softmax(scores, arcs):
 
     def bw(g):
         g -= _diagonal_reduce(g * y, None, inc, "sum")[0][dst]
-        _accum(ns, np.multiply(g, y, out=g), owned=True)     # (g - s[dst]) y = y (g - s[dst])
+        _accum(ns, np.multiply(g, y, out=g))     # (g - s[dst]) y = y (g - s[dst])
 
     return Tensor(y, _parents=(scores,), _backward=bw)
 
@@ -717,7 +703,7 @@ def edge_softmax(scores, arcs):
 def tsum(a):
     na = a._node
     return Tensor(a.data.sum(), _parents=(a,),
-                  _backward=lambda g: _accum(na, np.full(na.shape, float(g)), owned=True))
+                  _backward=lambda g: _accum(na, np.full(na.shape, float(g))))
 
 
 def pick(a, index):
@@ -730,7 +716,7 @@ def pick(a, index):
     def bw(g):
         acc = np.zeros(na.shape)
         acc.reshape(-1)[index] = float(g)
-        _accum(na, acc, owned=True)
+        _accum(na, acc)
 
     return Tensor(flat[index], _parents=(a,), _backward=bw)
 
@@ -753,7 +739,7 @@ def softmax_cross_entropy(logits, labels, mask):
         acc[rows] = np.exp(logp[rows])
         acc[rows, labels[rows]] -= 1.0
         acc *= float(g) / rows.size
-        _accum(nl, acc, owned=True)
+        _accum(nl, acc)
 
     return Tensor(-logp[rows, labels[rows]].mean(), _parents=(logits,), _backward=bw)
 
@@ -776,7 +762,7 @@ def sigmoid_bce(logits, targets, mask):
         acc = np.zeros(nl.shape)
         acc[rows] = _sigmoid_np(x) - t
         acc *= float(g) / n
-        _accum(nl, acc, owned=True)
+        _accum(nl, acc)
 
     return Tensor(loss, _parents=(logits,), _backward=bw)
 

@@ -316,7 +316,7 @@ def _scatter_add(values, idx, num_rows):
 def _exp(t):
     """The engine's former exp tape op."""
     y = np.exp(t.data)
-    return Tensor(y, _parents=(t,), _backward=lambda g: T._accum(t._node, g * y, owned=True))
+    return Tensor(y, _parents=(t,), _backward=lambda g: T._accum(t._node, g * y))
 
 
 def _segment_starts(op, segments):
@@ -332,7 +332,7 @@ def _segment_sum(values, segments, num_segments):
     """The engine's former segment_sum tape op: rows summed per segment id, in input order."""
     segments = _check_segments("segment_sum", values, segments, num_segments)
     return Tensor(_scatter_add(values.data, segments, num_segments), _parents=(values,),
-                  _backward=lambda g: T._accum(values._node, g[segments], owned=True))
+                  _backward=lambda g: T._accum(values._node, g[segments]))
 
 
 def _chain_softmax(logits, arcs):

@@ -397,6 +397,46 @@ def test_retrain_rejects_malformed_genotype(tmp_path, dataset, capsys, edit, mes
     assert not (tmp_path / "rt").exists()
 
 
+_NOT_OBJECTS = pytest.mark.parametrize("text", ["[[1, 2]]", "5", "null"],
+                                       ids=["list_of_lists", "number", "null"])
+
+
+@_NOT_OBJECTS
+def test_search_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    capsys.readouterr()
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {cfg} must be a JSON object")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["[[1, 2]]", "5", "null", '{"num_nodes": 3,'],
+                         ids=["list_of_lists", "number", "null", "not_json"])
+def test_search_on_a_graph_that_is_not_an_object_exits_2_naming_the_file(tmp_path, capsys, text):
+    graph = tmp_path / "graph.json"
+    graph.write_text(text)
+    cfg = write_config(tmp_path / "c.json", graph)
+    capsys.readouterr()
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: graph {graph}")
+    assert ("not valid JSON" if text.startswith("{") else "must be a JSON object") in err
+
+
+@_NOT_OBJECTS
+def test_retrain_genotype_that_is_not_an_object_exits_1(tmp_path, dataset, capsys, text):
+    geno = tmp_path / "genotype.json"
+    geno.write_text(text)
+    capsys.readouterr()
+    assert main(["retrain", "--genotype", str(geno), "--data", str(dataset),
+                 "--out", str(tmp_path / "rt"), "--epochs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: genotype {geno} must be a JSON object")
+    assert not (tmp_path / "rt").exists()
+
+
 def test_eval_rejects_per_head_checkpoint(tmp_path, dataset, capsys):
     """A checkpoint in the old one-tensor-per-head layout exits with a config error."""
     geno = {"layers": [{"expansion": 1, "attention": "gat", "heads": 2,

@@ -130,6 +130,31 @@ def test_step_rounds_as_the_textbook_expressions():
             np.testing.assert_array_equal(opt.state[n]["v"], v)
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4, 1e-8])
+def test_the_sign_of_a_zero_gradient_changes_no_step(weight_decay):
+    """+0.0 and -0.0 gradient entries give the same moments and parameters, bit for bit.
+
+    m starts at +0.0, and +0.0 + (-0.0) is +0.0; v adds g * g >= +0.0. So
+    backward may hand Adam a zero of either sign.
+    """
+    start = np.array([0.0, -0.0, 1.5, -2.0, 0.0, -0.0])
+    steps = [np.array([0.0, 0.0, 0.0, 0.0, 0.3, -0.7]),     # a zero on every kind of entry
+             np.array([0.2, -0.4, 0.0, 1.0, 0.0, 0.0]),
+             np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.1])]     # zeros after a nonzero, too
+    runs = []
+    for zero in (0.0, -0.0):
+        store = ParameterStore()
+        store.add("p", start)
+        opt = Adam(store, ["p"], lr=0.01, weight_decay=weight_decay)
+        for g in steps:
+            g = np.where(g == 0.0, zero, g)
+            assert np.signbit(g[g == 0.0]).all() == np.signbit(zero)
+            opt.step({"p": g})
+        st = opt.state["p"]
+        runs.append((store["p"].data.tobytes(), st["m"].tobytes(), st["v"].tobytes()))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
 def test_a_step_allocates_two_arrays_of_the_leaf_size(weight_decay):
     store = ParameterStore()

@@ -6,7 +6,8 @@ import pytest
 from gnasforge import tensor as T
 from gnasforge.tensor import ParameterStore, Tensor
 from gnasforge.router import Router, gumbel_sigmoid, sample_gumbel, GATE_EPS
-from gnasforge.search import SearchConfig, TAU_MIN, temp_anneal
+from gnasforge.blocks import BlockChoice
+from gnasforge.search import Genotype, GenotypeNet, SearchConfig, Supernet, TAU_MIN, temp_anneal
 
 
 def make_router(num_blocks=3, dim=4, seed=0):
@@ -187,6 +188,22 @@ def test_fixed_shortcuts_route_in_binary_mode_only():
     for noise in (router.sample_noise(rng), None):
         with pytest.raises(ValueError, match="without theta"):
             router.gates(1.0, noise)
+
+
+def test_a_router_without_theta_answers_as_gates_does():
+    # the supernet's router without the macro search owns no shortcut: no gates, no routing
+    config = SearchConfig(num_layers=2, hidden_grid=(8,), head_counts=(1,), router_enabled=False)
+    router = Supernet(config, 4, 2, hidden=8, seed=0).router
+    assert router.theta is None and router.pairs() == []
+    assert router.gate_expectations() == {} and router.derive_binary_routing() == []
+    # a genotype's router has fixed shortcuts and no theta: every gate query raises
+    genotype = Genotype(layers=[BlockChoice(1, "gcn", 1, "sum", "relu")] * 2,
+                        routing=[(0, 1)], hidden_sizes=[8, 8], seed=0)
+    router = GenotypeNet(genotype, 4, 2).router
+    for query in (lambda: router.gates(1.0), router.gate_expectations,
+                  router.derive_binary_routing):
+        with pytest.raises(ValueError, match="a router without theta has no gates"):
+            query()
 
 
 def test_lower_triangle_never_routes():

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from gnasforge import tensor as T
 from gnasforge.tensor import Tensor, ParameterStore, ShapeError
 from gnasforge.gradcheck import finite_difference_check
+from gnasforge.router import gumbel_sigmoid
 
 
 def test_matmul_identity():
@@ -174,6 +175,42 @@ def test_non_trainable_leaf_gets_no_gradient():
     assert c.grad is None
 
 
+def _assert_no_shared_gradients(leaves):
+    """No two leaves' gradients share memory, and writing into one leaves the others as they were."""
+    grads = [t.grad for t in leaves]
+    for g, h in itertools.combinations(grads, 2):
+        assert not np.shares_memory(g, h)
+    for i, g in enumerate(grads):
+        before = [h.copy() for h in grads]
+        g += 1.0
+        for j, h in enumerate(grads):
+            if j != i:
+                assert h.tobytes() == before[j].tobytes()
+
+
+def _leaves(*shapes):
+    rng = np.random.default_rng(0)
+    return [Tensor(rng.standard_normal(shape) + 2.0, requires_grad=True) for shape in shapes]
+
+
+_TWO_HEAD_ARCS = T.Arcs([0, 1, 2, 2, 0], [0, 0, 1, 2, 2], 3)
+# every op with two differentiable operands, each as (operand shapes, op); the
+# gate's pass-through feeds an add whose other operand is theta itself
+_TWO_OPERAND_OPS = [
+    ([(3, 4), (3, 4)], lambda a, b: T.mul(a, b)),
+    ([(3, 4), (1, 1)], lambda a, b: T.mul(a, b)),
+    ([(3, 4), (3, 4)], lambda a, b: T.div(a, b)),
+    ([(3, 4), (1, 1)], lambda a, b: T.div(a, b)),
+    ([(3, 2), (2, 4)], lambda a, b: T.matmul(a, b)),
+    ([(3, 2), (2, 4), ()], lambda a, b, p: T.matmul(a, b, p)),
+    ([(3, 2), (2, 4), (1, 1)], lambda a, b, p: T.matmul(a, b, p)),
+    ([(3, 4), (5, 2)], lambda x, c: T.propagate(x, c, _TWO_HEAD_ARCS, "sum")),
+    ([(3, 4), (5, 2)], lambda x, c: T.propagate(x, c, _TWO_HEAD_ARCS, "max")),
+    ([(3, 4), (3, 4)], lambda a, b: T.edge_dot(a, b, _TWO_HEAD_ARCS, 2)),
+    ([(3, 3)], lambda theta: gumbel_sigmoid(theta, 0.5, np.full((3, 3), 0.25)) + theta),
+]
+
+
 def test_first_gradients_are_distinct_arrays():
     # add's backward hands one upstream array to both parents
     a = Tensor([1.0, 2.0], requires_grad=True)
@@ -192,35 +229,26 @@ def test_first_gradients_are_distinct_arrays():
         one = Tensor(np.ones((1, 1)), requires_grad=True)
         y = Tensor(np.ones((2, 3)), requires_grad=True)
         T.tsum(T.mul(op(x, one, y), Tensor(weights))).backward()
-        for g, h in itertools.combinations([x.grad, one.grad, y.grad], 2):
-            assert not np.shares_memory(g, h)
         np.testing.assert_array_equal(one.grad, weights.sum(keepdims=True))
         np.testing.assert_array_equal(y.grad, weights)
         np.testing.assert_array_equal(x.grad, x_uses * weights)
+        _assert_no_shared_gradients([x, one, y])
     # x + x keeps the upstream array once and adds it to itself: 2g
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     T.tsum(T.mul(x + x, Tensor(weights))).backward()
     np.testing.assert_array_equal(x.grad, 2 * weights)
-
-
-def test_negative_zero_first_gradient_lands_as_positive_zero():
-    x = Tensor([1.0, 1.0, 1.0], requires_grad=True)
-    T.tsum(T.mul(x, Tensor([-0.0, 2.0, -3.0]))).backward()
-    np.testing.assert_array_equal(x.grad, [0.0, 2.0, -3.0])
-    np.testing.assert_array_equal(np.signbit(x.grad), [False, False, True])
-    # backwards that allocate the first gradient keep it and fix it up in place
-    arcs = T.Arcs([0, 1, 2], [0, 0, 1], 3)
-    coeff = Tensor([[-0.0], [1.0], [-2.0]])
-    for op in (lambda x: T.mul(x, Tensor(-2.0)),
-               lambda x: T.matmul(x, Tensor([[0.0, -1.0], [-2.0, 0.0]])),
-               lambda x: T.propagate(x, coeff, arcs, "sum"),
-               lambda x: T.propagate(x, coeff, arcs, "max")):
-        x = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = op(x)
-        alternate = np.arange(out.size).reshape(out.shape) % 2
-        T.tsum(T.mul(out, Tensor(alternate.astype(np.float64)))).backward()
-        zeros = x.grad == 0.0
-        assert zeros.any() and not np.signbit(x.grad[zeros]).any()
+    # every op with two differentiable operands hands each a distinct array,
+    # also when its result feeds an add whose other operand is a leaf
+    for shapes, op in _TWO_OPERAND_OPS:
+        leaves = _leaves(*shapes)
+        out = op(*leaves)
+        w = np.arange(out.size, dtype=np.float64).reshape(out.shape) - 1.5
+        T.tsum(T.mul(out, Tensor(w))).backward()
+        _assert_no_shared_gradients(leaves)
+        leaves = _leaves(*shapes, out.shape)
+        out = op(*leaves[:-1]) + leaves[-1]
+        T.tsum(T.mul(out, Tensor(w))).backward()
+        _assert_no_shared_gradients(leaves)
 
 
 def test_backward_releases_the_tape():
@@ -441,7 +469,7 @@ def test_leaky_relu_derivative_is_the_where_form_bit_for_bit(slope):
     g = np.random.default_rng(13).standard_normal(x.size)
     with np.errstate(invalid="ignore"):             # the loss sums inf and -inf
         y, grad = _grad(lambda t: T.leaky_relu(t, slope), x, g)
-    assert grad.tobytes() == (g * np.where(y > 0, 1.0, slope) + 0.0).tobytes()
+    assert grad.tobytes() == (g * np.where(y > 0, 1.0, slope)).tobytes()
 
 
 def test_sigmoid_numerator_is_the_masked_copy_bit_for_bit():
