@@ -173,9 +173,8 @@ def attention_coefficients(kind, feats, graph, params):
             raw = raw + T.leaky_relu(T.gather_rows(s_dst, arcs, "src")
                                      + T.gather_rows(s_src, arcs, "dst"), ATTN_LEAKY_SLOPE)
     elif kind == "linear":
-        per_src = T.matmul(feats, T.block_diag(params["Wa"]))       # n x H scores
-        summed = T.propagate(per_src, None, arcs, "sum")
-        raw = T.gather_rows(T.tanh(summed), arcs, "dst")            # same value for all j in N(i)
+        # GraphNAS: arc j -> i scores tanh(a^T W h_j), from the source row alone
+        raw = T.gather_rows(T.tanh(T.matmul(feats, T.block_diag(params["Wa"]))), arcs, "src")
     else:
         # cos and gene_linear map the n node rows per head
         left = T.matmul(feats, T.block_diag(params["Wa1"]))

@@ -87,8 +87,13 @@ def load_json_object(path, what, error):
             doc = json.load(f)
         except ValueError as e:                     # not JSON, or not UTF-8
             raise error(f"{what} {path} is not valid JSON: {e}") from None
+    return require_object(doc, f"{what} {path}", error)
+
+
+def require_object(doc, what, error):
+    """``doc`` if it is a JSON object (a dict); anything else raises ``error`` naming ``what``."""
     if not isinstance(doc, dict):
-        raise error(f"{what} {path} must be a JSON object, got {type(doc).__name__}")
+        raise error(f"{what} must be a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -98,6 +103,7 @@ def load_graph_json(path):
 
 
 def graph_from_dict(doc):
+    require_object(doc, "graph", GraphFormatError)
     required = {"num_nodes", "feature_dim", "task", "num_classes", "features", "edges", "labels"}
     missing = required - set(doc)
     if missing:
@@ -257,6 +263,8 @@ def generate_sbm(num_classes, nodes_per_class, p_in, p_out, feature_dim,
         raise ValueError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     if feature_dim < num_classes:
         raise ValueError("feature_dim must be >= num_classes")
+    if nodes_per_class < 1:
+        raise ValueError(f"nodes_per_class must be >= 1, got {nodes_per_class}")
     rng = np.random.default_rng(seed)
     n = num_classes * nodes_per_class
     labels = np.repeat(np.arange(num_classes), nodes_per_class)

@@ -17,7 +17,7 @@ from .blocks import (
     SUB_BLOCKS, EXPANSIONS, ATTENTIONS, HEAD_COUNTS, AGGREGATORS, ACTIVATION_KINDS,
 )
 from .controller import Controller, add_noise, extract_indices
-from .graphs import load_json_object
+from .graphs import load_json_object, require_object
 from .router import Router
 
 
@@ -171,6 +171,7 @@ class Genotype:
 
     @classmethod
     def from_dict(cls, doc):
+        require_object(doc, "genotype", ValueError)
         missing = [f.name for f in fields(cls) if f.name not in doc]
         if missing:
             raise ValueError(f"genotype lacks the key(s) {missing}")

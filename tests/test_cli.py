@@ -194,6 +194,14 @@ def test_gen_data_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_data_with_no_nodes_per_class_exits_1(tmp_path, capsys):
+    p = tmp_path / "empty.json"
+    capsys.readouterr()
+    assert main(["gen-data", "--kind", "sbm", "--out", str(p), "--per-class", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: nodes_per_class must be >= 1, got 0")
+    assert not p.exists()
+
+
 # -- search / retrain / eval pipeline  -------------------------------------------
 
 def test_full_pipeline(tmp_path, dataset, capsys):

@@ -135,6 +135,13 @@ def test_graph_from_dict_rejects_a_malformed_field(over, message):
         graph_from_dict(dict(doc(3, [[0, 1]]), **over))
 
 
+@pytest.mark.parametrize("top, name", [(5, "int"), (None, "NoneType"), ([[1, 2]], "list")],
+                         ids=["number", "null", "list_of_lists"])
+def test_graph_from_dict_rejects_a_document_that_is_not_an_object(top, name):
+    with pytest.raises(GraphFormatError, match=f"graph must be a JSON object, got {name}"):
+        graph_from_dict(top)
+
+
 def _neighbors(g, i):
     """The sources of the arcs into node i, self-loop included."""
     return g.arcs.src[g.arcs.dst == i]
@@ -292,6 +299,8 @@ def test_sbm_validates_probabilities_and_dims():
         generate_sbm(2, 3, 0.2, 0.5, 4, 0.0, seed=0)
     with pytest.raises(ValueError, match="feature_dim"):
         generate_sbm(4, 3, 0.5, 0.1, 2, 0.0, seed=0)
+    with pytest.raises(ValueError, match="nodes_per_class must be >= 1, got 0"):
+        generate_sbm(2, 0, 0.5, 0.1, 4, 0.0, seed=0)
 
 
 def test_chain_task_linearly_separable():

@@ -186,6 +186,12 @@ def test_genotype_rejects_malformed_layers(edit, match):
         Genotype.from_dict(doc)
 
 
+@pytest.mark.parametrize("top, name", [(5, "int"), (None, "NoneType")], ids=["number", "null"])
+def test_genotype_from_dict_rejects_a_document_that_is_not_an_object(top, name):
+    with pytest.raises(ValueError, match=f"genotype must be a JSON object, got {name}"):
+        Genotype.from_dict(top)
+
+
 @pytest.mark.parametrize("over, match", [
     ({"aggregators": ("median",)}, r"unknown aggregators \['median'\]"),
     ({"attentions": ("gcn", "foo")}, r"unknown attentions \['foo'\]"),
