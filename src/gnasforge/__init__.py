@@ -2,7 +2,7 @@
 
 from .tensor import Tensor, ParameterStore
 from .optim import Adam
-from .gradcheck import finite_difference_check
+from .verify import finite_difference_check
 from .graphs import (
     Graph, DatasetSpec, load_graph_json, save_graph_json, random_split,
     generate_sbm, generate_chain_task,

@@ -22,7 +22,7 @@ EXPANSIONS = (1, 2, 4, 8)
 ATTENTIONS = ("const", "gcn", "gat", "sym_gat", "cos", "linear", "gene_linear")
 HEAD_COUNTS = (1, 2, 4, 8, 16)
 AGGREGATORS = ("sum", "mean", "max")
-ACTIVATION_KINDS = ("none", "sigmoid", "tanh", "softplus", "relu", "leaky_relu", "relu6", "elu")
+ACTIVATION_KINDS = tuple(T.ACTIVATIONS)
 
 SUB_BLOCKS = ("expansion", "attention", "heads", "aggregate", "activation")
 
@@ -49,7 +49,8 @@ class BlockSpace:
     activations: tuple = ACTIVATION_KINDS
 
     def __post_init__(self):
-        for name in ("expansions", "attentions", "head_counts", "aggregators", "activations"):
+        lists = ("expansions", "attentions", "head_counts", "aggregators", "activations")
+        for name in lists:
             if not getattr(self, name):
                 raise ValueError(f"empty candidate list {name!r}")
         for name, known in (("attentions", ATTENTIONS), ("aggregators", AGGREGATORS),
@@ -65,6 +66,10 @@ class BlockSpace:
         for h in self.head_counts:
             if self.out_dim % h:
                 raise ValueError(f"out_dim {self.out_dim} not divisible by head count {h}")
+        for name in lists:
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a candidate: {list(values)}")
 
     def candidates(self, kind):
         return {
@@ -154,10 +159,12 @@ def attention_coefficients(kind, feats, graph, params):
     heads' weights as (H, ., .). Learned kinds (gat, sym_gat, cos, linear,
     gene_linear) are softmax-normalized per head over each destination's
     in-neighborhood; gcn is used raw and returns one E x 1 column that every
-    head shares. const has no coefficients: its block passes none to
-    T.propagate.
+    head shares. const returns None: every coefficient is 1, which
+    T.propagate takes as no coefficient at all.
     """
     arcs = graph.arcs
+    if kind == "const":
+        return None
     if kind == "gcn":
         return Tensor(graph.gcn_coefficients)
     if kind not in _ATTN_WEIGHTS:
@@ -189,7 +196,7 @@ def attention_coefficients(kind, feats, graph, params):
 
 # aggregator candidate -> the ``agg`` argument of T.propagate; perfbench/tracer.py
 # looks this table up by name, so it stays a dict
-_AGG = {"sum": "sum", "mean": "mean", "max": "max"}
+_AGG = {agg: agg for agg in AGGREGATORS}
 
 
 @dataclass
@@ -255,11 +262,8 @@ def block_forward(graph, x, choice, params, scales=None):
     w1, w2 = params.transform(choice.expansion)
     t_all, h = transform_forward(x, w1, w2, prob("expansion"))  # n x out_dim
 
-    if choice.attention == "const":
-        coeff = None                                            # all ones: no products to take
-    else:                                                       # E x H, or E x 1 for all heads
-        coeff = attention_coefficients(choice.attention, t_all, graph,
-                                       params.attention(choice.attention, choice.heads))
+    coeff = attention_coefficients(choice.attention, t_all, graph,   # E x H, E x 1 or None
+                                   params.attention(choice.attention, choice.heads))
     shared = coeff is None or coeff.shape[1] == 1
     narrow = shared and choice.aggregate != "max" and h.shape[1] < space.out_dim
     agg = T.propagate(h if narrow else t_all, coeff, graph.arcs, _AGG[choice.aggregate])

@@ -39,6 +39,8 @@ def load_run_config(path):
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     dataset = doc.pop("dataset", None)
+    if dataset is not None and not isinstance(dataset, str):
+        raise ConfigError(f"dataset must be a path string, got {dataset!r}")
     try:
         return SearchConfig(**doc), dataset
     except (TypeError, ValueError) as e:
@@ -98,7 +100,7 @@ def cmd_eval(args):
     graph = _load_dataset(args.data)
     net = GenotypeNet(genotype, graph.spec.feature_dim, graph.spec.num_classes)
     net.store.load(args.checkpoint)
-    with net.store.frozen(net.store.names()):        # no gradient is taken: build no tape
+    with net.store.training():                      # no gradient is taken: build no tape
         logits = net.forward(graph, genotype.layers)
     metric = evaluate(logits, graph.labels, graph.masks["test"], graph.spec.task)
     print(f"test metric: {metric:.6f}")
@@ -107,10 +109,10 @@ def cmd_eval(args):
 
 def cmd_gen_data(args):
     if args.kind == "sbm":
-        graph, _ = generate_sbm(args.classes, args.per_class, args.p_in, args.p_out,
-                                args.feature_dim, args.noise, args.seed)
+        graph = generate_sbm(args.classes, args.per_class, args.p_in, args.p_out,
+                             args.feature_dim, args.noise, args.seed)
     else:                                       # argparse's choices admit only sbm and chain
-        graph, _ = generate_chain_task(args.length, args.seed)
+        graph = generate_chain_task(args.length, args.seed)
     if args.split:
         graph = random_split(graph, seed=args.seed)
     save_graph_json(graph, args.out)

@@ -282,7 +282,7 @@ def generate_sbm(num_classes, nodes_per_class, p_in, p_out, feature_dim,
     features = centroids[labels] + feature_noise * rng.standard_normal((n, feature_dim))
 
     spec = DatasetSpec("single", num_classes, feature_dim)
-    return _make_graph(n, features, edges, labels, spec), spec
+    return _make_graph(n, features, edges, labels, spec)
 
 
 def generate_chain_task(length, seed):
@@ -311,5 +311,4 @@ def generate_chain_task(length, seed):
                 edges.add((min(i, int(j)), max(i, int(j))))
 
     spec = DatasetSpec("single", 2, feature_dim)
-    graph = _make_graph(length, features, sorted(edges), labels, spec)
-    return graph, spec
+    return _make_graph(length, features, sorted(edges), labels, spec)

@@ -179,6 +179,8 @@ class Genotype:
             check, what = _FIELD_KINDS[f.type]
             if not check(doc[f.name]):
                 raise ValueError(f"genotype {f.name} must be {what}, got {doc[f.name]!r}")
+        if not doc["layers"]:
+            raise ValueError("genotype layers must hold at least 1 layer, got []")
         keys = sorted(f.name for f in fields(BlockChoice))
         for l, rec in enumerate(doc["layers"]):
             got = sorted(rec) if isinstance(rec, dict) else repr(rec)
@@ -342,10 +344,10 @@ def dual_search(config, graph, hidden=None, seed=None):
     without ``router_enabled``); the eval forward uses the noise-free gates.
     Bit-deterministic for a fixed seed.
 
-    Each step freezes every leaf that its optimizer does not update, so its
-    tape and backward cover only the gradients a step reads: the weight
-    steps skip theta and the ``freeze_layers`` weights, the architecture
-    step every weight, and the eval forward keeps no tape at all.
+    Each step trains just the leaves its optimizer updates, so its tape and
+    backward cover only the gradients a step reads: the weight steps skip
+    theta and the ``freeze_layers`` weights, the architecture step every
+    weight, and the eval forward trains none and keeps no tape at all.
     """
     if not graph.masks:
         raise SearchError("dual_search requires a graph with masks")
@@ -368,8 +370,7 @@ def dual_search(config, graph, hidden=None, seed=None):
     def gradient_step(opt, mask, scales=None):
         """One ``opt`` update from the loss on ``mask`` at this epoch's choices; its value."""
         store.zero_grad()
-        kept = set(opt.names)
-        with store.frozen([n for n in store.names() if n not in kept]):
+        with store.training(opt.names):
             logits = model.forward(graph, choices, scales=scales, gates=sampled_gates())
             loss = compute_loss(logits, graph.labels, graph.masks[mask], task)
             _finite_or_raise(loss, epoch, "training loss" if mask == "train" else "validation loss")
@@ -394,7 +395,7 @@ def dual_search(config, graph, hidden=None, seed=None):
         counters["a_micro_updates"] += 1
         counters["a_macro_updates"] += int(macro)
 
-        with store.frozen(store.names()):
+        with store.training():
             eval_logits = model.forward(graph, choices, gates=router.gates(tau) if macro else None)
         val_metric = evaluate(eval_logits, graph.labels, graph.masks["val"], task)
         rec = {
@@ -429,8 +430,8 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, patience=50, freeze_la
     step is the only update, so the validation forward after epoch e's step
     sees the weights epoch e + 1 trains on: its logits, tape included, are
     that epoch's training logits. The best epoch's logits give the final
-    train and test metrics. The ``freeze_layers`` weights are frozen
-    leaves throughout, so no tape or gradient goes to them.
+    train and test metrics. Only Adam's leaves train, so no tape or
+    gradient goes to the ``freeze_layers`` weights.
     """
     if not graph.masks:
         raise ValueError("retrain_genotype requires a graph with masks")
@@ -443,7 +444,7 @@ def retrain_genotype(genotype, graph, epochs=300, seed=0, patience=50, freeze_la
     best = {"val": -1.0, "epoch": -1, "weights": None, "logits": None}
     since_best = 0
     logits = None
-    with net.store.frozen([n for n in net.store.names() if n not in opt.names]):
+    with net.store.training(opt.names):
         for epoch in range(epochs):
             net.store.zero_grad()
             if logits is None:

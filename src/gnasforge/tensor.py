@@ -9,8 +9,8 @@ that no backward reads is freed as soon as the forward drops its Tensor.
 ``backward`` walks the tape once in reverse topological order, releasing
 each node as it goes: a tape serves one backward, and a second walk through
 it raises. A result that no gradient-requiring leaf reaches has no node, and
-its op computes nothing that only a backward reads; ``ParameterStore.frozen``
-turns leaves off for a block of code.
+its op computes nothing that only a backward reads; ``ParameterStore.training``
+names the leaves that need one for a block of code.
 """
 
 from __future__ import annotations
@@ -822,21 +822,23 @@ class ParameterStore:
             t.grad = None
 
     @contextlib.contextmanager
-    def frozen(self, names):
-        """Within the block, the named leaves need no gradient.
+    def training(self, names=()):
+        """Within the block, only the named leaves need a gradient.
 
-        A result built only from frozen leaves and constants keeps no tape,
-        and a backward run inside the block gives them no ``.grad``. The
-        flags are restored on exit, also when the block raises.
+        Every other leaf is turned off: a result built only from those and
+        constants keeps no tape, and a backward run inside the block gives
+        them no ``.grad``. The flags are restored on exit, also when the
+        block raises. An unknown name raises KeyError.
         """
-        leaves = [self._params[n] for n in names]
-        flags = [t.requires_grad for t in leaves]
-        for t in leaves:
+        keep = {self._params[n] for n in names}     # an unknown name raises KeyError
+        off = [t for t in self._params.values() if t not in keep]
+        flags = [t.requires_grad for t in off]
+        for t in off:
             t.requires_grad = False
         try:
             yield
         finally:
-            for t, flag in zip(leaves, flags):
+            for t, flag in zip(off, flags):
                 t.requires_grad = flag
 
     def grads(self, group=None):

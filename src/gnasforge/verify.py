@@ -1,6 +1,6 @@
-"""Gradient verification suite: every primitive and candidate operator vs
-central finite differences. Used by both the CLI gradcheck command and the
-acceptance tests.
+"""Gradient verification: central finite differences, and the suite that checks
+every primitive and candidate operator with them. Used by both the CLI
+gradcheck command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -9,23 +9,70 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, ParameterStore
-from .gradcheck import finite_difference_check, check_params
 from .blocks import (
     BlockSpace, BlockChoice, BlockParamsView, block_forward, init_block_params,
-    ATTENTIONS, AGGREGATORS, ACTIVATION_KINDS,
+    ATTENTIONS, AGGREGATORS, ACTIVATION_KINDS, SUB_BLOCKS,
 )
 from .controller import Controller, add_noise, extract_indices
 from .router import Router
 from .graphs import generate_sbm
 
 TOLERANCE = 1e-4
+STEP = 1e-5     # the central difference's step
+
+
+def finite_difference_check(f, x):
+    """Max relative error between the analytic gradient of ``f`` at ``x`` and
+    central finite differences.
+
+    ``f`` maps a Tensor to a scalar Tensor; ``x`` is checked as the one
+    parameter of ``check_params``.
+    """
+    store = ParameterStore()
+    x = store.add("x", x)
+    return check_params(lambda: f(x), store, ["x"])
+
+
+def check_params(build_loss, store, names):
+    """Finite-difference check of d(loss)/d(param) for named store parameters.
+
+    ``build_loss`` takes no arguments and rebuilds the scalar loss from the
+    current parameter values (so the whole tape is reconstructed per probe).
+    Returns the max relative error across all coordinates of all params; the
+    error per coordinate is |analytic - fd| / max(1, |analytic|). A
+    non-finite loss, at the parameters or at a probe, raises ValueError.
+    """
+    store.zero_grad()
+    loss = build_loss()
+    if not np.isfinite(loss.data).all():
+        raise ValueError("check_params: non-finite loss")
+    loss.backward()
+    worst = 0.0
+    for name in names:
+        p = store[name]
+        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        aflat = analytic.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + STEP
+            hi = build_loss().item()
+            flat[i] = orig - STEP
+            lo = build_loss().item()
+            flat[i] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise ValueError(f"check_params: non-finite loss probing {name}[{i}]")
+            fd = (hi - lo) / (2.0 * STEP)
+            err = abs(aflat[i] - fd) / max(1.0, abs(aflat[i]))
+            worst = max(worst, err)
+    store.zero_grad()
+    return worst
 
 
 def _test_graph(seed=7):
     """Small seeded graph (6 nodes) for operator checks."""
-    graph, _ = generate_sbm(num_classes=2, nodes_per_class=3, p_in=0.9, p_out=0.3,
-                            feature_dim=3, feature_noise=0.5, seed=seed)
-    return graph
+    return generate_sbm(num_classes=2, nodes_per_class=3, p_in=0.9, p_out=0.3,
+                        feature_dim=3, feature_noise=0.5, seed=seed)
 
 
 def _rng(name):
@@ -134,11 +181,16 @@ def block_combo_checks():
     least as wide as the output, so the block aggregates after W2. Then
     const / gcn with sum / mean run at in 3, out 8, expansion 1: hidden rows
     (3) narrower than the output, where these blocks aggregate before W2.
+    The ``/scaled`` runs take the architecture step's path: those narrow
+    blocks, a learned kind and max on the wide side, each scaled by its five
+    sub-block probabilities, which are store leaves checked with the weights.
     """
     graph = _test_graph()
-    runs = [(combo, 4, 2, "") for combo in operator_combos()]
-    runs += [((attn, agg, "tanh"), 8, 1, "/narrow")
-             for attn in ("const", "gcn") for agg in ("sum", "mean")]
+    narrow = [((attn, agg, "tanh"), 8, 1, "/narrow")
+              for attn in ("const", "gcn") for agg in ("sum", "mean")]
+    wide = [(("gat", "sum", "tanh"), 4, 2, ""), (("gcn", "max", "tanh"), 4, 2, "")]
+    runs = [(combo, 4, 2, "") for combo in operator_combos()] + narrow
+    runs += [(combo, out_dim, e, tag + "/scaled") for combo, out_dim, e, tag in narrow + wide]
     out = {}
     for (attn, agg, act), out_dim, e, tag in runs:
         name = f"block[{attn}/{agg}/{act}{tag}]"
@@ -152,9 +204,11 @@ def block_combo_checks():
         choice = BlockChoice(e, attn, 2, agg, act)
         x = Tensor(graph.features)
         proj = Tensor(rng.standard_normal((graph.num_nodes, out_dim)))
+        scales = ({k: store.add(f"p/{k}", rng.uniform(0.2, 1.0)) for k in SUB_BLOCKS}
+                  if tag.endswith("/scaled") else None)
 
         def build_loss():
-            return T.tsum(T.mul(block_forward(graph, x, choice, view), proj))
+            return T.tsum(T.mul(block_forward(graph, x, choice, view, scales), proj))
 
         out[name] = check_params(build_loss, store, store.names())
     return out

@@ -152,7 +152,7 @@ def test_adam_three_step_trace():
 # -- 4. single-path equivalence ------------------------------------------------------
 
 def test_single_path_equivalence():
-    g, _ = generate_sbm(2, 10, 0.4, 0.05, 8, 0.5, seed=13)
+    g = generate_sbm(2, 10, 0.4, 0.05, 8, 0.5, seed=13)
     g = random_split(g, seed=13)
     cfg = SearchConfig(num_layers=2, hidden_grid=(16,), max_iter=1,
                        expansions=(1, 2, 4), head_counts=(1, 2, 4), seed=0)
@@ -188,7 +188,7 @@ def test_single_path_equivalence():
 
 def test_exhaustive_oracle_agreement():
     t0 = time.monotonic()
-    g, _ = generate_sbm(4, 50, 0.3, 0.02, 16, 0.5, seed=17)
+    g = generate_sbm(4, 50, 0.3, 0.02, 16, 0.5, seed=17)
     g = random_split(g, seed=17)
     retrain = dict(epochs=100, patience=25)
     combos = list(itertools.product(["const", "gcn"], ["relu", "tanh"]))
@@ -221,7 +221,7 @@ def test_exhaustive_oracle_agreement():
 
 def test_synthetic_end_to_end():
     t0 = time.monotonic()
-    g, _ = generate_sbm(4, 50, 0.3, 0.02, 16, 0.5, seed=29)
+    g = generate_sbm(4, 50, 0.3, 0.02, 16, 0.5, seed=29)
     g = random_split(g, seed=29)
     cfg = SearchConfig(num_layers=3, hidden_grid=(64,), max_iter=100, train_step=5,
                        e_start=30, seed=0)
@@ -237,7 +237,7 @@ def test_synthetic_end_to_end():
 
 def test_macro_routing_probe():
     t0 = time.monotonic()
-    g, _ = generate_chain_task(200, seed=41)
+    g = generate_chain_task(200, seed=41)
     g = random_split(g, seed=41)
 
     def run(seed, router_enabled):

@@ -14,7 +14,7 @@ from gnasforge.blocks import (
     attention_coefficients, transform_forward,
     ATTENTIONS, HEAD_COUNTS, AGGREGATORS, SUB_BLOCKS,
 )
-from gnasforge.gradcheck import check_params
+from gnasforge.verify import check_params
 from gnasforge.graphs import graph_from_dict, generate_sbm
 
 
@@ -132,7 +132,7 @@ def test_gat_hand_trace_on_star():
 @pytest.mark.parametrize("kind", ["gat", "sym_gat", "cos", "linear", "gene_linear"])
 def test_normalized_attention_sums_to_one_per_neighborhood(kind):
     rng = np.random.default_rng(4)
-    g, _ = generate_sbm(2, 4, 0.8, 0.3, 4, 0.5, seed=5)
+    g = generate_sbm(2, 4, 0.8, 0.3, 4, 0.5, seed=5)
     space = BlockSpace(layer=0, in_dim=4, out_dim=8, head_counts=(1, 4),
                        attentions=(kind,), expansions=(1,))
     store = ParameterStore()
@@ -154,7 +154,7 @@ def test_every_learned_attention_kind_learns(kind, heads):
     gradient well above roundoff, and on unequal in-degrees the coefficients are not
     const/mean's uniform 1/deg."""
     rng = np.random.default_rng(6)
-    g, _ = generate_sbm(2, 6, 0.7, 0.3, 4, 0.5, seed=7)
+    g = generate_sbm(2, 6, 0.7, 0.3, 4, 0.5, seed=7)
     deg = g.arcs.counts[:, 0]
     assert deg.min() < deg.max()
     space = BlockSpace(layer=0, in_dim=4, out_dim=8, head_counts=(heads,),
@@ -168,6 +168,11 @@ def test_every_learned_attention_kind_learns(kind, heads):
     T.tsum(T.mul(coeff, Tensor(rng.standard_normal(coeff.shape)))).backward()
     for key, stack in params.items():
         assert np.abs(stack.grad).max() > 1e-6, key
+
+
+def test_const_attention_has_no_coefficients():
+    g = tiny_graph(2, [[0, 1]], [[0.0], [0.0]])
+    assert attention_coefficients("const", Tensor(g.features), g, {}) is None
 
 
 def test_unknown_attention_kind_rejected():
@@ -237,7 +242,7 @@ def test_mean_equals_sum_for_single_in_neighbor():
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(8)
-    g, _ = generate_sbm(2, 4, 0.7, 0.3, 4, 0.5, seed=9)
+    g = generate_sbm(2, 4, 0.7, 0.3, 4, 0.5, seed=9)
     perm = rng.permutation(g.num_nodes)
     inv = np.argsort(perm)
     # relabeled copy of the same graph
@@ -262,7 +267,7 @@ def test_permutation_equivariance():
 
 def test_multi_head_width_and_concat():
     rng = np.random.default_rng(11)
-    g, _ = generate_sbm(2, 3, 0.9, 0.2, 3, 0.4, seed=12)
+    g = generate_sbm(2, 3, 0.9, 0.2, 3, 0.4, seed=12)
     space = BlockSpace(layer=0, in_dim=3, out_dim=16, expansions=(1,),
                        attentions=("cos",), head_counts=(4,),
                        aggregators=("max",), activations=("relu",))
@@ -579,7 +584,7 @@ def _rel_err(a, b):
 @pytest.mark.parametrize("kind", ATTENTIONS)
 def test_fused_heads_match_per_head_reference(kind, heads, agg):
     rng = np.random.default_rng(20)
-    g, _ = generate_sbm(2, 5, 0.7, 0.3, 4, 0.5, seed=21)
+    g = generate_sbm(2, 5, 0.7, 0.3, 4, 0.5, seed=21)
     space = BlockSpace(layer=0, in_dim=4, out_dim=16, expansions=(2,),
                        attentions=(kind,), head_counts=(heads,),
                        aggregators=(agg,), activations=("elu",))
@@ -676,7 +681,7 @@ def _attention_scaled_on_the_arcs(g, x, choice, view, scales):
 @pytest.mark.parametrize("heads", [1, 4])
 @pytest.mark.parametrize("kind", ATTENTIONS)
 def test_attention_scale_on_the_aggregate_matches_it_on_the_arcs(kind, heads, agg):
-    g, _ = generate_sbm(2, 5, 0.7, 0.3, 4, 0.5, seed=44)
+    g = generate_sbm(2, 5, 0.7, 0.3, 4, 0.5, seed=44)
     space = BlockSpace(layer=0, in_dim=4, out_dim=16, expansions=(2,), attentions=(kind,),
                        head_counts=(heads,), aggregators=(agg,), activations=("elu",))
     store = ParameterStore()
@@ -767,7 +772,7 @@ def _tape_arrays(root):
 def test_tape_arrays_find_a_unary_ops_saved_edge_by_width_array(kind):
     """The walk sees an array a unary op saved inside its derivative's closure: here the
     only E x D array on the tape, as gathering rows saves none."""
-    g, _ = generate_sbm(2, 10, 0.6, 0.2, 4, 0.5, seed=24)
+    g = generate_sbm(2, 10, 0.6, 0.2, 4, 0.5, seed=24)
     x = Tensor(np.random.default_rng(26).standard_normal((g.num_nodes, 16)), requires_grad=True)
     rows = T.gather_rows(x, g.arcs, "src")
     assert rows.shape not in [a.shape for a in _tape_arrays(rows)]
@@ -783,7 +788,7 @@ _GATHERS_ROWS = pytest.mark.xfail(strict=True, reason="gene_linear gathers E x D
     pytest.param(kind, agg, marks=_GATHERS_ROWS if kind == "gene_linear" else ())
     for kind in ATTENTIONS for agg in AGGREGATORS])
 def test_block_tape_holds_no_edge_by_width_array(kind, agg):
-    g, _ = generate_sbm(2, 10, 0.6, 0.2, 4, 0.5, seed=24)
+    g = generate_sbm(2, 10, 0.6, 0.2, 4, 0.5, seed=24)
     arcs, width = len(g.arcs.dst), 16
     assert arcs > g.num_nodes
     space = BlockSpace(layer=0, in_dim=4, out_dim=width, expansions=(1,),
@@ -804,7 +809,7 @@ def test_block_forward_holds_no_local_past_its_last_reader(kind, agg, act, in_di
     pre-activation sum's two operands and its result coexist while the sum is taken, and
     the end holds the activation's output. The locals die before the activation runs, and
     the activation builds its output without a second full-size array."""
-    g, _ = generate_sbm(4, 500, 0.01, 0.001, 16, 0.5, seed=3)
+    g = generate_sbm(4, 500, 0.01, 0.001, 16, 0.5, seed=3)
     n, width = g.num_nodes, 64
     space = BlockSpace(layer=0, in_dim=in_dim, out_dim=width, expansions=(1,),
                        attentions=(kind,), head_counts=(1,), aggregators=(agg,),

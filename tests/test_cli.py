@@ -122,6 +122,22 @@ def test_search_config_without_dataset_exits_2(tmp_path, capsys):
     assert "config must name a 'dataset' path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0, True, 3.5, ["a.json"]],
+                         ids=["int", "bool", "float", "list"])
+def test_search_config_with_a_non_string_dataset_exits_2(tmp_path, monkeypatch, capsys, value):
+    """The dataset is rejected by its type before anything is opened: 0 would read
+    standard input and true file descriptor 1."""
+    loads = []
+    monkeypatch.setattr(cli, "_load_dataset", loads.append)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": value}))
+    capsys.readouterr()
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: dataset must be a path string, got {value!r}\n"
+    assert loads == [] and not (tmp_path / "out").exists()
+
+
 def test_search_missing_out_dir_exits_2(tmp_path, dataset, monkeypatch, capsys):
     """The missing --out is reported before the dataset is parsed."""
     loads = []
@@ -351,9 +367,17 @@ def test_dataset_with_two_masks_exits_2(tmp_path, dataset, capsys, command, drop
     ({"freeze_layers": ["a"]}, "freeze_layers must be layers in [0, 2), got ['a']"),
     ({"freeze_layers": [True]}, "freeze_layers must be layers in [0, 2), got [True]"),
     ({"freeze_layers": [1.0]}, "freeze_layers must be layers in [0, 2), got [1.0]"),
+    ({"expansions": [1, 1]}, "expansions repeats a candidate: [1, 1]"),
+    ({"attentions": ["gat", "gat"]}, "attentions repeats a candidate: ['gat', 'gat']"),
+    ({"head_counts": [1, 2, 1]}, "head_counts repeats a candidate: [1, 2, 1]"),
+    ({"aggregators": ["sum", "sum"]}, "aggregators repeats a candidate: ['sum', 'sum']"),
+    ({"activations": ["relu", "tanh", "relu"]},
+     "activations repeats a candidate: ['relu', 'tanh', 'relu']"),
 ], ids=["aggregator", "expansion", "attention", "float_hidden", "float_int", "null_int",
         "string_float", "int_bool", "empty_aggregators", "bool_hidden", "freeze_too_deep",
-        "freeze_negative", "freeze_string", "freeze_bool", "freeze_float"])
+        "freeze_negative", "freeze_string", "freeze_bool", "freeze_float",
+        "repeated_expansion", "repeated_attention", "repeated_head_count",
+        "repeated_aggregator", "repeated_activation"])
 def test_search_config_with_a_bad_candidate_exits_2_before_loading_data(tmp_path, capsys,
                                                                         over, message):
     cfg = write_config(tmp_path / "c.json", tmp_path / "missing.json", **over)
@@ -402,6 +426,19 @@ def test_retrain_rejects_malformed_genotype(tmp_path, dataset, capsys, edit, mes
                  "--out", str(tmp_path / "rt"), "--epochs", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "rt").exists()
+
+
+@pytest.mark.parametrize("command", ["retrain", "eval"])
+def test_genotype_without_layers_exits_1(tmp_path, dataset, capsys, command):
+    geno = tmp_path / "genotype.json"
+    geno.write_text(json.dumps({"layers": [], "routing": [], "hidden_sizes": [], "seed": 0}))
+    args = {"retrain": ["--out", str(tmp_path / "rt"), "--epochs", "2"],
+            "eval": ["--checkpoint", str(tmp_path / "missing")]}[command]
+    capsys.readouterr()
+    assert main([command, "--genotype", str(geno), "--data", str(dataset)] + args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: genotype layers must hold at least 1 layer, got []\n"
     assert not (tmp_path / "rt").exists()
 
 

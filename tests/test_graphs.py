@@ -6,7 +6,7 @@ import pytest
 
 from gnasforge.graphs import (
     GraphFormatError, load_graph_json, save_graph_json, graph_from_dict, graph_to_dict,
-    random_split, generate_sbm, generate_chain_task,
+    random_split, generate_sbm, generate_chain_task, DatasetSpec,
 )
 
 
@@ -156,8 +156,8 @@ def _loop_doc(graph):
 
 
 @pytest.mark.parametrize("make, isolated", [
-    (lambda: random_split(generate_sbm(4, 10, 0.15, 0.0, 4, 0.3, seed=1)[0], seed=2), True),
-    (lambda: generate_chain_task(60, seed=2)[0], False),
+    (lambda: random_split(generate_sbm(4, 10, 0.15, 0.0, 4, 0.3, seed=1), seed=2), True),
+    (lambda: generate_chain_task(60, seed=2), False),
 ], ids=["sbm-isolated", "chain"])
 def test_graph_to_dict_matches_the_per_node_loop(make, isolated):
     g = make()
@@ -166,7 +166,7 @@ def test_graph_to_dict_matches_the_per_node_loop(make, isolated):
 
 
 def test_roundtrip_identical(tmp_path):
-    g1, _ = generate_sbm(2, 5, 0.8, 0.1, 4, 0.3, seed=4)
+    g1 = generate_sbm(2, 5, 0.8, 0.1, 4, 0.3, seed=4)
     g1 = random_split(g1, seed=4)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_graph_json(g1, p1)
@@ -210,7 +210,7 @@ def test_split_rejects_tiny_graphs():
 
 
 def test_sbm_degenerate_probabilities_give_cliques():
-    g, _ = generate_sbm(2, 3, 1.0, 0.0, 2, 0.0, seed=0)
+    g = generate_sbm(2, 3, 1.0, 0.0, 2, 0.0, seed=0)
     for i in range(6):
         nbrs = set(_neighbors(g, i)) - {i}
         block = set(range(3)) if i < 3 else set(range(3, 6))
@@ -218,7 +218,7 @@ def test_sbm_degenerate_probabilities_give_cliques():
 
 
 def test_sbm_noiseless_features_are_centroids():
-    g, spec = generate_sbm(3, 4, 0.9, 0.0, 5, 0.0, seed=1)
+    g = generate_sbm(3, 4, 0.9, 0.0, 5, 0.0, seed=1)
     centroids = np.zeros((3, 5))
     centroids[np.arange(3), np.arange(3)] = 1.0
     np.testing.assert_array_equal(g.features, centroids[g.labels])
@@ -228,7 +228,7 @@ def test_sbm_noiseless_features_are_centroids():
 
 
 def test_sbm_within_block_edge_count_binomial():
-    g, _ = generate_sbm(4, 50, 0.5, 0.0, 8, 0.0, seed=7)
+    g = generate_sbm(4, 50, 0.5, 0.0, 8, 0.0, seed=7)
     # arcs = 2 * undirected edges; exclude self-loops
     within = (g.arcs.src != g.arcs.dst).sum() / 2
     trials = 4 * 50 * 49 // 2
@@ -237,7 +237,7 @@ def test_sbm_within_block_edge_count_binomial():
 
 
 def test_sbm_zero_crossing_components_stay_in_class():
-    g, _ = generate_sbm(3, 10, 0.5, 0.0, 4, 0.1, seed=3)
+    g = generate_sbm(3, 10, 0.5, 0.0, 4, 0.1, seed=3)
     seen = np.full(g.num_nodes, -1)
     for start in range(g.num_nodes):
         if seen[start] >= 0:
@@ -284,9 +284,9 @@ def _scalar_loop_sbm(num_classes, nodes_per_class, p_in, p_out, feature_dim,
 ])
 def test_sbm_matches_pair_by_pair_reference(args):
     """The vectorised generator draws the same uniform stream as a pair loop."""
-    g, spec = generate_sbm(*args)
+    g = generate_sbm(*args)
     ref = _scalar_loop_sbm(*args)
-    assert spec == ref.spec
+    assert g.spec == ref.spec
     np.testing.assert_array_equal(g.arcs.dst, ref.arcs.dst)
     np.testing.assert_array_equal(g.arcs.src, ref.arcs.src)
     np.testing.assert_array_equal(g.labels, ref.labels)
@@ -304,7 +304,8 @@ def test_sbm_validates_probabilities_and_dims():
 
 
 def test_chain_task_linearly_separable():
-    g, spec = generate_chain_task(60, seed=2)
+    g = generate_chain_task(60, seed=2)
+    assert g.spec == DatasetSpec("single", 2, 8)
     X, y = g.features, g.labels
     # least-squares linear probe on raw features
     w, *_ = np.linalg.lstsq(np.c_[X, np.ones(len(y))], 2.0 * y - 1.0, rcond=None)
@@ -313,7 +314,7 @@ def test_chain_task_linearly_separable():
 
 
 def test_chain_task_shuffled_labels_at_chance():
-    g, _ = generate_chain_task(200, seed=2)
+    g = generate_chain_task(200, seed=2)
     rng = np.random.default_rng(0)
     y = rng.permutation(g.labels)
     X = np.c_[g.features, np.ones(len(y))]
@@ -323,8 +324,8 @@ def test_chain_task_shuffled_labels_at_chance():
 
 
 def test_chain_task_deterministic(tmp_path):
-    a, _ = generate_chain_task(40, seed=5)
-    b, _ = generate_chain_task(40, seed=5)
+    a = generate_chain_task(40, seed=5)
+    b = generate_chain_task(40, seed=5)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     save_graph_json(a, pa)
     save_graph_json(b, pb)

@@ -40,7 +40,7 @@ def tiny_config(**kw):
 
 @pytest.fixture(scope="module")
 def graph():
-    g, _ = generate_sbm(2, 15, 0.3, 0.05, 8, 0.6, seed=21)
+    g = generate_sbm(2, 15, 0.3, 0.05, 8, 0.6, seed=21)
     return random_split(g, seed=21)
 
 
@@ -513,7 +513,7 @@ def test_dual_search_seed_changes_trajectory(graph):
 
 
 def test_dual_search_requires_masks():
-    g, _ = generate_sbm(2, 5, 0.5, 0.1, 4, 0.5, seed=2)
+    g = generate_sbm(2, 5, 0.5, 0.1, 4, 0.5, seed=2)
     with pytest.raises(SearchError, match="masks"):
         dual_search(tiny_config(), g)
 
@@ -574,7 +574,7 @@ def test_architecture_step_forward_memory_is_bounded_per_layer(monkeypatch):
     2,000-node graph: what it still holds when it returns, its tape, stays within 6.5
     n x D arrays per layer (6.0 measured; 12.3 while each probability and gate kept its
     product)."""
-    g, _ = generate_sbm(4, 500, 0.01, 0.001, 16, 0.5, seed=3)
+    g = generate_sbm(4, 500, 0.01, 0.001, 16, 0.5, seed=3)
     g = random_split(g, seed=3)
     layers, width = 7, 64
     cfg = SearchConfig(num_layers=layers, hidden_grid=(width,), max_iter=1, train_step=1,
@@ -646,7 +646,8 @@ def test_dual_search_matches_a_search_without_frozen_leaves(graph, monkeypatch,
     """Reference: the same search with every leaf requiring a gradient throughout."""
     cfg = _dual_search_config(router_enabled=router_enabled)
     res = dual_search(cfg, graph)
-    monkeypatch.setattr(ParameterStore, "frozen", lambda self, names: contextlib.nullcontext())
+    monkeypatch.setattr(ParameterStore, "training",
+                        lambda self, names=(): contextlib.nullcontext())
     ref = dual_search(cfg, graph)
     assert json.dumps(res.log, sort_keys=True) == json.dumps(ref.log, sort_keys=True)
     assert res.genotype.to_dict() == ref.genotype.to_dict()
@@ -750,7 +751,8 @@ def test_retrain_freezes_the_frozen_layers(graph, monkeypatch):
     assert frozen and all(net.store[n].grad is None for n in frozen)
     assert net.store["classifier/W"].grad is not None
     assert all(t.requires_grad for _, t in net.store.items())
-    monkeypatch.setattr(ParameterStore, "frozen", lambda self, names: contextlib.nullcontext())
+    monkeypatch.setattr(ParameterStore, "training",
+                        lambda self, names=(): contextlib.nullcontext())
     ref_net, ref_report = retrain_genotype(genotype, graph, epochs=20, seed=0,
                                            freeze_layers=(1,))
     assert all(ref_net.store[n].grad is not None for n in frozen)

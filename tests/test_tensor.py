@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from gnasforge import tensor as T
 from gnasforge.tensor import Tensor, ParameterStore, ShapeError
-from gnasforge.gradcheck import finite_difference_check
+from gnasforge.verify import finite_difference_check
 from gnasforge.router import gumbel_sigmoid
 
 
@@ -335,7 +335,7 @@ def test_backward_of_a_loss_without_gradient_raises():
         T.tsum(T.mul(x, x)).backward()
     store = ParameterStore()
     w = store.add("w", np.ones((2, 1)))
-    with store.frozen(["w"]):
+    with store.training():
         loss = T.tsum(T.matmul(Tensor(np.ones((1, 2))), w))
         with pytest.raises(ValueError, match="no leaf that requires a gradient"):
             loss.backward()
@@ -636,7 +636,7 @@ def test_frozen_leaves_keep_no_tape_and_get_no_gradient():
     w = store.add("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
     a = store.add("a", np.array([[2.0, 1.0], [-1.0, 0.5]]), group="a_micro")
     x = Tensor(np.array([[1.0, 1.0], [2.0, -1.0]]))
-    with store.frozen(["w"]):
+    with store.training(["a"]):
         assert not w.requires_grad and a.requires_grad
         h = T.relu(T.matmul(x, w))
         assert h._parents == () and h._backward is None
@@ -651,28 +651,29 @@ def test_a_backward_inside_frozen_gives_no_gradient_to_a_leaf_frozen_after_the_f
     w = store.add("w", np.array([[1.0, -2.0]]))
     x = Tensor(np.array([[3.0, 0.5]]), requires_grad=True)
     loss = T.tsum(T.mul(w, x))                  # both leaves take a gradient here
-    with store.frozen(["w"]):
+    with store.training():
         loss.backward()
     assert w.grad is None
     np.testing.assert_array_equal(x.grad, w.data)
 
 
-def test_frozen_restores_the_flags_when_the_block_raises():
+def test_training_restores_the_flags_when_the_block_raises():
     store = ParameterStore()
     w = store.add("w", np.ones((2, 2)))
     a = store.add("a", np.ones((1, 2)), group="a_micro")
     c = store.add("c", np.ones((1, 2)))
-    c.requires_grad = False                     # already frozen: stays frozen
+    c.requires_grad = False                     # already off: stays off, named or not
     with pytest.raises(RuntimeError, match="inside"):
-        with store.frozen(["w"]):
-            with store.frozen(store.names()):
+        with store.training(["a", "c"]):
+            assert not w.requires_grad and a.requires_grad and not c.requires_grad
+            with store.training():
                 assert not (w.requires_grad or a.requires_grad or c.requires_grad)
                 raise RuntimeError("inside")
     assert w.requires_grad and a.requires_grad and not c.requires_grad
-    with pytest.raises(KeyError):
-        with store.frozen(["w", "missing"]):
+    with pytest.raises(KeyError, match="missing"):
+        with store.training(["w", "missing"]):
             pass
-    assert w.requires_grad
+    assert w.requires_grad and a.requires_grad
 
 
 @pytest.mark.parametrize("op", [T.add, T.mul, T.div])
